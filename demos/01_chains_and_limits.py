@@ -4,6 +4,12 @@ A pair of memory-one strategies induces a Markov chain on the joint states
 CC, CD, DC, DD.  Deterministic strategies make that chain reducible or
 periodic, which is exactly why this package distinguishes the one-shot
 stationary solve from the start-dependent Cesaro (time-average) limit.
+
+Both come from the same finite elimination: transient states are removed
+one at a time, their starting mass carried to the recurrent classes that
+absorb it, and each recurrent class is solved by Grassmann-Taksar-Heyman
+(GTH) elimination.  No step count, window or convergence test is involved,
+so slowly mixing chains are solved as accurately as fast ones.
 """
 
 import numpy as np
@@ -41,7 +47,15 @@ print("(three recurrent classes each carry an invariant measure, so the")
 print(" start matters; the Cesaro limit resolves that honestly:)")
 for start in (z.JointState.CC, z.JointState.CD, z.JointState.DD):
     limit = z.cesaro_limit(M, z.point_mass(start))
-    print(f"  from {start.name}: {limit.distribution}   method={limit.method}")
+    print(f"  from {start.name}: {limit.distribution}   residual={limit.residual:.1e}")
+
+print()
+print("=== A slowly leaking cycle: exact, with no step budget ===")
+# CD and DC swap into each other and leak 1e-9 per step into CC or DD
+M = z.transition_matrix(z.TFT, z.parse_strategy("custom:1,1e-9,0.999999999,0"))
+print("transient states:", z.classify(M).transient_states)
+limit = z.cesaro_limit(M)
+print("cesaro limit from uniform:", limit.distribution, f"converged={limit.converged}")
 
 print()
 print("=== Trembling hands regularise everything ===")

@@ -17,7 +17,7 @@ opponent = z.MemoryOneStrategy(tuple(rng.random(4)))
 print("opponent cooperation probabilities:", np.round(opponent.array, 4))
 
 M = z.transition_matrix(z.TFT, opponent)
-limit = z.cesaro_limit(M, tol=1e-13, max_steps=10**9)
+limit = z.cesaro_limit(M, tol=1e-13)
 pi = limit.distribution
 print("long-run distribution:", np.round(pi, 10))
 print(f"pi[CD] - pi[DC] = {pi[z.JointState.CD] - pi[z.JointState.DC]:.2e}")

@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,11 +46,6 @@ from .pressdyson import (
 
 __all__ = ["main"]
 
-# Pipeline accuracy for the verification commands: tighter than the module
-# defaults because k-th moment checks amplify distribution error by T^k.
-CESARO_TOL = 1e-13
-CESARO_MAX_STEPS = 10**9
-
 DEFAULT_H_GRID = "-2,-1,-0.5,-0.1,0.1,0.5,1,2"
 
 
@@ -64,11 +60,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _finite(text) -> float:
+    """One number from the command line; nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_payoffs(text: str, permissive: bool = False) -> PayoffMatrix:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--payoffs expects R,S,T,P, got {text!r}")
-    r, s, t, p = (float(x) for x in parts)
+    r, s, t, p = (_finite(x) for x in parts)
     return PayoffMatrix(R=r, S=s, T=t, P=p, permissive=permissive)
 
 
@@ -86,7 +90,7 @@ def _parse_initial(text: str):
 
 def _parse_floats(text: str) -> list[float]:
     items = [x for x in text.split(",") if x.strip() != ""]
-    return [float(x) for x in items]
+    return [_finite(x) for x in items]
 
 
 def _parse_basis(text: str, m: PayoffMatrix) -> BasisSpec:
@@ -98,7 +102,7 @@ def _parse_basis(text: str, m: PayoffMatrix) -> BasisSpec:
     if key.startswith("monomial:"):
         return BasisSpec.monomial(m, int(key.split(":", 1)[1]))
     if key.startswith("exp:"):
-        return BasisSpec.exponential(m, float(key.split(":", 1)[1]))
+        return BasisSpec.exponential(m, _finite(key.split(":", 1)[1]))
     raise ValueError(
         f"--basis must be zd, monomial:D, exp:h or wsls4; got {text!r}"
     )
@@ -108,8 +112,8 @@ def _payoff_dict(m: PayoffMatrix) -> dict:
     return {"R": m.R, "S": m.S, "T": m.T, "P": m.P}
 
 
-def _manifest(command: str, args: argparse.Namespace, m: PayoffMatrix | None,
-              parameters: dict, prng: str | None) -> dict:
+def _manifest(command: str, m: PayoffMatrix | None, parameters: dict,
+              prng: str | None) -> dict:
     return {
         "tool": "zdlab",
         "version": __version__,
@@ -132,13 +136,17 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", out)
 
 
-def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: dict) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(cell) for cell in row])
-    _write_text(buffer.getvalue(), out)
+    return buffer.getvalue()
+
+
+def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: dict) -> None:
+    _write_text(_csv_text(header, rows), out)
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     if out is None:
         sys.stderr.write(manifest_text)
@@ -148,6 +156,7 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: di
 
 def cmd_verify_tft(args: argparse.Namespace) -> int:
     m = _parse_payoffs(args.payoffs)
+    tol = _finite(args.tol)
     s1 = payoff_vector(m, 1)
     s2 = payoff_vector(m, 2)
     tft = named_strategy("tft")
@@ -176,20 +185,22 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     all_passed = True
     for label, opponent in opponents:
         M = transition_matrix(tft, opponent)
-        limit = cesaro_limit(M, pi0, tol=CESARO_TOL, max_steps=CESARO_MAX_STEPS)
+        # a residual bound tighter than the default: k-th moment checks
+        # amplify distribution error by T^k
+        limit = cesaro_limit(M, pi0, tol=1e-13)
         pi = limit.distribution
         dev_k = [abs(moment(s1, pi, k) - moment(s2, pi, k)) for k in k_values]
         dev_h = [abs(mgf(s1, pi, h) - mgf(s2, pi, h)) for h in h_grid]
         gap = float(pi[JointState.CD] - pi[JointState.DC])
         dist_equal = distributions_equal(
-            payoff_distribution(s1, pi), payoff_distribution(s2, pi), args.tol
+            payoff_distribution(s1, pi), payoff_distribution(s2, pi), tol
         )
         passed = (
             limit.converged
             and dist_equal
-            and abs(gap) <= args.tol
-            and all(d <= args.tol for d in dev_k)
-            and all(d <= args.tol for d in dev_h)
+            and abs(gap) <= tol
+            and all(d <= tol for d in dev_k)
+            and all(d <= tol for d in dev_h)
         )
         all_passed = all_passed and passed
         p = opponent.p
@@ -227,10 +238,10 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "k_max": args.k_max,
         "h_grid": h_grid,
-        "tol": args.tol,
+        "tol": tol,
         "initial": args.initial,
     }
-    manifest = _manifest("verify-tft", args, m, parameters, prng)
+    manifest = _manifest("verify-tft", m, parameters, prng)
     if args.format == "json":
         _emit_json({"manifest": manifest, "rows": json_rows, "all_passed": all_passed},
                    args.out)
@@ -245,7 +256,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         _emit_csv(header, rows, args.out, manifest)
     passed_count = sum(1 for r in json_rows if r["passed"])
     print(
-        f"verify-tft: {passed_count}/{len(json_rows)} opponents passed (tol {args.tol:g})",
+        f"verify-tft: {passed_count}/{len(json_rows)} opponents passed (tol {tol:g})",
         file=sys.stderr,
     )
     return 0 if all_passed else 1
@@ -259,7 +270,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     result = decompose(pd, basis)
     labels = [format_label(label) for label in basis.labels]
     parameters = {"strategy": args.strategy, "basis": args.basis}
-    manifest = _manifest("decompose", args, m, parameters, None)
+    manifest = _manifest("decompose", m, parameters, None)
     if args.format == "csv":
         header = ["label", "coefficient", "residual_norm", "rank", "exact"]
         rows = [
@@ -296,7 +307,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         initial=_parse_initial(args.initial),
         burn_in=args.burn_in,
-        noise=args.epsilon,
+        noise=_finite(args.epsilon),
     )
     report = simulate(s1, s2, cfg, payoffs=m, k_max=args.k_max)
     initial = args.initial.strip().lower()
@@ -310,7 +321,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "burn_in": args.burn_in,
         "k_max": args.k_max,
     }
-    manifest = _manifest("simulate", args, m, parameters, PRNG_ID)
+    manifest = _manifest("simulate", m, parameters, PRNG_ID)
     payload = {
         "manifest": manifest,
         "report": {
@@ -337,12 +348,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             [JointState(i).name.lower(), report.state_counts[i], report.frequencies[i]]
             for i in range(4)
         ]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-        Path(args.out).with_suffix(".csv").write_text(buffer.getvalue(), newline="")
+        Path(args.out).with_suffix(".csv").write_text(_csv_text(header, rows), newline="")
     return 0
 
 
@@ -416,7 +422,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 check = tft_power_identity(base, k)
                 rows.append([k, check.coefficient, check.max_abs_error, None])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 rows.append([k, None, None, str(exc)])
         parameters = {"mode": "tft-k-range", "k_range": args.tft_k_range}
     else:
@@ -433,7 +439,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rows.append([h, None, None, str(exc)])
         parameters = {"mode": "h-range", "h_range": args.h_range}
 
-    manifest = _manifest("sweep", args, base, parameters, None)
+    manifest = _manifest("sweep", base, parameters, None)
     if args.format == "json":
         json_rows = [
             {name: cell for name, cell in zip(header, row)} for row in rows

@@ -159,6 +159,20 @@ def transform_power(v: PayoffVector, k: int) -> PayoffVector:
     return PayoffVector(tuple(x**k for x in v.values), f"{label}^{k}")
 
 
+def check_exp_range(h: float, max_abs: float) -> None:
+    """Refuse e^{h * x} for |x| <= max_abs when it can overflow a double.
+
+    Raises OverflowError when |h| * max_abs > 700; every exponential of a
+    payoff in this package (MGFs, exponential bases and identities) is
+    guarded by this one check.
+    """
+    if abs(h) * max_abs > 700.0:
+        raise OverflowError(
+            f"|h| * max|payoff| = {abs(h) * max_abs:g} exceeds the "
+            "double-precision exponential range (700)"
+        )
+
+
 def transform_exp(v: PayoffVector, h: float) -> PayoffVector:
     """Componentwise e^{h * v[i]} for h != 0.
 

@@ -7,12 +7,24 @@ Cesaro limit of the time-averaged state distribution from a declared initial
 distribution (uniform unless stated otherwise): it exists for every finite
 chain, it is a fixed point of the transition matrix, and it is the average
 against which Press-Dyson vectors vanish.
+
+Every long-run distribution here comes from one finite, subtraction-free
+elimination.  :func:`classify` splits the states into transient states and
+closed (recurrent) classes.  State reduction then removes the transient
+states one at a time, pushing their starting mass onto the states they
+exit to; this yields the mass each recurrent class absorbs.  Finally the
+Grassmann-Taksar-Heyman (GTH) elimination gives the stationary
+distribution of each recurrent class, and the Cesaro limit is the
+absorbed-mass mixture of those.  Exit probabilities are always sums of
+outgoing entries, never ``1 - p_ii``, so slow mixing costs no accuracy
+(Grassmann, Taksar & Heyman, Oper. Res. 33, 1985; Stewart, Introduction to
+the Numerical Solution of Markov Chains, 1994).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -33,12 +45,8 @@ __all__ = [
 
 N_STATES = 4
 
-#: Default convergence tolerance for iterative limits.
+#: Default bound on the fixed-point residual max|M pi - pi|.
 DEFAULT_TOL = 1e-12
-#: Default cap on the number of underlying chain steps.
-DEFAULT_MAX_STEPS = 10**6
-#: Relative singular-value threshold for rank decisions.
-RANK_TOL = 1e-9
 
 
 def as_distribution(pi, tol: float = 1e-12) -> np.ndarray:
@@ -96,16 +104,6 @@ class ChainStructure:
                 out.extend(c)
         return tuple(sorted(out))
 
-    @property
-    def cycle_window(self) -> int:
-        """Least common multiple of the recurrent periods (>= 1).
-
-        Averaging the chain over windows of this length removes every
-        persistent oscillation, which is what the Cesaro solver exploits.
-        """
-        periods = [p for p in self.periods if p is not None]
-        return lcm(*periods) if periods else 1
-
 
 def classify(M) -> ChainStructure:
     """Exact structural classification of the chain's support graph.
@@ -157,98 +155,88 @@ def classify(M) -> ChainStructure:
 
 @dataclass(frozen=True, eq=False)
 class LimitResult:
-    """A long-run distribution together with how it was obtained.
+    """A long-run distribution together with its checks.
 
     ``residual`` is the fixed-point defect max|M pi - pi|; ``unique`` says
     whether the stationary distribution of the chain is unique (equivalently
-    whether there is a single recurrent class), and ``converged`` is False
-    only when an iterative method ran out of steps.
+    whether there is a single recurrent class), and ``converged`` says
+    whether the residual is within the requested tolerance.  The solve is
+    finite, so ``iterations`` is always 0.
     """
 
     distribution: np.ndarray
-    method: str
     unique: bool
     iterations: int
     residual: float
-    converged: bool = True
+    converged: bool
 
 
-def _freeze(pi: np.ndarray) -> np.ndarray:
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    pi.flags.writeable = False
-    return pi
+def _gth(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of an irreducible row-stochastic block (GTH).
 
-
-def _solve_normalised(M: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
-    """Stationary distribution supported on a closed subset of states.
-
-    Solves (M - I) pi = 0 augmented with sum(pi) = 1, restricted to the
-    given states, as one least-squares system (the pivoting of the solver
-    decides how the redundant row is absorbed).
+    Removes states last to first, folding the paths through each removed
+    state into direct moves among the states before it, then rebuilds the
+    distribution front to back; ``P`` is overwritten.
     """
-    sub = M[np.ix_(states, states)]
-    n = len(states)
-    A = np.vstack([sub - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    n = len(P)
+    for k in range(n - 1, 0, -1):
+        P[:k, k] /= P[k, :k].sum()  # exit probability: a sum, never 1 - P[k, k]
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    x = np.ones(n)
+    for k in range(1, n):
+        x[k] = x[:k] @ P[:k, k]
+    return x / x.sum()
+
+
+def _long_run(
+    M: np.ndarray, pi0: np.ndarray, structure: ChainStructure, tol: float
+) -> LimitResult:
+    """Cesaro limit from ``pi0`` by state reduction and GTH, with its checks."""
+    transient = structure.transient_states
+    recurrent = structure.recurrent_classes
+    order = list(transient) + [s for members in recurrent for s in members]
+    P = M.T[np.ix_(order, order)]  # P[i, j]: one step i -> j, transient states first
+    mass = pi0[order]
+    for k in range(len(transient)):
+        rest = slice(k + 1, N_STATES)
+        exits = P[k, rest] / P[k, rest].sum()
+        P[rest, rest] += np.outer(P[rest, k], exits)
+        mass[rest] += mass[k] * exits
     pi = np.zeros(N_STATES)
-    pi[list(states)] = x
-    return pi
+    start = len(transient)
+    for members in recurrent:
+        block = slice(start, start + len(members))
+        pi[list(members)] = mass[block].sum() * _gth(P[block, block])
+        start = block.stop
+    pi /= pi.sum()
+    pi.flags.writeable = False
+    residual = float(np.max(np.abs(M @ pi - pi)))
+    return LimitResult(pi, len(recurrent) == 1, 0, residual, residual <= tol)
 
 
-def stationary_exact(M, rank_tol: float = RANK_TOL) -> LimitResult:
-    """Solve for a stationary distribution by direct linear algebra.
+def stationary_exact(M) -> LimitResult:
+    """A stationary distribution of the chain, solved exactly.
 
-    The null space of M - I is measured by SVD at ``rank_tol`` relative to
-    the largest singular value.  When it is one-dimensional the stationary
-    distribution is unique and returned.  When it is larger (reducible
-    chains carrying several invariant measures), the result is flagged
-    ``unique=False`` and the distribution returned is the stationary
-    distribution of the first recurrent class, which is one valid basis
-    solution; callers wanting start-dependent limits should use
-    :func:`cesaro_limit`.
-
-    Returns
-    -------
-    LimitResult with ``method="exact-solve"``.
+    When the chain has one recurrent class its stationary distribution is
+    unique and returned.  When it has several (reducible chains carrying
+    several invariant measures), the result is flagged ``unique=False`` and
+    the distribution returned is the stationary distribution of the first
+    recurrent class, which is one valid solution; callers wanting
+    start-dependent limits should use :func:`cesaro_limit`.
     """
     M = np.asarray(M, dtype=float)
-    A = M - np.eye(N_STATES)
-    singular_values = np.linalg.svd(A, compute_uv=False)
-    largest = singular_values[0]
-    if largest == 0.0:
-        nullity = N_STATES
-    else:
-        nullity = int(np.sum(singular_values <= rank_tol * largest))
-    if nullity <= 1:
-        pi = _freeze(_solve_normalised(M, (0, 1, 2, 3)))
-        unique = True
-    else:
-        structure = classify(M)
-        first = structure.recurrent_classes[0]
-        pi = _freeze(_solve_normalised(M, first))
-        unique = False
-    residual = float(np.max(np.abs(M @ pi - pi)))
-    return LimitResult(pi, "exact-solve", unique, 0, residual)
+    structure = classify(M)
+    first = point_mass(structure.recurrent_classes[0][0])
+    return _long_run(M, first, structure, DEFAULT_TOL)
 
 
-def cesaro_limit(
-    M,
-    pi0=None,
-    tol: float = DEFAULT_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> LimitResult:
+def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> LimitResult:
     """Cesaro (time-average) limit of the chain from a starting distribution.
 
-    Computes lim_n (1/n) sum_{t<n} pi_t by running averages over windows
-    whose length is the least common multiple of the recurrent periods:
-    such a window average is free of persistent oscillation and settles
-    geometrically.  The window position is advanced by repeated squaring of
-    the window-step matrix, and the averages at positions n and 2n are
-    compared in sup norm; convergence additionally requires the fixed-point
-    residual max|M pi - pi| <= tol.
+    Computes lim_n (1/n) sum_{t<n} pi_t exactly: the mass ``pi0`` puts on
+    transient states is carried to the recurrent classes it is absorbed
+    by, and each class contributes its stationary distribution weighted by
+    the mass it holds (see the module docstring).
 
     Parameters
     ----------
@@ -257,69 +245,24 @@ def cesaro_limit(
     pi0 : array_like or None
         Initial distribution; uniform when None.
     tol : float
-        Sup-norm settling tolerance, also the residual bound.
-    max_steps : int
-        Cap on the number of underlying chain steps represented.
+        Bound on the fixed-point residual max|M pi - pi| for ``converged``.
+    max_steps : ignored
+        Accepted so that callers written for an iterative solver keep
+        working; the solve is finite, so there is no step budget.
 
     Returns
     -------
-    LimitResult with ``method="cesaro"`` (or ``"power-iteration"`` when the
-    window degenerates to a single iterate), ``converged=False`` with the
-    best estimate if the step cap is hit first.
+    LimitResult; ``converged`` is False when the residual exceeds ``tol``.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     M = np.asarray(M, dtype=float)
     pi = uniform_distribution() if pi0 is None else as_distribution(pi0)
-
-    structure = classify(M)
-    window = structure.cycle_window
-
-    avg = np.zeros(N_STATES)
-    cur = pi
-    for _ in range(window):
-        avg += cur
-        cur = M @ cur
-    avg /= window
-
-    step = np.linalg.matrix_power(M, window)  # advances a window by `window` steps
-    offset = 0
-    stride = window
-    converged = False
-    while offset + stride + window <= max_steps:
-        nxt = step @ avg
-        offset += stride
-        diff = float(np.max(np.abs(nxt - avg)))
-        avg = nxt
-        if diff < tol:
-            converged = True
-            break
-        step = step @ step
-        # keep the powered matrix exactly stochastic: squaring alone lets
-        # roundoff compound once per doubling, which puts a growing floor
-        # under the n-vs-2n comparison
-        np.clip(step, 0.0, None, out=step)
-        step /= step.sum(axis=0, keepdims=True)
-        stride *= 2
-
-    pi_limit = _freeze(avg)
-    residual = float(np.max(np.abs(M @ pi_limit - pi_limit)))
-    converged = converged and residual <= tol
-    return LimitResult(
-        distribution=pi_limit,
-        method="power-iteration" if window == 1 else "cesaro",
-        unique=len(structure.recurrent_classes) == 1,
-        iterations=offset + window,
-        residual=residual,
-        converged=converged,
-    )
+    return _long_run(M, pi, classify(M), tol)
 
 
 def perturbed_stationary(
-    s1: MemoryOneStrategy,
-    s2: MemoryOneStrategy,
-    eps: float,
-    rank_tol: float = RANK_TOL,
+    s1: MemoryOneStrategy, s2: MemoryOneStrategy, eps: float
 ) -> LimitResult:
     """Stationary distribution after trembling-hand regularisation.
 
@@ -330,4 +273,4 @@ def perturbed_stationary(
     so no such identity is asserted anywhere.
     """
     M = transition_matrix(s1.with_noise(eps), s2.with_noise(eps))
-    return stationary_exact(M, rank_tol=rank_tol)
+    return stationary_exact(M)

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .game import PayoffMatrix, PayoffVector, payoff_vector
+from .game import PayoffMatrix, PayoffVector, check_exp_range, payoff_vector
 
 __all__ = [
     "PayoffDistribution",
@@ -62,11 +62,7 @@ def mgf(v, pi, h: float) -> float:
     """Moment generating function sum_s e^{h * v[s]} * pi[s]."""
     h = float(h)
     values = _values(v)
-    if abs(h) * float(np.max(np.abs(values))) > 700.0:
-        raise OverflowError(
-            f"|h| * max|payoff| = {abs(h) * np.max(np.abs(values)):g} exceeds "
-            "the double-precision exponential range (700)"
-        )
+    check_exp_range(h, float(np.max(np.abs(values))))
     return float(np.dot(np.exp(h * values), np.asarray(pi, dtype=float)))
 
 

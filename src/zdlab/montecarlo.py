@@ -248,8 +248,6 @@ def empirical_vs_exact(
     cfg: SimulationConfig,
     tol_sigma: float,
     payoffs: PayoffMatrix = DEFAULT_PAYOFFS,
-    cesaro_tol: float = 1e-13,
-    cesaro_max_steps: int = 10**9,
 ) -> ComparisonReport:
     """Cross-validate a simulation against the exact Cesaro limit.
 
@@ -258,9 +256,7 @@ def empirical_vs_exact(
     """
     report = simulate(s1, s2, cfg, payoffs=payoffs)
     M = transition_matrix(s1.with_noise(cfg.noise), s2.with_noise(cfg.noise))
-    exact = cesaro_limit(
-        M, cfg.initial_distribution(), tol=cesaro_tol, max_steps=cesaro_max_steps
-    )
+    exact = cesaro_limit(M, cfg.initial_distribution(), tol=1e-13)
     n = report.counted_rounds
     pi = exact.distribution
     deviations = tuple(abs(f - p) for f, p in zip(report.frequencies, pi))

@@ -24,6 +24,7 @@ from .game import (
     MemoryOneStrategy,
     PayoffMatrix,
     PayoffVector,
+    check_exp_range,
     cooperation_probs,
     named_strategy,
     payoff_vector,
@@ -185,10 +186,11 @@ class BasisSpec:
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
-        """The basis {1, e^{h s1}, e^{h s2}} for h != 0."""
+        """The basis {1, e^{h s1}, e^{h s2}} for h != 0 within exponential range."""
         h = float(h)
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
+        check_exp_range(h, m.max_abs())
         s1 = payoff_vector(m, 1).array
         s2 = payoff_vector(m, 2).array
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
@@ -227,21 +229,16 @@ class DecompositionResult:
         return self.basis.matrix @ self.coefficient_vector
 
 
-def decompose(
-    pd,
-    basis: BasisSpec,
-    tol: float = EXACT_TOL,
-    rank_tol: float = RANK_TOL,
-) -> DecompositionResult:
+def decompose(pd, basis: BasisSpec, tol: float = EXACT_TOL) -> DecompositionResult:
     """Decompose a Press-Dyson vector against a basis.
 
-    Minimum-norm least squares with the basis rank revealed at ``rank_tol``
+    Minimum-norm least squares with the basis rank revealed at ``RANK_TOL``
     (relative to the largest singular value); a rank-deficient basis is
     reported, never an error.  ``exact`` is True iff the residual 2-norm is
     at most ``tol``.
     """
     target = pd.array if isinstance(pd, PressDysonVector) else np.asarray(pd, float)
-    coef, _, rank, _ = np.linalg.lstsq(basis.matrix, target, rcond=rank_tol)
+    coef, _, rank, _ = np.linalg.lstsq(basis.matrix, target, rcond=RANK_TOL)
     residual = target - basis.matrix @ coef
     residual.flags.writeable = False
     norm = float(np.linalg.norm(residual))
@@ -270,8 +267,11 @@ def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    denominator = float(m.T) ** k - float(m.S) ** k
-    scale = max(abs(m.T) ** k, abs(m.S) ** k, 1.0)
+    try:
+        denominator = float(m.T) ** k - float(m.S) ** k
+        scale = max(abs(m.T) ** k, abs(m.S) ** k, 1.0)
+    except OverflowError:
+        raise OverflowError(f"T^k or S^k overflows double precision at k={k}") from None
     if abs(denominator) <= 1e-12 * scale:
         raise ValueError(f"degenerate denominator: T^k - S^k vanishes at k={k}")
     s1 = payoff_vector(m, 1).array
@@ -289,11 +289,7 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     h = float(h)
     if h == 0.0:
         raise ValueError("h = 0 is excluded (the identity degenerates)")
-    if abs(h) * m.max_abs() > 700.0:
-        raise OverflowError(
-            f"|h| * max|payoff| = {abs(h) * m.max_abs():g} exceeds the "
-            "double-precision exponential range (700)"
-        )
+    check_exp_range(h, m.max_abs())
     s1 = payoff_vector(m, 1).array
     s2 = payoff_vector(m, 2).array
     denominator = float(np.exp(h * m.T) - np.exp(h * m.S))
@@ -301,11 +297,7 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
 
 
-def wsls_coefficients(
-    m: PayoffMatrix,
-    tol: float = EXACT_TOL,
-    rank_tol: float = RANK_TOL,
-) -> DecompositionResult:
+def wsls_coefficients(m: PayoffMatrix, tol: float = EXACT_TOL) -> DecompositionResult:
     """Coefficients of Win-Stay Lose-Shift over the basis (s1, s2, s1*s2, 1).
 
     For generic payoffs the four vectors are linearly independent and the
@@ -315,4 +307,4 @@ def wsls_coefficients(
     values, unlike the payoff-independent TFT identities.
     """
     pd = press_dyson(named_strategy("wsls"), 1)
-    return decompose(pd, BasisSpec.wsls4(m), tol=tol, rank_tol=rank_tol)
+    return decompose(pd, BasisSpec.wsls4(m), tol=tol)

@@ -22,10 +22,9 @@ N_OPPONENTS = 1000
 K_VALUES = tuple(range(1, 7))
 H_GRID = (-2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0)
 
-# Tighter than the module defaults: a k = 6 moment check multiplies
+# Tighter than the module default: a k = 6 moment check multiplies
 # distribution error by T^6, so the chain solves leave headroom.
-CESARO_TOL = 1e-13
-CESARO_MAX_STEPS = 10**12
+LIMIT_TOL = 1e-13
 
 M = z.DEFAULT_PAYOFFS
 S1 = z.payoff_vector(M, 1)
@@ -44,7 +43,7 @@ def _random_strategies(n: int, seed: int) -> list[z.MemoryOneStrategy]:
 
 def _tft_limit(opponent: z.MemoryOneStrategy) -> np.ndarray:
     chain = z.transition_matrix(z.TFT, opponent)
-    limit = z.cesaro_limit(chain, tol=CESARO_TOL, max_steps=CESARO_MAX_STEPS)
+    limit = z.cesaro_limit(chain, tol=LIMIT_TOL)
     assert limit.converged
     return limit.distribution
 
@@ -134,7 +133,7 @@ def test_criterion_5_akin_identity():
     worst = 0.0
     for s1, s2 in pairs:
         chain = z.transition_matrix(s1, s2)
-        limit = z.cesaro_limit(chain, tol=CESARO_TOL, max_steps=CESARO_MAX_STEPS)
+        limit = z.cesaro_limit(chain, tol=LIMIT_TOL)
         assert limit.converged
         pi = limit.distribution
         worst = max(
@@ -177,7 +176,7 @@ def test_criterion_7_wsls_relation():
     worst_relation = 0.0
     for opponent in _random_strategies(100, OPPONENT_SEED + 1):
         chain = z.transition_matrix(z.WSLS, opponent)
-        limit = z.cesaro_limit(chain, tol=CESARO_TOL, max_steps=CESARO_MAX_STEPS)
+        limit = z.cesaro_limit(chain, tol=LIMIT_TOL)
         assert limit.converged
         worst_relation = max(
             worst_relation, abs(z.relation_value(result.coefficients, limit.distribution, M))

@@ -80,6 +80,18 @@ class TestVerifyTft:
         assert payload["manifest"]["command"] == "verify-tft"
         assert payload["manifest"]["payoffs"] == {"R": 3.0, "S": 0.0, "T": 5.0, "P": 1.0}
 
+    def test_slowly_leaking_cycle_passes(self, capsys):
+        # CD and DC swap into each other and leak 1e-9 per step to CC and DD
+        code, out, err = _run(
+            ["verify-tft", "--opponent", "custom:1,1e-9,0.999999999,0"], capsys
+        )
+        assert code == 0
+        header, rows = _read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["converged"] == "true"
+        assert (float(row["pi_cd"]), float(row["pi_dc"])) == (0.0, 0.0)
+        assert abs(float(row["pi_cc"]) - 0.5) <= 1e-6
+
     def test_zero_random_is_usage_error(self, capsys):
         code, _, err = _run(["verify-tft", "--random", "0"], capsys)
         assert code == 2
@@ -141,6 +153,11 @@ class TestDecompose:
         assert header[:2] == ["label", "coefficient"]
         assert len(rows) == 3
         assert (tmp_path / "d.manifest.json").exists()
+
+    def test_exponential_basis_out_of_range(self, capsys):
+        code, _, err = _run(["decompose", "tft", "--basis", "exp:1000"], capsys)
+        assert code == 2
+        assert "exceeds the double-precision exponential range" in err
 
     def test_unknown_basis(self, capsys):
         code, _, err = _run(["decompose", "tft", "--basis", "fourier"], capsys)
@@ -230,6 +247,15 @@ class TestSweep:
         assert len(rows) == 10
         assert all(float(r[header.index("max_abs_error")]) <= 1e-12 for r in rows)
 
+    def test_tft_k_range_overflow_is_a_row_error(self, capsys):
+        code, out, _ = _run(["sweep", "--tft-k-range", "440:442"], capsys)
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert [r[0] for r in rows] == ["440", "441", "442"]
+        assert rows[1][header.index("error")] == ""
+        assert "overflows" in rows[2][header.index("error")]
+        assert rows[2][header.index("coefficient")] == ""
+
     def test_h_range(self, capsys):
         # values starting with '-' need the = form, as usual with argparse
         code, out, _ = _run(["sweep", "--h-range=-2,-1,-0.5,0.5,1,2"], capsys)
@@ -285,3 +311,16 @@ class TestEntryPoints:
     def test_malformed_payoffs(self, capsys):
         code, _, err = _run(["decompose", "tft", "--payoffs", "3,0,5"], capsys)
         assert code == 2 and "payoffs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-tft", "--opponent", "tft", "--tol", "nan"],
+        ["verify-tft", "--opponent", "tft", "--h-grid", "0.5,inf"],
+        ["verify-tft", "--opponent", "tft", "--payoffs", "3,0,nan,1"],
+        ["simulate", "tft", "all_d", "--epsilon", "nan"],
+        ["sweep", "--wsls-coeffs", "--payoff-grid", "T=5,nan"],
+        ["sweep", "--h-range", "nan"],
+        ["decompose", "tft", "--basis", "exp:-inf"],
+    ])
+    def test_non_finite_number_is_usage_error(self, argv, capsys):
+        code, _, err = _run(argv, capsys)
+        assert code == 2 and "expected a finite number" in err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +29,37 @@ def _cesaro_brute(M, pi0, n):
         acc += pi
         pi = M @ pi
     return acc / n
+
+
+def _stationary_solve(M):
+    """Independent oracle for ergodic chains: M pi = pi and sum(pi) = 1.
+
+    One equation of (M - I) pi = 0 is redundant and is replaced by the
+    normalisation; the system is then nonsingular.
+    """
+    A = M - np.eye(4)
+    A[-1] = 1.0
+    return np.linalg.solve(A, [0.0, 0.0, 0.0, 1.0])
+
+
+def _stationary_rational(M):
+    """The same system as :func:`_stationary_solve`, solved in exact rationals.
+
+    Free of rounding, so it stays exact where the chain mixes too slowly
+    for any floating-point solve of (M - I) pi = 0.
+    """
+    A = [[Fraction(float(M[i, j])) - (i == j) for j in range(4)] for i in range(3)]
+    A.append([Fraction(1)] * 4)
+    b = [Fraction(0)] * 3 + [Fraction(1)]
+    for c in range(4):
+        p = next(r for r in range(c, 4) if A[r][c] != 0)
+        A[c], A[p], b[c], b[p] = A[p], A[c], b[p], b[c]
+        for r in range(4):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+                b[r] -= f * b[c]
+    return np.array([float(b[i] / A[i][i]) for i in range(4)])
 
 
 class TestEvolve:
@@ -65,7 +98,6 @@ class TestClassify:
         assert s.recurrent == (True, True, True)
         assert s.periods == (1, 2, 1)
         assert not s.ergodic
-        assert s.cycle_window == 2
 
     def test_random_half_pair_is_ergodic(self):
         half = z.named_strategy("random:0.5")
@@ -84,7 +116,6 @@ class TestClassify:
         s = z.classify(z.transition_matrix(z.WSLS, z.TFT))
         assert s.recurrent_classes == ((0,), (1, 2, 3))
         assert s.periods == (1, 3)
-        assert s.cycle_window == 3
 
     def test_identity_chain(self):
         s = z.classify(np.eye(4))
@@ -97,7 +128,6 @@ class TestStationaryExact:
         result = z.stationary_exact(z.transition_matrix(z.TFT, z.ALL_C))
         assert result.unique
         np.testing.assert_allclose(result.distribution, [1, 0, 0, 0], atol=1e-12)
-        assert result.method == "exact-solve"
 
     def test_rank_one_chain(self):
         result = z.stationary_exact(np.full((4, 4), 0.25))
@@ -122,7 +152,6 @@ class TestCesaroLimit:
         result = z.cesaro_limit(M, z.point_mass(CD))
         assert result.converged
         np.testing.assert_allclose(result.distribution, [0, 0.5, 0.5, 0], atol=1e-14)
-        assert result.method == "cesaro"
         assert not result.unique
 
     def test_tft_vs_allc_absorption(self):
@@ -139,8 +168,10 @@ class TestCesaroLimit:
                 continue
             limit = z.cesaro_limit(M, tol=1e-12)
             exact = z.stationary_exact(M)
-            assert limit.converged
-            assert np.max(np.abs(limit.distribution - exact.distribution)) <= 1e-11
+            oracle = _stationary_solve(M)
+            assert limit.converged and exact.converged
+            assert np.max(np.abs(limit.distribution - oracle)) <= 1e-11
+            assert np.max(np.abs(exact.distribution - oracle)) <= 1e-11
 
     def test_matches_brute_force_running_average(self):
         for seed, (s1, s2) in enumerate(_random_pairs(5, seed=21)):
@@ -170,28 +201,44 @@ class TestCesaroLimit:
             for state in structure.transient_states:
                 assert limit.distribution[state] <= 1e-12
 
-    def test_max_steps_exhaustion_reported(self):
+    def test_slow_mixing_sticky_chain(self):
         # two nearly absorbing states; from CC the imbalance between the two
-        # basins decays at ~2e-10 per step, far beyond a 1e4-step budget
+        # basins decays at ~2e-10 per step.  The limit is about
+        # (0.5, 2e-10, 2e-10, 0.5); rounding 1 - 1e-10 in the input moves
+        # CC and DD by 2e-8, so the reference is an exact rational solve
         sticky = z.MemoryOneStrategy((1 - 1e-10, 0.5, 0.5, 1e-10))
         M = z.transition_matrix(sticky, sticky)
-        result = z.cesaro_limit(M, z.point_mass(CC), tol=1e-12, max_steps=10**4)
-        assert not result.converged
-        assert result.residual > 1e-12  # the fixed-point guard catches the stall
-        # a generous budget resolves it; the two basins then balance (forward
-        # accuracy is limited by the 2e-10 spectral gap, not by tol)
-        result = z.cesaro_limit(M, z.point_mass(CC), tol=1e-12, max_steps=10**14)
+        result = z.cesaro_limit(M, z.point_mass(CC), tol=1e-12)
         assert result.converged
-        np.testing.assert_allclose(result.distribution, [0.5, 0, 0, 0.5], atol=1e-6)
+        np.testing.assert_allclose(result.distribution, [0.5, 2e-10, 2e-10, 0.5], atol=1e-7)
+        np.testing.assert_allclose(
+            result.distribution, _stationary_rational(M), rtol=1e-9, atol=0
+        )
+
+    @pytest.mark.parametrize("leak", [1e-9, 1e-15])
+    def test_tft_against_slowly_leaking_cycle(self, leak):
+        # TFT vs custom:1,e,1-e,0: CC and DD absorb, while CD and DC swap
+        # into each other and leak a = P(CD -> DD) and b = P(DC -> CC) per
+        # step.  From the uniform start the limit is about (0.5, 0, 0, 0.5)
+        opponent = z.parse_strategy(f"custom:1,{leak!r},{1 - leak!r},0")
+        M = z.transition_matrix(z.TFT, opponent)
+        a, b = M[DD, CD], M[CC, DC]
+        to_dd = a * (2 - b) / (a + b - a * b)  # absorbed at DD from CD plus from DC
+        expected = [0.25 + 0.25 * (2 - to_dd), 0.0, 0.0, 0.25 + 0.25 * to_dd]
+        result = z.cesaro_limit(M)
+        assert result.converged
+        np.testing.assert_allclose(result.distribution, [0.5, 0, 0, 0.5], atol=1e-3)
+        np.testing.assert_allclose(result.distribution, expected, rtol=1e-12, atol=0)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             z.cesaro_limit(np.eye(4), tol=0.0)
 
     def test_iterations_reported(self):
+        # the solve is finite: no iterations to report
         M = z.transition_matrix(z.TFT, z.ALL_C)
         result = z.cesaro_limit(M)
-        assert result.converged and result.iterations >= 1
+        assert result.converged and result.iterations == 0
 
 
 class TestPerturbedStationary:

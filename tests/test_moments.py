@@ -84,7 +84,7 @@ class TestRelationValue:
         coeffs = z.wsls_coefficients(m).coefficients
         for opponent in random_strategies(10, seed=4):
             M = z.transition_matrix(z.WSLS, opponent)
-            pi = z.cesaro_limit(M, tol=1e-13, max_steps=10**8).distribution
+            pi = z.cesaro_limit(M, tol=1e-13).distribution
             assert abs(z.relation_value(coeffs, pi, m)) <= 1e-8
 
     def test_exponential_labels(self, m):
@@ -161,7 +161,7 @@ class TestStructuralTftEquality:
         # one full-pipeline sample; the acceptance suite covers 1000
         opponent = random_strategies(1, seed=99)[0]
         M = z.transition_matrix(z.TFT, opponent)
-        pi = z.cesaro_limit(M, tol=1e-13, max_steps=10**8).distribution
+        pi = z.cesaro_limit(M, tol=1e-13).distribution
         assert abs(pi[z.JointState.CD] - pi[z.JointState.DC]) <= 1e-10
         d1 = z.payoff_distribution(z.payoff_vector(m, 1), pi)
         d2 = z.payoff_distribution(z.payoff_vector(m, 2), pi)

@@ -86,9 +86,24 @@ class TestAkinResidual:
         for opponent in random_strategies(1000, seed=11):
             for focal in focals:
                 M = z.transition_matrix(focal, opponent)
-                pi = z.cesaro_limit(M, tol=1e-13, max_steps=10**8).distribution
+                pi = z.cesaro_limit(M, tol=1e-13).distribution
                 assert abs(z.akin_residual(z.press_dyson(focal, 1), pi)) <= 1e-8
                 assert abs(z.akin_residual(z.press_dyson(opponent, 2), pi)) <= 1e-8
+
+    def test_vanishes_on_slow_mixing_chains(self):
+        # opponents 10^-U(2,9) away from a corner of {0,1}^4 against TFT,
+        # WSLS and interior focal players: reducible, periodic and slowly
+        # mixing chains, where an iterative long-run solve stalls
+        rng = np.random.default_rng(0)
+        for i in range(200):
+            corner = rng.integers(0, 2, size=4)
+            delta = 10.0 ** -rng.uniform(2, 9, size=4)
+            opponent = z.MemoryOneStrategy(tuple(np.where(corner == 1, 1.0 - delta, delta)))
+            focal = (z.TFT, z.WSLS, z.MemoryOneStrategy(tuple(rng.random(4))))[i % 3]
+            limit = z.cesaro_limit(z.transition_matrix(focal, opponent), tol=1e-13)
+            assert limit.converged
+            assert abs(z.akin_residual(z.press_dyson(focal, 1), limit.distribution)) <= 1e-9
+            assert abs(z.akin_residual(z.press_dyson(opponent, 2), limit.distribution)) <= 1e-9
 
 
 class TestBasisSpec:
@@ -115,6 +130,8 @@ class TestBasisSpec:
         np.testing.assert_allclose(basis.matrix[:, 1], np.exp(0.5 * np.array([3, 0, 5, 1])))
         with pytest.raises(ValueError):
             z.BasisSpec.exponential(m, 0.0)
+        with pytest.raises(OverflowError, match="exponential range"):
+            z.BasisSpec.exponential(m, 1000.0)  # 1000 * 5 > 700
 
     def test_custom_basis(self, m):
         basis = z.BasisSpec.custom([z.payoff_vector(m, 1), z.ones_vector()])
@@ -209,6 +226,11 @@ class TestTftPowerIdentity:
             with pytest.raises(ValueError):
                 z.tft_power_identity(m, k)
 
+    def test_overflow_is_a_range_error(self, m):
+        assert z.tft_power_identity(m, 441).max_abs_error == 0.0
+        with pytest.raises(OverflowError, match="k=442"):
+            z.tft_power_identity(m, 442)  # 5^442 > the largest double
+
 
 class TestTftExponentialIdentity:
     @pytest.mark.parametrize("h", [1.0, -2.0, 0.1, -0.1])
@@ -220,7 +242,7 @@ class TestTftExponentialIdentity:
             z.tft_exponential_identity(m, 0.0)
 
     def test_overflow_guard(self, m):
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="exponential range"):
             z.tft_exponential_identity(m, 200.0)  # 200 * 5 > 700
 
 
