@@ -7,13 +7,16 @@ player 1's first (positions 2t and 2t+1 of the stream).  Parallel sweeps
 derive per-trial seeds as base + trial index via :func:`derive_seed`;
 streams are never shared.
 
-The inner counting loop is compiled with numba when it is installed and
-falls back to pure Python otherwise; both paths perform the identical
-comparisons, so reports are bit-identical either way.
+The counting kernel is numpy only.  It draws the uniforms in fixed-size
+chunks, which reproduces the stream of a single draw, and scans each
+chunk in blocks: it makes the same ``u >= p`` comparisons as a
+round-by-round loop, so the counts are exactly the loop's, with memory
+bounded by the chunk size rather than the number of rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,11 +40,6 @@ from .markov import (
 )
 from .moments import PayoffDistribution, payoff_distribution
 
-try:  # pragma: no cover - exercised implicitly by whichever env runs
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
-
 __all__ = [
     "PRNG_ID",
     "SimulationConfig",
@@ -56,6 +54,13 @@ __all__ = [
 PRNG_ID = "numpy.random.PCG64"
 
 _SEED_MODULUS = 2**64
+
+#: Rounds per chunk of uniforms; the kernel's buffers are O(chunk), not O(rounds).
+_CHUNK_ROUNDS = 2**18
+#: Shortest block of the scan; blocks are otherwise about sqrt(chunk) rounds.
+_MIN_BLOCK = 8
+
+_IDENTITY = np.arange(4, dtype=np.int8)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -107,7 +112,7 @@ class SimulationConfig:
         return as_distribution(self.initial)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimulationReport:
     """Outcome of one simulation, echoing everything needed to re-run it."""
 
@@ -123,51 +128,48 @@ class SimulationReport:
     k_max: int
     prng: str = PRNG_ID
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimulationReport):
-            return NotImplemented
-        return (
-            self.state_counts == other.state_counts
-            and self.frequencies == other.frequencies
-            and dict(self.moments) == dict(other.moments)
-            and dict(self.histograms) == dict(other.histograms)
-            and self.rounds == other.rounds
-            and self.counted_rounds == other.counted_rounds
-            and self.seed == other.seed
-            and self.config == other.config
-            and self.payoffs == other.payoffs
-            and self.k_max == other.k_max
-            and self.prng == other.prng
-        )
 
+def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.ndarray,
+                  state: int, burn_in: int) -> tuple[int, int, int, int]:
+    """Count the states of rounds ``burn_in`` to ``rounds - 1``.
 
-def _count_states_py(u1, u2, p1, p2, state, burn_in):
-    counts = [0, 0, 0, 0]
-    p1 = list(p1)
-    p2 = list(p2)
-    for t in range(len(u1)):
-        state = 2 * (u1[t] >= p1[state]) + (u2[t] >= p2[state])
-        if t >= burn_in:
-            counts[state] += 1
-    return counts
-
-
-if _njit is not None:
-
-    @_njit(cache=False)
-    def _count_states_nb(u1, u2, p1, p2, state, burn_in):  # pragma: no cover
-        counts = np.zeros(4, dtype=np.int64)
-        for t in range(u1.shape[0]):
-            state = 2 * (u1[t] >= p1[state]) + (u2[t] >= p2[state])
-            if t >= burn_in:
-                counts[state] += 1
-        return counts
-
-
-def _count_states(u: np.ndarray, p1: np.ndarray, p2: np.ndarray, state: int, burn_in: int):
-    if _njit is not None:
-        return tuple(int(c) for c in _count_states_nb(u[:, 0], u[:, 1], p1, p2, state, burn_in))
-    return tuple(_count_states_py(u[:, 0].tolist(), u[:, 1].tolist(), p1, p2, state, burn_in))
+    Round t moves state s to ``2*(u1[t] >= p1[s]) + (u2[t] >= p2[s])``.  Each
+    chunk of rounds is split into blocks; the next-state maps of every block
+    are composed, vectorised over blocks; a sequential walk through the
+    composed maps gives each block's entry state; and a replay of all blocks
+    at once from their entry states yields every round's state.
+    """
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        size = min(_CHUNK_ROUNDS, rounds - start)
+        block = max(_MIN_BLOCK, math.isqrt(size))
+        blocks = -(-size // block)
+        pad = blocks * block - size
+        u = np.zeros((size + pad, 2))
+        rng.random(out=u[:size])
+        # maps[j, 4*b + s]: the state after round b*block + j, entered from s
+        u = u.reshape(blocks, block, 2).transpose(1, 0, 2)
+        maps = (u[:, :, :1] >= p1).view(np.int8) * np.int8(2)
+        maps += (u[:, :, 1:] >= p2).view(np.int8)
+        maps = maps.reshape(block, 4 * blocks)
+        maps[block - pad:, -4:] = _IDENTITY  # padding rounds keep the state
+        offsets = np.arange(0, 4 * blocks, 4)
+        lanes = np.repeat(offsets, 4)
+        composed = np.tile(_IDENTITY, blocks)
+        for step in maps:
+            composed = step.take(lanes + composed)
+        entries = [state]
+        for table in composed.reshape(blocks, 4).tolist():
+            entries.append(table[entries[-1]])
+        state = entries.pop()
+        path = np.empty((blocks, block), dtype=np.int8)
+        current = np.array(entries)
+        for j, step in enumerate(maps):
+            current = step.take(offsets + current)
+            path[:, j] = current
+        first = max(burn_in - start, 0)
+        counts += np.bincount(path.reshape(-1)[first:size], minlength=4)
+    return tuple(int(c) for c in counts)
 
 
 def simulate(
@@ -194,8 +196,7 @@ def simulate(
 
     p1 = cooperation_probs(s1.with_noise(cfg.noise), 1)
     p2 = cooperation_probs(s2.with_noise(cfg.noise), 2)
-    uniforms = rng.random((cfg.rounds, 2))
-    counts = _count_states(uniforms, p1, p2, state, cfg.burn_in)
+    counts = _count_states(rng, cfg.rounds, p1, p2, state, cfg.burn_in)
 
     counted = cfg.rounds - cfg.burn_in
     frequencies = tuple(c / counted for c in counts)

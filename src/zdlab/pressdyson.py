@@ -15,6 +15,7 @@ e^{h * s_player}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -268,10 +269,14 @@ def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     try:
+        float(m.max_abs()) ** k  # every payoff's k-th power must be finite
         denominator = float(m.T) ** k - float(m.S) ** k
         scale = max(abs(m.T) ** k, abs(m.S) ** k, 1.0)
     except OverflowError:
-        raise OverflowError(f"T^k or S^k overflows double precision at k={k}") from None
+        denominator = math.inf
+    # |T^k - S^k| is also the largest entry of |s1^k - s2^k|
+    if not math.isfinite(denominator):
+        raise OverflowError(f"a payoff power overflows double precision at k={k}")
     if abs(denominator) <= 1e-12 * scale:
         raise ValueError(f"degenerate denominator: T^k - S^k vanishes at k={k}")
     s1 = payoff_vector(m, 1).array

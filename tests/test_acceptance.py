@@ -198,9 +198,14 @@ def test_criterion_8_monte_carlo_cross_validation():
     opponents = _random_strategies(50, OPPONENT_SEED + 2)
     diff_values = (S1.array - S2.array) ** 2
     within = 0
+    pathwise_broken = []
     for i, opponent in enumerate(opponents):
         cfg = z.SimulationConfig(rounds=10**6, seed=z.derive_seed(MC_BASE_SEED, i), burn_in=10**3)
         report = z.simulate(z.TFT, opponent, cfg)
+        # exact on every TFT path: #CD - #DC counts player 2's C->D minus D->C switches
+        _, cd, dc, _ = report.state_counts
+        if abs(cd - dc) > 1:
+            pathwise_broken.append(i)
         mean_diff = report.moments[1][1] - report.moments[2][1]
         variance = float(np.dot(diff_values, report.frequencies)) - mean_diff**2
         stderr = np.sqrt(max(variance, 0.0) / report.counted_rounds)
@@ -222,9 +227,10 @@ def test_criterion_8_monte_carlo_cross_validation():
     _check(
         8,
         "Monte Carlo cross-validation",
-        within >= 48 and flagged_pairs == 0,
+        within >= 48 and flagged_pairs == 0 and not pathwise_broken,
         f"{within}/50 trials within 5 standard errors; "
-        f"{flagged_pairs} ergodic pairs outside 5-sigma frequency bounds",
+        f"{flagged_pairs} ergodic pairs outside 5-sigma frequency bounds; "
+        f"TFT runs with |#CD - #DC| > 1: {pathwise_broken}",
     )
 
 

@@ -3,11 +3,15 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zdlab.cli import main
+
+#: Seeded ``simulate --out`` invocations and the JSON and CSV bytes they wrote.
+SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_cli.json").read_text())
 
 
 def _run(argv, capsys):
@@ -187,6 +191,16 @@ class TestSimulate:
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+    def test_outputs_match_golden_files(self, name, tmp_path):
+        # captured from the round-by-round kernel; "long_uniform" spans two
+        # chunks of uniforms and burns in past the first
+        golden = SIMULATE_GOLDEN[name]
+        out = tmp_path / "run.json"
+        assert main(golden["argv"] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == golden["json"].encode()
+        assert out.with_suffix(".csv").read_bytes() == golden["csv"].encode()
 
     def test_csv_summary_sidecar(self, capsys, tmp_path):
         out_file = tmp_path / "run.json"

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,47 @@ import zdlab as z
 from zdlab import montecarlo
 
 CC, CD, DC, DD = z.JointState
+
+
+def sequential_counts(s1, s2, cfg):
+    """State counts from a plain round-by-round loop over simulate's stream.
+
+    The stream layout: one uniform for the initial-state draw unless the
+    initial state is a JointState, then two uniforms per round, player 1's
+    first.
+    """
+    p1 = z.cooperation_probs(s1.with_noise(cfg.noise), 1).tolist()
+    p2 = z.cooperation_probs(s2.with_noise(cfg.noise), 2).tolist()
+    stream = np.random.Generator(np.random.PCG64(cfg.seed))
+    if isinstance(cfg.initial, z.JointState):
+        state = int(cfg.initial)
+    else:
+        first = stream.random()
+        cumulative = itertools.accumulate(cfg.initial_distribution().tolist())
+        state = min(sum(c <= first for c in cumulative), 3)
+    counts = [0, 0, 0, 0]
+    for t, (a, b) in enumerate(stream.random((cfg.rounds, 2)).tolist()):
+        state = 2 * (a >= p1[state]) + (b >= p2[state])
+        if t >= cfg.burn_in:
+            counts[state] += 1
+    return tuple(counts)
+
+
+CHUNK = montecarlo._CHUNK_ROUNDS
+MIXED = "0.9,0.2,0.6,0.35"
+
+# (strategy1, strategy2, rounds, burn_in, initial, noise)
+KERNEL_CASES = {
+    "one round": ("tft", MIXED, 1, 0, None, 0.0),
+    "below one block": ("tft", MIXED, montecarlo._MIN_BLOCK - 1, 2, CD, 0.0),
+    "one chunk": ("wsls", MIXED, CHUNK, 0, (0.1, 0.2, 0.3, 0.4), 0.0),
+    "one chunk plus one": ("tft", MIXED, CHUNK + 1, 1000, None, 0.0),
+    "burn-in across a block boundary": ("tft", MIXED, 10_000, 137, DC, 0.0),
+    "burn-in across a chunk boundary": (MIXED, "tft", CHUNK + 3000, CHUNK + 1234, None, 0.01),
+    "deterministic": ("wsls", "0,1,1,0", 5000, 3, None, 0.0),
+    "noise one half": ("all_c", "all_d", 20_000, 10, CC, 0.5),
+    "near-deterministic": ("tft", "1,1e-9,0.999999999,0", 50_000, 0, None, 0.0),
+}
 
 
 class TestConfig:
@@ -86,16 +130,26 @@ class TestSimulate:
         for f, expected in zip(report.frequencies, (9 / 16, 3 / 16, 3 / 16, 1 / 16)):
             assert abs(f - expected) < 0.01
 
-    def test_kernels_agree(self):
-        if montecarlo._njit is None:
-            pytest.skip("numba not installed; only the Python kernel exists")
-        rng = np.random.Generator(np.random.PCG64(99))
-        u = rng.random((2000, 2))
-        p1 = z.cooperation_probs(z.TFT, 1)
-        p2 = z.cooperation_probs(z.named_strategy("random:0.3"), 2)
-        jit = tuple(int(c) for c in montecarlo._count_states_nb(u[:, 0], u[:, 1], p1, p2, 0, 50))
-        py = tuple(montecarlo._count_states_py(u[:, 0].tolist(), u[:, 1].tolist(), p1, p2, 0, 50))
-        assert jit == py
+    @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+    def test_counts_match_sequential_loop(self, case):
+        name1, name2, rounds, burn_in, initial, noise = case
+        s1, s2 = z.parse_strategy(name1), z.parse_strategy(name2)
+        cfg = z.SimulationConfig(
+            rounds=rounds, seed=4321, initial=initial, burn_in=burn_in, noise=noise
+        )
+        assert z.simulate(s1, s2, cfg).state_counts == sequential_counts(s1, s2, cfg)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # the uniforms of 2e6 rounds alone take 32 MB; the kernel draws them
+        # chunk by chunk
+        cfg = z.SimulationConfig(rounds=2 * 10**6, seed=3, burn_in=0)
+        tracemalloc.start()
+        try:
+            z.simulate(z.TFT, z.named_strategy("random:0.4"), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMomentConsistency:
@@ -111,6 +165,9 @@ class TestMomentConsistency:
         for i, opponent in enumerate(random_strategies(50, seed=606)):
             cfg = z.SimulationConfig(rounds=10**6, seed=z.derive_seed(51000, i), burn_in=10**3)
             report = z.simulate(z.TFT, opponent, cfg)
+            # exact on every path: under TFT, #CD - #DC is player 2's C->D
+            # switches minus their D->C switches
+            assert abs(report.state_counts[CD] - report.state_counts[DC]) <= 1, i
             freq = np.array(report.frequencies)
             for k in (1, 2, 3):
                 diff = v1**k - v2**k

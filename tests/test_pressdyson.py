@@ -231,6 +231,19 @@ class TestTftPowerIdentity:
         with pytest.raises(OverflowError, match="k=442"):
             z.tft_power_identity(m, 442)  # 5^442 > the largest double
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_of_any_payoff_power_is_a_range_error(self):
+        # R dominates: R^320 overflows while T^320 and S^320 do not
+        m = z.PayoffMatrix(R=10, S=0, T=5, P=1, permissive=True)
+        assert z.tft_power_identity(m, 300).max_abs_error == 0.0
+        with pytest.raises(OverflowError, match="k=320"):
+            z.tft_power_identity(m, 320)
+        # T = -S: T^k and S^k are finite, but T^k - S^k is not
+        m = z.PayoffMatrix(R=1, S=-2, T=2, P=0, permissive=True)
+        assert z.tft_power_identity(m, 1021).max_abs_error == 0.0
+        with pytest.raises(OverflowError, match="k=1023"):
+            z.tft_power_identity(m, 1023)
+
 
 class TestTftExponentialIdentity:
     @pytest.mark.parametrize("h", [1.0, -2.0, 0.1, -0.1])
