@@ -22,13 +22,16 @@ from .game import (
     pointwise_product,
     transform_exp,
     transform_power,
+    transition_matrices,
     transition_matrix,
 )
 from .markov import (
     ChainStructure,
+    LimitBatch,
     LimitResult,
     as_distribution,
     cesaro_limit,
+    cesaro_limits,
     classify,
     evolve,
     perturbed_stationary,
@@ -40,9 +43,13 @@ from .moments import (
     PayoffDistribution,
     cross_moment,
     distributions_equal,
+    feature_averages,
     mgf,
+    mgf_features,
     moment,
+    moment_features,
     payoff_distribution,
+    payoff_distributions,
     relation_value,
 )
 from .montecarlo import (
@@ -97,10 +104,13 @@ __all__ = [
     "transform_exp",
     "transform_power",
     "transition_matrix",
+    "transition_matrices",
     "ChainStructure",
+    "LimitBatch",
     "LimitResult",
     "as_distribution",
     "cesaro_limit",
+    "cesaro_limits",
     "classify",
     "evolve",
     "perturbed_stationary",
@@ -110,9 +120,13 @@ __all__ = [
     "PayoffDistribution",
     "cross_moment",
     "distributions_equal",
+    "feature_averages",
     "mgf",
+    "mgf_features",
     "moment",
+    "moment_features",
     "payoff_distribution",
+    "payoff_distributions",
     "relation_value",
     "PRNG_ID",
     "ComparisonReport",

@@ -24,15 +24,19 @@ import numpy as np
 from . import __version__
 from .game import (
     JointState,
-    MemoryOneStrategy,
     PayoffMatrix,
     named_strategy,
     parse_strategy,
     payoff_vector,
-    transition_matrix,
+    transition_matrices,
 )
-from .markov import cesaro_limit, classify, point_mass, uniform_distribution
-from .moments import distributions_equal, mgf, moment, payoff_distribution
+from .markov import cesaro_limits, point_mass, uniform_distribution
+from .moments import (
+    feature_averages,
+    mgf_features,
+    moment_features,
+    payoff_distributions,
+)
 from .montecarlo import PRNG_ID, SimulationConfig, simulate
 from .pressdyson import (
     BasisSpec,
@@ -159,78 +163,88 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     tol = _finite(args.tol)
     s1 = payoff_vector(m, 1)
     s2 = payoff_vector(m, 2)
-    tft = named_strategy("tft")
     initial = _parse_initial(args.initial)
     pi0 = uniform_distribution() if initial is None else point_mass(initial)
     h_grid = _parse_floats(args.h_grid)
     if not h_grid:
         raise ValueError("--h-grid is empty")
-    k_values = list(range(1, args.k_max + 1))
 
     if args.opponent is not None:
-        opponents = [(args.opponent, parse_strategy(args.opponent))]
+        labels = [args.opponent]
+        opponents = np.array([parse_strategy(args.opponent).p])
         prng = None
     else:
         if args.random < 1:
             raise ValueError(f"--random needs at least one opponent, got {args.random}")
         rng = np.random.Generator(np.random.PCG64(args.seed))
-        opponents = [
-            (f"random[{i}]", MemoryOneStrategy(tuple(rng.random(4))))
-            for i in range(args.random)
-        ]
+        labels = [f"random[{i}]" for i in range(args.random)]
+        opponents = rng.random((args.random, 4))
         prng = PRNG_ID
 
+    k_values = list(range(1, args.k_max + 1))
+    features = np.concatenate([
+        moment_features(s1, args.k_max), moment_features(s2, args.k_max),
+        mgf_features(s1, h_grid), mgf_features(s2, h_grid),
+    ])
+    Ms = transition_matrices(named_strategy("tft").array, opponents)
+    # a residual bound tighter than the default: k-th moment checks
+    # amplify distribution error by T^k
+    limits = cesaro_limits(Ms, pi0, tol=1e-13)
+    pis = limits.distributions
+    averages = feature_averages(features, pis)
+    splits = np.cumsum([len(k_values), len(k_values), len(h_grid)])
+    moments1, moments2, mgf1, mgf2 = np.split(averages, splits, axis=1)
+    dev_k = np.abs(moments1 - moments2)
+    dev_h = np.abs(mgf1 - mgf2)
+    gaps = pis[:, JointState.CD] - pis[:, JointState.DC]
+    # player 2's payoffs permute player 1's, so the two payoff distributions
+    # share one support: they are equal when each outcome's probabilities are
+    _, dist1 = payoff_distributions(s1, pis)
+    _, dist2 = payoff_distributions(s2, pis)
+    dist_equal = (np.abs(dist1 - dist2) <= tol).all(axis=1)
+    passed = (
+        limits.converged
+        & dist_equal
+        & (np.abs(gaps) <= tol)
+        & (dev_k <= tol).all(axis=1)
+        & (dev_h <= tol).all(axis=1)
+    )
+    passed_count = int(passed.sum())
+
+    columns = zip(
+        labels, opponents.tolist(), pis.tolist(), limits.converged.tolist(),
+        limits.structures, dev_k.tolist(), dev_h.tolist(), gaps.tolist(),
+        dist_equal.tolist(), passed.tolist(),
+    )
     rows = []
     json_rows = []
-    all_passed = True
-    for label, opponent in opponents:
-        M = transition_matrix(tft, opponent)
-        # a residual bound tighter than the default: k-th moment checks
-        # amplify distribution error by T^k
-        limit = cesaro_limit(M, pi0, tol=1e-13)
-        pi = limit.distribution
-        dev_k = [abs(moment(s1, pi, k) - moment(s2, pi, k)) for k in k_values]
-        dev_h = [abs(mgf(s1, pi, h) - mgf(s2, pi, h)) for h in h_grid]
-        gap = float(pi[JointState.CD] - pi[JointState.DC])
-        dist_equal = distributions_equal(
-            payoff_distribution(s1, pi), payoff_distribution(s2, pi), tol
-        )
-        passed = (
-            limit.converged
-            and dist_equal
-            and abs(gap) <= tol
-            and all(d <= tol for d in dev_k)
-            and all(d <= tol for d in dev_h)
-        )
-        all_passed = all_passed and passed
-        p = opponent.p
-        rows.append(
-            list(p) + list(pi) + [limit.converged, limit.unique] + dev_k + dev_h
-            + [gap, dist_equal, passed]
-        )
+    for label, p, pi, converged, structure, dk, dh, gap, equal, ok in columns:
+        if args.format != "json":
+            rows.append(p + pi + [converged, structure.unique] + dk + dh + [gap, equal, ok])
+            continue
         json_row = {
             "opponent": label,
-            "opponent_p": list(p),
-            "pi": [float(x) for x in pi],
-            "converged": limit.converged,
-            "unique": limit.unique,
-            "moment_deviations": {str(k): d for k, d in zip(k_values, dev_k)},
-            "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dev_h)},
+            "opponent_p": p,
+            "pi": pi,
+            "converged": converged,
+            "unique": structure.unique,
+            "moment_deviations": {str(k): d for k, d in zip(k_values, dk)},
+            "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dh)},
             "pi_cd_minus_pi_dc": gap,
-            "distributions_equal": dist_equal,
-            "passed": passed,
+            "distributions_equal": equal,
+            "passed": ok,
         }
-        if not limit.unique:
+        if not structure.unique:
             # several invariant measures exist; show which states commune
-            structure = classify(M)
             json_row["chain_classes"] = [
-                {"states": [JointState(i).name.lower() for i in members],
+                {"states": [JointState(s).name.lower() for s in members],
                  "recurrent": recurrent, "period": period}
                 for members, recurrent, period in zip(
                     structure.classes, structure.recurrent, structure.periods
                 )
             ]
         json_rows.append(json_row)
+    all_passed = passed_count == len(labels)
 
     parameters = {
         "opponent": args.opponent,
@@ -254,9 +268,8 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
             + ["pi_cd_minus_pi_dc", "dist_equal", "pass"]
         )
         _emit_csv(header, rows, args.out, manifest)
-    passed_count = sum(1 for r in json_rows if r["passed"])
     print(
-        f"verify-tft: {passed_count}/{len(json_rows)} opponents passed (tol {tol:g})",
+        f"verify-tft: {passed_count}/{len(labels)} opponents passed (tol {tol:g})",
         file=sys.stderr,
     )
     return 0 if all_passed else 1

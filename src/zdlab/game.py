@@ -31,6 +31,7 @@ __all__ = [
     "parse_strategy",
     "cooperation_probs",
     "transition_matrix",
+    "transition_matrices",
 ]
 
 
@@ -302,12 +303,27 @@ def cooperation_probs(s: MemoryOneStrategy, player: int) -> np.ndarray:
     raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 
+def transition_matrices(p1, p2) -> np.ndarray:
+    """Transition matrices of a stack of strategy pairs.
+
+    ``p1`` and ``p2`` hold the two players' cooperation probabilities,
+    each in its owner's frame, with shapes that broadcast to ``(..., 4)``.
+    Entry ``[..., to, frm]`` of the result is the product of the two
+    players' independent action probabilities, rows and columns both
+    indexed by JointState.
+    """
+    c1 = np.asarray(p1, dtype=float)
+    c2 = np.asarray(p2, dtype=float)[..., list(SWAP)]  # player 2's frame swaps CD and DC
+    d1, d2 = 1.0 - c1, 1.0 - c2
+    return np.stack([c1 * c2, c1 * d2, d1 * c2, d1 * d2], axis=-2)
+
+
 def transition_matrix(s1: MemoryOneStrategy, s2: MemoryOneStrategy) -> np.ndarray:
     """One-step transition matrix of a strategy pair.
 
     Returns the 4x4 column-stochastic matrix M with ``M[to, frm]`` equal
-    to the product of the two players' independent action probabilities,
-    rows and columns both indexed by JointState.
+    to the product of the two players' independent action probabilities;
+    this is :func:`transition_matrices` for a single pair.
 
     Parameters
     ----------
@@ -318,12 +334,6 @@ def transition_matrix(s1: MemoryOneStrategy, s2: MemoryOneStrategy) -> np.ndarra
     -------
     ndarray, shape (4, 4), read-only
     """
-    c1 = cooperation_probs(s1, 1)
-    c2 = cooperation_probs(s2, 2)
-    M = np.empty((4, 4))
-    M[JointState.CC] = c1 * c2
-    M[JointState.CD] = c1 * (1.0 - c2)
-    M[JointState.DC] = (1.0 - c1) * c2
-    M[JointState.DD] = (1.0 - c1) * (1.0 - c2)
+    M = transition_matrices(s1.array, s2.array)
     M.flags.writeable = False
     return M

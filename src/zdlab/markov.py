@@ -19,12 +19,22 @@ absorbed-mass mixture of those.  Exit probabilities are always sums of
 outgoing entries, never ``1 - p_ii``, so slow mixing costs no accuracy
 (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985; Stewart, Introduction to
 the Numerical Solution of Markov Chains, 1994).
+
+The elimination works on a stack of chains at once (:func:`cesaro_limits`).
+Chains sharing a support pattern share their classification and their
+elimination order, so each pattern is classified once and eliminated as
+one vectorised group; the single-chain functions are its N=1 case.  Every
+dot product goes through numpy's stacked vector-vector ``matmul``, which
+makes one BLAS dot per pair whatever the stack size, so a chain's result
+does not depend on the batch it was solved in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +43,7 @@ from .game import MemoryOneStrategy, transition_matrix
 __all__ = [
     "ChainStructure",
     "LimitResult",
+    "LimitBatch",
     "as_distribution",
     "uniform_distribution",
     "point_mass",
@@ -40,6 +51,7 @@ __all__ = [
     "classify",
     "stationary_exact",
     "cesaro_limit",
+    "cesaro_limits",
     "perturbed_stationary",
 ]
 
@@ -47,6 +59,9 @@ N_STATES = 4
 
 #: Default bound on the fixed-point residual max|M pi - pi|.
 DEFAULT_TOL = 1e-12
+
+#: Bit 4*to + frm of a chain's support mask is set when M[to, frm] > 0.
+_MASK_BITS = 1 << np.arange(N_STATES * N_STATES)
 
 
 def as_distribution(pi, tol: float = 1e-12) -> np.ndarray:
@@ -93,6 +108,11 @@ class ChainStructure:
     ergodic: bool
 
     @property
+    def unique(self) -> bool:
+        """One recurrent class: the stationary distribution is unique."""
+        return sum(self.recurrent) == 1
+
+    @property
     def recurrent_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, r in zip(self.classes, self.recurrent) if r)
 
@@ -105,16 +125,26 @@ class ChainStructure:
         return tuple(sorted(out))
 
 
+def _support_masks(Ms: np.ndarray) -> np.ndarray:
+    return (Ms.reshape(-1, N_STATES * N_STATES) > 0.0) @ _MASK_BITS
+
+
 def classify(M) -> ChainStructure:
     """Exact structural classification of the chain's support graph.
 
     Entries > 0 are treated as edges.  Communicating classes are computed
     by reachability closure, recurrence by closedness, and the period of a
     recurrent class as the gcd of its short closed-walk lengths (cycles of
-    length <= class size suffice on four states).
+    length <= class size suffice on four states).  The result depends on
+    the support pattern alone and is cached per pattern.
     """
-    M = np.asarray(M, dtype=float)
-    edge = (M.T > 0.0).astype(np.int8)  # edge[i, j]: one step i -> j
+    return _classify_mask(int(_support_masks(np.asarray(M, dtype=float))[0]))
+
+
+@lru_cache(maxsize=4096)
+def _classify_mask(mask: int) -> ChainStructure:
+    support = (mask >> np.arange(N_STATES * N_STATES)) & 1
+    edge = support.reshape(N_STATES, N_STATES).T.astype(np.int8)  # edge[i, j]: i -> j
     reach = (edge | np.eye(N_STATES, dtype=np.int8)).astype(np.int8)
     for _ in range(2):  # path lengths double per squaring; 4 covers n=4
         reach = ((reach @ reach) > 0).astype(np.int8)
@@ -171,47 +201,106 @@ class LimitResult:
     converged: bool
 
 
-def _gth(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible row-stochastic block (GTH).
+class LimitBatch(NamedTuple):
+    """Long-run distributions of a stack of N chains, with their checks.
 
-    Removes states last to first, folding the paths through each removed
-    state into direct moves among the states before it, then rebuilds the
-    distribution front to back; ``P`` is overwritten.
+    ``distributions`` (N, 4) is read-only; ``residuals`` (N,) holds each
+    fixed-point defect max|M pi - pi|, ``converged`` (N,) whether it is
+    within the requested tolerance, and ``structures`` each chain's
+    :class:`ChainStructure` (shared between chains of one support pattern).
     """
-    n = len(P)
+
+    distributions: np.ndarray
+    residuals: np.ndarray
+    converged: np.ndarray
+    structures: tuple[ChainStructure, ...]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (G, n) stacks, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _gth_stack(P: np.ndarray) -> np.ndarray:
+    """Stationary distributions of a stack of irreducible blocks (GTH).
+
+    ``P`` (G, n, n) holds row-stochastic blocks.  Removes states last to
+    first, folding the paths through each removed state into direct moves
+    among the states before it, then rebuilds the distribution front to
+    back; ``P`` is overwritten.
+    """
+    n = P.shape[1]
     for k in range(n - 1, 0, -1):
-        P[:k, k] /= P[k, :k].sum()  # exit probability: a sum, never 1 - P[k, k]
-        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
-    x = np.ones(n)
+        P[:, :k, k] /= P[:, k, :k].sum(axis=1, keepdims=True)  # a sum, never 1 - P[k, k]
+        P[:, :k, :k] += P[:, :k, k, None] * P[:, k, None, :k]
+    x = np.ones((len(P), n))
     for k in range(1, n):
-        x[k] = x[:k] @ P[:k, k]
-    return x / x.sum()
+        x[:, k] = _dot(x[:, :k], P[:, :k, k])
+    return x / x.sum(axis=1, keepdims=True)
 
 
-def _long_run(
-    M: np.ndarray, pi0: np.ndarray, structure: ChainStructure, tol: float
-) -> LimitResult:
-    """Cesaro limit from ``pi0`` by state reduction and GTH, with its checks."""
+def _solve_group(Ms: np.ndarray, pi0: np.ndarray, structure: ChainStructure) -> np.ndarray:
+    """Cesaro limits from ``pi0`` of chains sharing ``structure``: (G, 4)."""
     transient = structure.transient_states
     recurrent = structure.recurrent_classes
-    order = list(transient) + [s for members in recurrent for s in members]
-    P = M.T[np.ix_(order, order)]  # P[i, j]: one step i -> j, transient states first
-    mass = pi0[order]
+    order = np.array(list(transient) + [s for members in recurrent for s in members])
+    # P[g, i, j]: one step i -> j of chain g, transient states first
+    P = np.ascontiguousarray(Ms[:, order[None, :], order[:, None]])
+    mass = np.tile(pi0[order], (len(P), 1))
     for k in range(len(transient)):
         rest = slice(k + 1, N_STATES)
-        exits = P[k, rest] / P[k, rest].sum()
-        P[rest, rest] += np.outer(P[rest, k], exits)
-        mass[rest] += mass[k] * exits
-    pi = np.zeros(N_STATES)
+        exits = P[:, k, rest] / P[:, k, rest].sum(axis=1, keepdims=True)
+        P[:, rest, rest] += P[:, rest, k, None] * exits[:, None, :]
+        mass[:, rest] += mass[:, k, None] * exits
+    pi = np.zeros((len(P), N_STATES))
     start = len(transient)
     for members in recurrent:
         block = slice(start, start + len(members))
-        pi[list(members)] = mass[block].sum() * _gth(P[block, block])
+        weight = mass[:, block].sum(axis=1, keepdims=True)
+        pi[:, list(members)] = weight * _gth_stack(P[:, block, block])
         start = block.stop
-    pi /= pi.sum()
-    pi.flags.writeable = False
-    residual = float(np.max(np.abs(M @ pi - pi)))
-    return LimitResult(pi, len(recurrent) == 1, 0, residual, residual <= tol)
+    return pi / pi.sum(axis=1, keepdims=True)
+
+
+def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
+    """Cesaro limits of a stack of chains from one starting distribution.
+
+    ``Ms`` (N, 4, 4) stacks column-stochastic transition matrices.  Each
+    distinct support pattern is classified once, and its chains are solved
+    together by state reduction and GTH (see the module docstring); chain
+    ``n``'s result is bit-identical to ``cesaro_limit(Ms[n], pi0, tol)``.
+    ``pi0`` is uniform when None; ``tol`` bounds the residual for
+    ``converged``.
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    Ms = np.asarray(Ms, dtype=float)
+    if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
+    pi0 = uniform_distribution() if pi0 is None else as_distribution(pi0)
+    masks, group = np.unique(_support_masks(Ms), return_inverse=True)
+    pis = np.empty((len(Ms), N_STATES))
+    structures = []
+    for index, mask in enumerate(masks.tolist()):
+        members = np.flatnonzero(group == index)
+        structures.append(_classify_mask(mask))
+        pis[members] = _solve_group(Ms[members], pi0, structures[-1])
+    pis.flags.writeable = False
+    residuals = np.abs(np.matmul(Ms, pis[:, :, None])[:, :, 0] - pis).max(axis=1)
+    return LimitBatch(
+        pis, residuals, residuals <= tol, tuple(structures[g] for g in group.tolist())
+    )
+
+
+def _single(M: np.ndarray, pi0, tol: float) -> LimitResult:
+    batch = cesaro_limits(M[None], pi0, tol)
+    return LimitResult(
+        batch.distributions[0],
+        batch.structures[0].unique,
+        0,
+        float(batch.residuals[0]),
+        bool(batch.converged[0]),
+    )
 
 
 def stationary_exact(M) -> LimitResult:
@@ -225,9 +314,8 @@ def stationary_exact(M) -> LimitResult:
     start-dependent limits should use :func:`cesaro_limit`.
     """
     M = np.asarray(M, dtype=float)
-    structure = classify(M)
-    first = point_mass(structure.recurrent_classes[0][0])
-    return _long_run(M, first, structure, DEFAULT_TOL)
+    first = point_mass(classify(M).recurrent_classes[0][0])
+    return _single(M, first, DEFAULT_TOL)
 
 
 def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> LimitResult:
@@ -236,7 +324,8 @@ def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> Limit
     Computes lim_n (1/n) sum_{t<n} pi_t exactly: the mass ``pi0`` puts on
     transient states is carried to the recurrent classes it is absorbed
     by, and each class contributes its stationary distribution weighted by
-    the mass it holds (see the module docstring).
+    the mass it holds (see the module docstring).  This is
+    :func:`cesaro_limits` for a single chain.
 
     Parameters
     ----------
@@ -254,11 +343,7 @@ def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> Limit
     -------
     LimitResult; ``converged`` is False when the residual exceeds ``tol``.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    M = np.asarray(M, dtype=float)
-    pi = uniform_distribution() if pi0 is None else as_distribution(pi0)
-    return _long_run(M, pi, classify(M), tol)
+    return _single(np.asarray(M, dtype=float), pi0, tol)
 
 
 def perturbed_stationary(

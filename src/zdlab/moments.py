@@ -1,4 +1,12 @@
-"""Payoff moments, moment generating functions, and payoff distributions."""
+"""Payoff moments, moment generating functions, and payoff distributions.
+
+Every moment, cross moment and MGF value is an average <f, pi> of a payoff
+feature f (a power, product or exponential of payoff vectors) under a state
+distribution pi, and all of them go through one kernel,
+:func:`feature_averages`, which evaluates a stack of features under a stack
+of distributions.  It makes one BLAS dot per (distribution, feature) pair,
+so a value does not depend on how many others are computed with it.
+"""
 
 from __future__ import annotations
 
@@ -11,11 +19,15 @@ from .game import PayoffMatrix, PayoffVector, check_exp_range, payoff_vector
 
 __all__ = [
     "PayoffDistribution",
+    "feature_averages",
+    "moment_features",
+    "mgf_features",
     "moment",
     "cross_moment",
     "mgf",
     "relation_value",
     "payoff_distribution",
+    "payoff_distributions",
     "distributions_equal",
 ]
 
@@ -41,29 +53,57 @@ def _check_k(k: int, k_cap: int) -> int:
     return int(k)
 
 
+def feature_averages(F, pi) -> np.ndarray:
+    """Averages <f, pi> of every feature row f of ``F`` under every ``pi``.
+
+    ``F`` has shape (m, 4) and ``pi`` (..., 4); the result has shape
+    (..., m).  Each entry is one BLAS dot, as ``np.dot(f, pi)`` would
+    compute it; a matrix product would switch BLAS kernels with the stack
+    size and round differently.
+    """
+    F = np.asarray(F, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    return np.matmul(pi[..., None, None, :], F[:, :, None])[..., 0, 0]
+
+
+def moment_features(v, k_max: int, k_cap: int = K_CAP) -> np.ndarray:
+    """Rows v^1 ... v^k_max: the features of the first ``k_max`` moments."""
+    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
+        raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
+    values = _values(v)
+    return np.array([values ** _check_k(k, k_cap) for k in range(1, k_max + 1)])
+
+
+def mgf_features(v, hs) -> np.ndarray:
+    """Rows e^{h v} for each h of ``hs``: the features of the MGF values."""
+    values = _values(v)
+    max_abs = float(np.max(np.abs(values)))
+    rows = []
+    for h in hs:
+        h = float(h)
+        check_exp_range(h, max_abs)
+        rows.append(np.exp(h * values))
+    return np.array(rows).reshape(-1, len(values))
+
+
 def moment(v, pi, k: int, k_cap: int = K_CAP) -> float:
     """k-th payoff moment sum_s v[s]^k * pi[s] for k >= 1."""
     k = _check_k(k, k_cap)
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    values = _values(v)
-    return float(np.dot(values**k, np.asarray(pi, dtype=float)))
+    return float(feature_averages([_values(v) ** k], pi)[0])
 
 
 def cross_moment(v1, v2, pi, k1: int, k2: int, k_cap: int = K_CAP) -> float:
     """Mixed moment sum_s v1[s]^k1 * v2[s]^k2 * pi[s], k1 and k2 >= 0."""
     k1 = _check_k(k1, k_cap)
     k2 = _check_k(k2, k_cap)
-    values = _values(v1) ** k1 * _values(v2) ** k2
-    return float(np.dot(values, np.asarray(pi, dtype=float)))
+    return float(feature_averages([_values(v1) ** k1 * _values(v2) ** k2], pi)[0])
 
 
 def mgf(v, pi, h: float) -> float:
     """Moment generating function sum_s e^{h * v[s]} * pi[s]."""
-    h = float(h)
-    values = _values(v)
-    check_exp_range(h, float(np.max(np.abs(values))))
-    return float(np.dot(np.exp(h * values), np.asarray(pi, dtype=float)))
+    return float(feature_averages(mgf_features(v, [h]), pi)[0])
 
 
 def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
@@ -113,23 +153,38 @@ class PayoffDistribution:
         return dict(self.points)
 
 
-def payoff_distribution(v, pi, value_tol: float = VALUE_TOL) -> PayoffDistribution:
+def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
     """Aggregate state probabilities over states sharing a payoff value.
 
-    Values closer than ``value_tol`` count as the same outcome; outcomes
-    whose aggregated probability is exactly zero carry no support point.
+    Returns the support, the distinct payoff values in ascending order
+    (shape (G,)), and the probability of each under every distribution of
+    ``pi`` (shape (..., G)).  A payoff within ``value_tol`` of a support
+    value counts as that outcome; probabilities are summed in ascending
+    payoff order.
     """
     values = _values(v)
     pi = np.asarray(pi, dtype=float)
-    order = np.argsort(values, kind="stable")
-    points: list[list[float]] = []
-    for idx in order:
-        value, prob = float(values[idx]), float(pi[idx])
-        if points and abs(value - points[-1][0]) <= value_tol:
-            points[-1][1] += prob
+    support: list[float] = []
+    probs: list[np.ndarray] = []
+    for idx in np.argsort(values, kind="stable").tolist():
+        if support and abs(values[idx] - support[-1]) <= value_tol:
+            probs[-1] = probs[-1] + pi[..., idx]
         else:
-            points.append([value, prob])
-    return PayoffDistribution(tuple((v, p) for v, p in points if p != 0.0))
+            support.append(float(values[idx]))
+            probs.append(pi[..., idx])
+    return np.array(support), np.stack(probs, axis=-1)
+
+
+def payoff_distribution(v, pi, value_tol: float = VALUE_TOL) -> PayoffDistribution:
+    """The payoff distribution of one state distribution.
+
+    The support and probabilities of :func:`payoff_distributions`;
+    outcomes whose aggregated probability is exactly zero carry no
+    support point.
+    """
+    support, probs = payoff_distributions(v, pi, value_tol)
+    points = zip(support.tolist(), probs.tolist())
+    return PayoffDistribution(tuple((x, p) for x, p in points if p != 0.0))
 
 
 def distributions_equal(

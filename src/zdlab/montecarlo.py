@@ -38,7 +38,12 @@ from .markov import (
     point_mass,
     uniform_distribution,
 )
-from .moments import PayoffDistribution, payoff_distribution
+from .moments import (
+    PayoffDistribution,
+    feature_averages,
+    moment_features,
+    payoff_distribution,
+)
 
 __all__ = [
     "PRNG_ID",
@@ -85,6 +90,11 @@ class SimulationConfig:
     noise: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "seed", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.rounds < 1:
             raise ValueError(f"rounds must be positive, got {self.rounds!r}")
         if not (0 <= self.seed < _SEED_MODULUS):
@@ -181,11 +191,17 @@ def simulate(
 ) -> SimulationReport:
     """Play ``cfg.rounds`` rounds and report empirical statistics.
 
+    The report holds each player's payoff moments of orders 1 to ``k_max``
+    (at most :data:`~zdlab.moments.K_CAP`), computed like every other
+    moment in the package, by :func:`~zdlab.moments.feature_averages`.
+
     Deterministic in (s1, s2, cfg): identical inputs give bit-identical
     reports.  Each round draws player 1's action, then player 2's, from
     the noise-mixed conditional cooperation probabilities given the
     previous state.
     """
+    payoff_vectors = {player: payoff_vector(payoffs, player) for player in (1, 2)}
+    features = {player: moment_features(v, k_max) for player, v in payoff_vectors.items()}
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if isinstance(cfg.initial, JointState):
         state = int(cfg.initial)
@@ -201,15 +217,11 @@ def simulate(
     counted = cfg.rounds - cfg.burn_in
     frequencies = tuple(c / counted for c in counts)
     moments = {
-        player: {
-            k: float(np.dot(payoff_vector(payoffs, player).array ** k, frequencies))
-            for k in range(1, k_max + 1)
-        }
-        for player in (1, 2)
+        player: dict(enumerate(feature_averages(F, frequencies).tolist(), start=1))
+        for player, F in features.items()
     }
     histograms = {
-        player: payoff_distribution(payoff_vector(payoffs, player), frequencies)
-        for player in (1, 2)
+        player: payoff_distribution(v, frequencies) for player, v in payoff_vectors.items()
     }
     return SimulationReport(
         state_counts=counts,

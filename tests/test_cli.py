@@ -12,6 +12,10 @@ from zdlab.cli import main
 
 #: Seeded ``simulate --out`` invocations and the JSON and CSV bytes they wrote.
 SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_cli.json").read_text())
+#: Seeded ``verify-tft --out`` invocations with their exit code, stderr and
+#: output bytes (plus the manifest sidecar of CSV runs), captured from the
+#: per-opponent solver that preceded the batched one.
+VERIFY_GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_tft_cli.json").read_text())
 
 
 def _run(argv, capsys):
@@ -104,6 +108,29 @@ class TestVerifyTft:
         _, _, err = _run(["verify-tft", "--opponent", "all_d"], capsys)
         manifest = json.loads(err.split("verify-tft:")[0])
         assert manifest["tool"] == "zdlab"
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
+    def test_outputs_match_golden_files(self, name, tmp_path, capsys):
+        golden = VERIFY_GOLDEN[name]
+        out = tmp_path / ("run.json" if "--format" in golden["argv"] else "run.csv")
+        code, _, err = _run(golden["argv"] + ["--out", str(out)], capsys)
+        assert (code, err) == (golden["exit_code"], golden["stderr"])
+        assert out.read_bytes() == golden["output"].encode()
+        if "manifest" in golden:
+            assert out.with_suffix(".manifest.json").read_bytes() == golden["manifest"].encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-tft", "--random", "5", "--k-max", "-1"],
+        ["verify-tft", "--random", "5", "--k-max", "0"],
+        ["verify-tft", "--random", "5", "--k-max", "21"],
+        ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "-1"],
+        ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "0"],
+        ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "25"],
+    ])
+    def test_k_max_out_of_range_is_usage_error(self, argv, capsys):
+        code, out, err = _run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "moment order" in err
 
 
 class TestDecompose:

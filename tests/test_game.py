@@ -222,3 +222,18 @@ class TestTransitionMatrix:
         M = z.transition_matrix(s1, s2)
         swapped = z.transition_matrix(s2, s1)
         np.testing.assert_allclose(swapped[np.ix_(perm, perm)], M, atol=1e-15)
+
+    def test_stack_matches_single_pairs(self):
+        # one focal strategy against a stack of opponents, and stacks on both sides
+        rng = np.random.Generator(np.random.PCG64(4))
+        p1, p2 = rng.random((2, 50, 4))
+        p2[:10] = rng.integers(0, 2, size=(10, 4))
+        Ms = z.transition_matrices(z.TFT.array, p2)
+        both = z.transition_matrices(p1, p2)
+        assert Ms.shape == both.shape == (50, 4, 4)
+        for n in range(50):
+            s2 = z.MemoryOneStrategy(tuple(p2[n]))
+            np.testing.assert_array_equal(Ms[n], z.transition_matrix(z.TFT, s2))
+            np.testing.assert_array_equal(
+                both[n], z.transition_matrix(z.MemoryOneStrategy(tuple(p1[n])), s2)
+            )

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,76 @@ class TestCesaroLimit:
         M = z.transition_matrix(z.TFT, z.ALL_C)
         result = z.cesaro_limit(M)
         assert result.converged and result.iterations == 0
+
+
+def _batch_test_chains():
+    """All 256 deterministic pairs, then seeded near-corner and interior pairs."""
+    corners = [z.MemoryOneStrategy(bits) for bits in itertools.product((0.0, 1.0), repeat=4)]
+    Ms = [z.transition_matrix(a, b) for a in corners for b in corners]
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(150):
+        corner = rng.integers(0, 2, size=4)
+        delta = 10.0 ** -rng.uniform(2, 12, size=4)
+        near = z.MemoryOneStrategy(tuple(np.where(corner == 1, 1.0 - delta, delta)))
+        interior = z.MemoryOneStrategy(tuple(rng.random(4)))
+        Ms += [
+            z.transition_matrix(z.TFT, near),
+            z.transition_matrix(z.WSLS, near),
+            z.transition_matrix(interior, near),
+            z.transition_matrix(z.TFT, interior),
+        ]
+    return np.array(Ms)
+
+
+BATCH_CHAINS = _batch_test_chains()
+STARTS = {"uniform": None, **{s.name.lower(): z.point_mass(s) for s in z.JointState}}
+
+
+class TestCesaroLimits:
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_batch_equals_single_chain_bit_for_bit(self, start):
+        pi0 = STARTS[start]
+        batch = z.cesaro_limits(BATCH_CHAINS, pi0, tol=1e-13)
+        assert batch.distributions.shape == (len(BATCH_CHAINS), 4)
+        for n, M in enumerate(BATCH_CHAINS):
+            single = z.cesaro_limit(M, pi0, tol=1e-13)
+            assert np.array_equal(batch.distributions[n], single.distribution)
+            assert batch.residuals[n] == single.residual
+            assert batch.converged[n] == single.converged
+            assert batch.structures[n] == z.classify(M)
+            assert batch.structures[n].unique == single.unique
+
+    def test_result_independent_of_batch_composition(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        order = rng.permutation(len(BATCH_CHAINS))
+        whole = z.cesaro_limits(BATCH_CHAINS)
+        shuffled = z.cesaro_limits(BATCH_CHAINS[order])
+        part = z.cesaro_limits(BATCH_CHAINS[order[:37]])
+        assert np.array_equal(shuffled.distributions, whole.distributions[order])
+        assert np.array_equal(part.distributions, whole.distributions[order[:37]])
+
+    def test_oracles_on_the_batch(self):
+        pairs = list(_random_pairs(300, seed=8))
+        Ms = np.array([z.transition_matrix(s1, s2) for s1, s2 in pairs])
+        batch = z.cesaro_limits(Ms, tol=1e-12)
+        assert batch.converged.all()
+        for M, pi, structure in zip(Ms, batch.distributions, batch.structures):
+            if structure.ergodic:
+                assert np.max(np.abs(pi - _stationary_solve(M))) <= 1e-11
+        periodic = z.transition_matrix(z.TFT, z.TFT)
+        pi = z.cesaro_limits(periodic[None], z.point_mass(CD)).distributions[0]
+        np.testing.assert_allclose(pi, _cesaro_brute(periodic, z.point_mass(CD), 20000), atol=1e-3)
+
+    def test_distributions_read_only(self):
+        batch = z.cesaro_limits(BATCH_CHAINS[:3])
+        with pytest.raises(ValueError):
+            batch.distributions[0, 0] = 1.0
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            z.cesaro_limits(np.eye(4)[None], tol=0.0)
+        with pytest.raises(ValueError, match="4x4"):
+            z.cesaro_limits(np.eye(4))
 
 
 class TestPerturbedStationary:

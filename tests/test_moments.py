@@ -9,6 +9,41 @@ import zdlab as z
 CYCLE = np.array([0.0, 0.5, 0.5, 0.0])  # TFT-vs-TFT average over the CD/DC cycle
 
 
+class TestFeatureAverages:
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_every_entry_is_the_plain_dot(self, n):
+        # bit for bit whatever the stack size: a matrix product would switch
+        # BLAS kernels with n and round differently
+        rng = np.random.Generator(np.random.PCG64(n))
+        pis = rng.dirichlet(np.ones(4), size=n)
+        F = np.concatenate([
+            z.moment_features(z.payoff_vector(z.DEFAULT_PAYOFFS, 1), 20),
+            z.mgf_features(z.payoff_vector(z.DEFAULT_PAYOFFS, 2), [-2.0, -0.1, 0.3, 1.5]),
+            rng.normal(size=(6, 4)),
+        ])
+        averages = z.feature_averages(F, pis)
+        assert averages.shape == (n, len(F))
+        expected = np.array([[np.dot(f, pi) for f in F] for pi in pis])
+        np.testing.assert_array_equal(averages, expected)
+        np.testing.assert_array_equal(z.feature_averages(F, pis[0]), expected[0])
+
+    def test_moment_and_mgf_are_single_entries(self, m):
+        pi = np.array([0.1, 0.2, 0.3, 0.4])
+        s1 = z.payoff_vector(m, 1)
+        averages = z.feature_averages(z.moment_features(s1, 5), pi)
+        assert averages.tolist() == [z.moment(s1, pi, k) for k in range(1, 6)]
+        assert z.feature_averages(z.mgf_features(s1, [0.7]), pi)[0] == z.mgf(s1, pi, 0.7)
+
+    @pytest.mark.parametrize("k_max", [0, -1, 21, 2.0, True])
+    def test_moment_orders_validated(self, m, k_max):
+        with pytest.raises(ValueError, match="moment order"):
+            z.moment_features(z.payoff_vector(m, 1), k_max)
+
+    def test_mgf_range_guard(self, m):
+        with pytest.raises(OverflowError):
+            z.mgf_features(z.payoff_vector(m, 1), [0.5, 200.0])
+
+
 class TestMoment:
     def test_first_moment_on_cycle(self, m):
         assert z.moment(z.payoff_vector(m, 1), CYCLE, 1) == pytest.approx(2.5)
@@ -127,6 +162,26 @@ class TestPayoffDistribution:
     def test_probabilities_sum_to_one(self, m):
         dist = z.payoff_distribution(z.payoff_vector(m, 1), np.full(4, 0.25))
         assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPayoffDistributions:
+    def test_stack_matches_single_distributions(self, m):
+        rng = np.random.Generator(np.random.PCG64(9))
+        pis = rng.dirichlet(np.ones(4), size=50)
+        pis[:5, 1] = 0.0
+        for player in (1, 2):
+            v = z.payoff_vector(m, player)
+            support, probs = z.payoff_distributions(v, pis)
+            assert support.tolist() == sorted(v.values)
+            for pi, row in zip(pis, probs.tolist()):
+                points = tuple((x, p) for x, p in zip(support.tolist(), row) if p != 0.0)
+                assert z.payoff_distribution(v, pi).points == points
+
+    def test_tied_values_merge_in_payoff_order(self):
+        v = z.PayoffVector((2.0, 1.0, 2.0, 1.0 + 1e-13), "v")
+        support, probs = z.payoff_distributions(v, [[0.1, 0.2, 0.3, 0.4]])
+        assert support.tolist() == [1.0, 2.0]
+        assert probs.tolist() == [[0.2 + 0.4, 0.1 + 0.3]]
 
 
 class TestDistributionsEqual:

@@ -86,6 +86,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             z.SimulationConfig(rounds=0)
 
+    @pytest.mark.parametrize("fields", [
+        {"rounds": 1e4, "burn_in": 10},
+        {"burn_in": 10.0},
+        {"seed": 1.5},
+        {"rounds": True, "burn_in": 0},
+    ])
+    def test_integer_fields_must_be_integers(self, fields):
+        # each of these used to construct; floats then failed deep inside
+        # simulate, and rounds=True simulated one round
+        with pytest.raises(ValueError, match="must be an integer"):
+            z.SimulationConfig(**fields)
+
+    def test_numpy_integers_accepted(self):
+        cfg = z.SimulationConfig(rounds=np.int64(100), seed=np.uint64(5), burn_in=np.int32(3))
+        assert (cfg.rounds, cfg.seed, cfg.burn_in) == (100, 5, 3)
+        assert type(cfg.rounds) is int
+        assert z.simulate(z.TFT, z.WSLS, cfg).counted_rounds == 97
+
 
 class TestSimulate:
     def test_deterministic_reports(self):
@@ -122,6 +140,12 @@ class TestSimulate:
         expected = float(np.dot(v1**2, report.frequencies))
         assert report.moments[1][2] == expected
         assert sum(report.histograms[1].probabilities) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k_max", [0, 21])
+    def test_moment_orders_bounded(self, k_max):
+        cfg = z.SimulationConfig(rounds=100, seed=1, burn_in=0)
+        with pytest.raises(ValueError, match="moment order"):
+            z.simulate(z.TFT, z.WSLS, cfg, k_max=k_max)
 
     def test_noise_applied(self):
         # noise 0.5 turns ALL_C into state-independent cooperation at 0.75
