@@ -42,6 +42,7 @@ from .markov import (
 from .moments import (
     PayoffDistribution,
     cross_moment,
+    distribution_stacks_equal,
     distributions_equal,
     feature_averages,
     mgf,
@@ -119,6 +120,7 @@ __all__ = [
     "uniform_distribution",
     "PayoffDistribution",
     "cross_moment",
+    "distribution_stacks_equal",
     "distributions_equal",
     "feature_averages",
     "mgf",

@@ -32,6 +32,7 @@ from .game import (
 )
 from .markov import cesaro_limits, point_mass, uniform_distribution
 from .moments import (
+    distribution_stacks_equal,
     feature_averages,
     mgf_features,
     moment_features,
@@ -197,11 +198,9 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     dev_k = np.abs(moments1 - moments2)
     dev_h = np.abs(mgf1 - mgf2)
     gaps = pis[:, JointState.CD] - pis[:, JointState.DC]
-    # player 2's payoffs permute player 1's, so the two payoff distributions
-    # share one support: they are equal when each outcome's probabilities are
-    _, dist1 = payoff_distributions(s1, pis)
-    _, dist2 = payoff_distributions(s2, pis)
-    dist_equal = (np.abs(dist1 - dist2) <= tol).all(axis=1)
+    dist_equal = distribution_stacks_equal(
+        payoff_distributions(s1, pis), payoff_distributions(s2, pis), tol
+    )
     passed = (
         limits.converged
         & dist_equal

@@ -290,6 +290,11 @@ def parse_strategy(spec: str | Mapping[str, float]) -> MemoryOneStrategy:
     return named_strategy(text)
 
 
+def _player2_frame(c: np.ndarray) -> np.ndarray:
+    """Re-index a stack of player-2 vectors by global state: CD and DC swap."""
+    return c[..., list(SWAP)]
+
+
 def cooperation_probs(s: MemoryOneStrategy, player: int) -> np.ndarray:
     """Cooperation probabilities indexed by the *global* previous state.
 
@@ -299,7 +304,7 @@ def cooperation_probs(s: MemoryOneStrategy, player: int) -> np.ndarray:
     if player == 1:
         return s.array
     if player == 2:
-        return s.array[list(SWAP)]
+        return _player2_frame(s.array)
     raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 
@@ -313,7 +318,7 @@ def transition_matrices(p1, p2) -> np.ndarray:
     indexed by JointState.
     """
     c1 = np.asarray(p1, dtype=float)
-    c2 = np.asarray(p2, dtype=float)[..., list(SWAP)]  # player 2's frame swaps CD and DC
+    c2 = _player2_frame(np.asarray(p2, dtype=float))
     d1, d2 = 1.0 - c1, 1.0 - c2
     return np.stack([c1 * c2, c1 * d2, d1 * c2, d1 * d2], axis=-2)
 

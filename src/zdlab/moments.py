@@ -28,6 +28,7 @@ __all__ = [
     "relation_value",
     "payoff_distribution",
     "payoff_distributions",
+    "distribution_stacks_equal",
     "distributions_equal",
 ]
 
@@ -66,12 +67,12 @@ def feature_averages(F, pi) -> np.ndarray:
     return np.matmul(pi[..., None, None, :], F[:, :, None])[..., 0, 0]
 
 
-def moment_features(v, k_max: int, k_cap: int = K_CAP) -> np.ndarray:
+def moment_features(v, k_max: int) -> np.ndarray:
     """Rows v^1 ... v^k_max: the features of the first ``k_max`` moments."""
     if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
     values = _values(v)
-    return np.array([values ** _check_k(k, k_cap) for k in range(1, k_max + 1)])
+    return np.array([values ** _check_k(k, K_CAP) for k in range(1, k_max + 1)])
 
 
 def mgf_features(v, hs) -> np.ndarray:
@@ -187,6 +188,42 @@ def payoff_distribution(v, pi, value_tol: float = VALUE_TOL) -> PayoffDistributi
     return PayoffDistribution(tuple((x, p) for x, p in points if p != 0.0))
 
 
+def distribution_stacks_equal(a, b, tol: float, value_tol: float = VALUE_TOL) -> np.ndarray:
+    """Compare two stacks of payoff distributions outcome by outcome.
+
+    ``a`` and ``b`` are (support, probabilities) pairs as returned by
+    :func:`payoff_distributions`, with probabilities of shapes that
+    broadcast to each other.  The two supports are merge-walked, matching
+    values within ``value_tol``; an outcome present on one side only has
+    probability zero on the other.  Returns, per distribution, whether
+    every outcome's two probabilities agree within ``tol``.
+    """
+    (xa, pa), (xb, pb) = a, b
+    xa, xb = np.asarray(xa, dtype=float).tolist(), np.asarray(xb, dtype=float).tolist()
+    ia = ib = 0
+    ja: list[int] = []
+    jb: list[int] = []
+    while ia < len(xa) or ib < len(xb):
+        if ib >= len(xb) or (ia < len(xa) and xa[ia] < xb[ib] - value_tol):
+            ja.append(ia)
+            jb.append(-1)
+            ia += 1
+        elif ia >= len(xa) or xb[ib] < xa[ia] - value_tol:
+            ja.append(-1)
+            jb.append(ib)
+            ib += 1
+        else:
+            ja.append(ia)
+            jb.append(ib)
+            ia += 1
+            ib += 1
+    # index -1 selects an appended zero column: the missing outcome
+    pa, pb = (np.asarray(p, dtype=float) for p in (pa, pb))
+    pa = np.concatenate([pa, np.zeros(pa.shape[:-1] + (1,))], axis=-1)
+    pb = np.concatenate([pb, np.zeros(pb.shape[:-1] + (1,))], axis=-1)
+    return (np.abs(pa[..., ja] - pb[..., jb]) <= tol).all(axis=-1)
+
+
 def distributions_equal(
     a: PayoffDistribution,
     b: PayoffDistribution,
@@ -195,23 +232,9 @@ def distributions_equal(
 ) -> bool:
     """True iff supports match within value_tol and probabilities within tol.
 
-    The two supports are merge-walked so that an outcome present on one
-    side only still passes when its probability is at most ``tol``.
+    :func:`distribution_stacks_equal` for one pair: an outcome present on
+    one side only still passes when its probability is at most ``tol``.
     """
-    ia = ib = 0
-    pa, pb = a.points, b.points
-    while ia < len(pa) or ib < len(pb):
-        if ib >= len(pb) or (ia < len(pa) and pa[ia][0] < pb[ib][0] - value_tol):
-            if pa[ia][1] > tol:
-                return False
-            ia += 1
-        elif ia >= len(pa) or pb[ib][0] < pa[ia][0] - value_tol:
-            if pb[ib][1] > tol:
-                return False
-            ib += 1
-        else:
-            if abs(pa[ia][1] - pb[ib][1]) > tol:
-                return False
-            ia += 1
-            ib += 1
-    return True
+    return bool(distribution_stacks_equal(
+        (a.values, [a.probabilities]), (b.values, [b.probabilities]), tol, value_tol
+    )[0])

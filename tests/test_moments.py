@@ -211,6 +211,38 @@ class TestDistributionsEqual:
         assert z.distributions_equal(a, b, tol=1e-8)
 
 
+class TestDistributionStacksEqual:
+    def test_stack_matches_single_pairs(self, m):
+        rng = np.random.default_rng(5)
+        pis = rng.dirichlet(np.ones(4), size=50)
+        pis[:10, 1] = pis[:10, 2]  # some pairs where TFT-like symmetry holds
+        pis[:10] /= pis[:10].sum(axis=1, keepdims=True)
+        pis[10:12] = [z.point_mass(0), z.point_mass(3)]
+        s1, s2 = z.payoff_vector(m, 1), z.payoff_vector(m, 2)
+        stacked = z.distribution_stacks_equal(
+            z.payoff_distributions(s1, pis), z.payoff_distributions(s2, pis), tol=1e-8
+        )
+        single = [
+            z.distributions_equal(
+                z.payoff_distribution(s1, pi), z.payoff_distribution(s2, pi), tol=1e-8
+            )
+            for pi in pis
+        ]
+        assert stacked.tolist() == single
+        assert stacked[:12].all() and not stacked[12:].all()
+
+    def test_differing_supports_are_merged(self):
+        a = ([1.0, 2.0], [[0.5, 0.5], [1.0, 0.0], [1.0 - 1e-12, 1e-12]])
+        b = ([1.0, 3.0], [[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
+        assert z.distribution_stacks_equal(a, b, tol=1e-8).tolist() == [False, True, True]
+
+    def test_value_tolerance_matches_outcomes(self):
+        a = ([1.0], [[1.0]])
+        b = ([1.0 + 1e-13], [[1.0]])
+        assert z.distribution_stacks_equal(a, b, tol=0.0).tolist() == [True]
+        assert not z.distribution_stacks_equal(a, b, tol=0.0, value_tol=0.0)[0]
+
+
 class TestStructuralTftEquality:
     def test_cd_dc_symmetry_propagates(self, m, random_strategies):
         # one full-pipeline sample; the acceptance suite covers 1000
