@@ -16,12 +16,9 @@ from .game import (
     PayoffVector,
     cooperation_probs,
     named_strategy,
-    ones_vector,
     parse_strategy,
+    payoff_features,
     payoff_vector,
-    pointwise_product,
-    transform_exp,
-    transform_power,
     transition_matrices,
     transition_matrix,
 )
@@ -70,7 +67,6 @@ from .pressdyson import (
     akin_residual,
     decompose,
     format_label,
-    monomial_vector,
     press_dyson,
     tft_exponential_identity,
     tft_power_identity,
@@ -98,12 +94,9 @@ __all__ = [
     "PayoffVector",
     "cooperation_probs",
     "named_strategy",
-    "ones_vector",
     "parse_strategy",
+    "payoff_features",
     "payoff_vector",
-    "pointwise_product",
-    "transform_exp",
-    "transform_power",
     "transition_matrix",
     "transition_matrices",
     "ChainStructure",
@@ -144,7 +137,6 @@ __all__ = [
     "akin_residual",
     "decompose",
     "format_label",
-    "monomial_vector",
     "press_dyson",
     "tft_exponential_identity",
     "tft_power_identity",

@@ -10,6 +10,7 @@ argument translate to the global frame with the CD<->DC swap where needed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
@@ -23,10 +24,7 @@ __all__ = [
     "MemoryOneStrategy",
     "DEFAULT_PAYOFFS",
     "payoff_vector",
-    "ones_vector",
-    "transform_power",
-    "transform_exp",
-    "pointwise_product",
+    "payoff_features",
     "named_strategy",
     "parse_strategy",
     "cooperation_probs",
@@ -111,10 +109,9 @@ DEFAULT_PAYOFFS = PayoffMatrix(R=3.0, S=0.0, T=5.0, P=1.0)
 
 @dataclass(frozen=True)
 class PayoffVector:
-    """A real 4-vector indexed by JointState, tagged with a display label."""
+    """A real 4-vector indexed by JointState."""
 
     values: tuple[float, float, float, float]
-    label: str
 
     def __post_init__(self) -> None:
         values = tuple(float(v) for v in self.values)
@@ -133,31 +130,10 @@ class PayoffVector:
 def payoff_vector(m: PayoffMatrix, player: int) -> PayoffVector:
     """Per-state payoffs of one player: (R,S,T,P) for 1, (R,T,S,P) for 2."""
     if player == 1:
-        return PayoffVector((m.R, m.S, m.T, m.P), "s1")
+        return PayoffVector((m.R, m.S, m.T, m.P))
     if player == 2:
-        return PayoffVector((m.R, m.T, m.S, m.P), "s2")
+        return PayoffVector((m.R, m.T, m.S, m.P))
     raise ValueError(f"player must be 1 or 2, got {player!r}")
-
-
-def ones_vector() -> PayoffVector:
-    """The all-ones vector (the constant transform of any payoff vector)."""
-    return PayoffVector((1.0, 1.0, 1.0, 1.0), "1")
-
-
-def transform_power(v: PayoffVector, k: int) -> PayoffVector:
-    """Componentwise k-th power, k >= 1.
-
-    k = 0 is rejected on purpose: use :func:`ones_vector` explicitly when
-    the constant vector is meant.
-    """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"exponent must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("exponent must be >= 1; use ones_vector() for k = 0")
-    if k == 1:
-        return v
-    label = v.label if len(v.label) <= 2 else f"({v.label})"
-    return PayoffVector(tuple(x**k for x in v.values), f"{label}^{k}")
 
 
 def check_exp_range(h: float, max_abs: float) -> None:
@@ -174,25 +150,41 @@ def check_exp_range(h: float, max_abs: float) -> None:
         )
 
 
-def transform_exp(v: PayoffVector, h: float) -> PayoffVector:
-    """Componentwise e^{h * v[i]} for h != 0.
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
-    h = 0 is rejected: the result would be the all-ones vector and every
-    normalising denominator of the form e^{hT} - e^{hS} degenerates there.
-    Components may overflow to inf for very large |h| * |v|; the callers
-    that must not overflow guard their own range.
+
+def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
+    """The payoff features named by ``labels``, one row of four values each.
+
+    The label ``(k1, k2)`` of nonnegative integers names the pointwise
+    product s1^k1 * s2^k2, so ``(0, 0)`` is the all-ones vector, and
+    ``("exp", player, h)`` names e^{h * s_player} for a finite real h.
+    Any other label is a ValueError.  Exponentials are range-checked by
+    :func:`check_exp_range`; a power that is not finite in double
+    precision is an OverflowError.  Returns shape (len(labels), 4).
     """
-    h = float(h)
-    if h == 0.0:
-        raise ValueError("h = 0 is excluded; use ones_vector() instead")
-    values = tuple(float(np.exp(h * x)) for x in v.values)
-    return PayoffVector(values, f"exp({h:g}*{v.label})")
-
-
-def pointwise_product(a: PayoffVector, b: PayoffVector) -> PayoffVector:
-    """Componentwise product, e.g. the joint-payoff vector s1*s2."""
-    values = tuple(x * y for x, y in zip(a.values, b.values))
-    return PayoffVector(values, f"{a.label}*{b.label}")
+    s = np.array([payoff_vector(m, 1).values, payoff_vector(m, 2).values])
+    rows = np.empty((len(labels), 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, label in enumerate(labels):
+            if (isinstance(label, tuple) and len(label) == 2
+                    and all(_is_int(k) and k >= 0 for k in label)):
+                rows[i] = s[0] ** label[0] * s[1] ** label[1]
+            elif (isinstance(label, tuple) and len(label) == 3 and label[0] == "exp"
+                    and _is_int(label[1]) and label[1] in (1, 2)
+                    and (_is_int(label[2]) or isinstance(label[2], (float, np.floating)))
+                    and math.isfinite(label[2])):
+                check_exp_range(label[2], m.max_abs())
+                rows[i] = np.exp(label[2] * s[label[1] - 1])
+            else:
+                raise ValueError(f"not a payoff feature label: {label!r}")
+    if not np.isfinite(rows).all():
+        k1, k2 = labels[int(np.argmin(np.isfinite(rows).all(axis=1)))]
+        raise OverflowError(
+            f"payoff power s1^{k1}*s2^{k2} overflows double precision at k={k1 + k2}"
+        )
+    return rows
 
 
 @dataclass(frozen=True)

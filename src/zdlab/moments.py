@@ -1,8 +1,8 @@
 """Payoff moments, moment generating functions, and payoff distributions.
 
-Every moment, cross moment and MGF value is an average <f, pi> of a payoff
-feature f (a power, product or exponential of payoff vectors) under a state
-distribution pi, and all of them go through one kernel,
+Every moment, cross moment, MGF value and enforced relation is an average
+<f, pi> of a payoff feature f (a power, product or exponential of payoff
+vectors) under a state distribution pi, and all of them go through one kernel,
 :func:`feature_averages`, which evaluates a stack of features under a stack
 of distributions.  It makes one BLAS dot per (distribution, feature) pair,
 so a value does not depend on how many others are computed with it.
@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .game import PayoffMatrix, PayoffVector, check_exp_range, payoff_vector
+from .game import PayoffMatrix, PayoffVector, check_exp_range, payoff_features
 
 __all__ = [
     "PayoffDistribution",
@@ -46,11 +46,11 @@ def _values(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _check_k(k: int, k_cap: int) -> int:
+def _check_k(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {k!r}")
-    if k > k_cap:
-        raise ValueError(f"moment order {k} exceeds the precision cap {k_cap}")
+    if k > K_CAP:
+        raise ValueError(f"moment order {k} exceeds the precision cap {K_CAP}")
     return int(k)
 
 
@@ -72,7 +72,7 @@ def moment_features(v, k_max: int) -> np.ndarray:
     if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
     values = _values(v)
-    return np.array([values ** _check_k(k, K_CAP) for k in range(1, k_max + 1)])
+    return np.array([values ** _check_k(k) for k in range(1, k_max + 1)])
 
 
 def mgf_features(v, hs) -> np.ndarray:
@@ -87,18 +87,18 @@ def mgf_features(v, hs) -> np.ndarray:
     return np.array(rows).reshape(-1, len(values))
 
 
-def moment(v, pi, k: int, k_cap: int = K_CAP) -> float:
+def moment(v, pi, k: int) -> float:
     """k-th payoff moment sum_s v[s]^k * pi[s] for k >= 1."""
-    k = _check_k(k, k_cap)
+    k = _check_k(k)
     if k < 1:
         raise ValueError("moment order must be >= 1")
     return float(feature_averages([_values(v) ** k], pi)[0])
 
 
-def cross_moment(v1, v2, pi, k1: int, k2: int, k_cap: int = K_CAP) -> float:
+def cross_moment(v1, v2, pi, k1: int, k2: int) -> float:
     """Mixed moment sum_s v1[s]^k1 * v2[s]^k2 * pi[s], k1 and k2 >= 0."""
-    k1 = _check_k(k1, k_cap)
-    k2 = _check_k(k2, k_cap)
+    k1 = _check_k(k1)
+    k2 = _check_k(k2)
     return float(feature_averages([_values(v1) ** k1 * _values(v2) ** k2], pi)[0])
 
 
@@ -110,30 +110,20 @@ def mgf(v, pi, h: float) -> float:
 def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     """Evaluate a linear combination of payoff averages.
 
-    ``coeffs`` maps basis labels to coefficients: a monomial label
-    ``(k1, k2)`` contributes its weighted cross moment <s1^k1 s2^k2>, and
-    an exponential label ``("exp", player, h)`` contributes <e^{h s}> of
-    that player.  When ``pi`` is a long-run distribution of a chain in
-    which the decomposed player uses the corresponding strategy, the
-    result is the enforced relation and vanishes.
+    ``coeffs`` maps payoff-feature labels (see
+    :func:`zdlab.game.payoff_features`) to coefficients; the result is
+    the dot product of the coefficients with the features' averages under
+    ``pi``.  Monomial exponents above ``K_CAP`` are refused, as for
+    :func:`cross_moment`.  When ``pi`` is a long-run distribution of a
+    chain in which the decomposed player uses the corresponding strategy,
+    the result is the enforced relation and vanishes.
     """
-    s1 = payoff_vector(m, 1)
-    s2 = payoff_vector(m, 2)
-    total = 0.0
-    for label, coefficient in coeffs.items():
-        if (
-            isinstance(label, tuple)
-            and len(label) == 2
-            and all(isinstance(x, (int, np.integer)) for x in label)
-        ):
-            term = cross_moment(s1, s2, pi, label[0], label[1])
-        elif isinstance(label, tuple) and len(label) == 3 and label[0] == "exp":
-            _, player, h = label
-            term = mgf(payoff_vector(m, player), pi, h)
-        else:
-            raise ValueError(f"cannot evaluate basis label {label!r} as an average")
-        total += coefficient * term
-    return float(total)
+    for label in coeffs:
+        if isinstance(label, tuple) and len(label) == 2:
+            for k in label:
+                _check_k(k)
+    averages = feature_averages(payoff_features(m, list(coeffs)), pi)
+    return float(np.dot(list(coeffs.values()), averages))
 
 
 @dataclass(frozen=True)

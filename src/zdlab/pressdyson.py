@@ -6,11 +6,13 @@ All decompositions here act on that cooperation component; the defection
 component is exactly its negative, so any other weighting of the two action
 components only rescales coefficients without changing span membership.
 
-Basis vectors are tagged with labels that :func:`zdlab.moments.relation_value`
-can evaluate as averages: a monomial label is a pair ``(k1, k2)`` standing
-for the pointwise product s1^k1 * s2^k2 (with ``(0, 0)`` the all-ones
-vector), and an exponential label is ``("exp", player, h)`` standing for
-e^{h * s_player}.
+Basis vectors are named by payoff-feature labels, and every basis builds
+its columns from them with :func:`zdlab.game.payoff_features`: a monomial
+label ``(k1, k2)`` names the pointwise product s1^k1 * s2^k2 (with
+``(0, 0)`` the all-ones vector), and an exponential label
+``("exp", player, h)`` names e^{h * s_player}.  The same labels let
+:func:`zdlab.moments.relation_value` read a decomposition back as an
+enforced relation between averages.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .game import (
+    JointState,
     MemoryOneStrategy,
     PayoffMatrix,
-    PayoffVector,
-    check_exp_range,
     cooperation_probs,
     named_strategy,
-    payoff_vector,
+    payoff_features,
 )
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "IdentityCheck",
     "press_dyson",
     "akin_residual",
-    "monomial_vector",
     "format_label",
     "decompose",
     "tft_power_identity",
@@ -118,30 +118,14 @@ def akin_residual(pd: PressDysonVector, pi) -> float:
     return float(np.dot(pd.array, np.asarray(pi, dtype=float)))
 
 
-def monomial_vector(m: PayoffMatrix, k1: int, k2: int) -> np.ndarray:
-    """Pointwise s1^k1 * s2^k2 over the four states ((0,0) gives ones)."""
-    s1 = payoff_vector(m, 1).array
-    s2 = payoff_vector(m, 2).array
-    return s1**k1 * s2**k2
-
-
 def format_label(label) -> str:
     """Human-readable form of a basis label, e.g. (1,1) -> 's1*s2'."""
     if isinstance(label, tuple) and len(label) == 3 and label[0] == "exp":
         _, player, h = label
         return f"exp({h:g}*s{player})"
     if isinstance(label, tuple) and len(label) == 2:
-        k1, k2 = label
-        parts = []
-        if k1 == 1:
-            parts.append("s1")
-        elif k1 > 1:
-            parts.append(f"s1^{k1}")
-        if k2 == 1:
-            parts.append("s2")
-        elif k2 > 1:
-            parts.append(f"s2^{k2}")
-        return "*".join(parts) if parts else "1"
+        powers = zip(("s1", "s2"), label)
+        return "*".join(f"{s}^{k}" if k > 1 else s for s, k in powers if k > 0) or "1"
     return str(label)
 
 
@@ -169,8 +153,7 @@ class BasisSpec:
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
         """The classical basis {1, s1, s2}."""
         labels = ((0, 0), (1, 0), (0, 1))
-        cols = [monomial_vector(m, k1, k2) for k1, k2 in labels]
-        return cls("zd", labels, np.column_stack(cols))
+        return cls("zd", labels, payoff_features(m, labels).T)
 
     @classmethod
     def monomial(cls, m: PayoffMatrix, max_total_degree: int = 3) -> "BasisSpec":
@@ -182,8 +165,7 @@ class BasisSpec:
             for total in range(max_total_degree + 1)
             for k1 in range(total, -1, -1)
         )
-        cols = [monomial_vector(m, k1, k2) for k1, k2 in labels]
-        return cls(f"monomial:{max_total_degree}", labels, np.column_stack(cols))
+        return cls(f"monomial:{max_total_degree}", labels, payoff_features(m, labels).T)
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
@@ -191,24 +173,20 @@ class BasisSpec:
         h = float(h)
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
-        check_exp_range(h, m.max_abs())
-        s1 = payoff_vector(m, 1).array
-        s2 = payoff_vector(m, 2).array
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
-        cols = [np.ones(4), np.exp(h * s1), np.exp(h * s2)]
-        return cls(f"exp:{h:g}", labels, np.column_stack(cols))
+        return cls(f"exp:{h:g}", labels, payoff_features(m, labels).T)
 
     @classmethod
     def wsls4(cls, m: PayoffMatrix) -> "BasisSpec":
         """The four-vector basis (s1, s2, s1*s2, 1)."""
         labels = ((1, 0), (0, 1), (1, 1), (0, 0))
-        cols = [monomial_vector(m, k1, k2) for k1, k2 in labels]
-        return cls("wsls4", labels, np.column_stack(cols))
+        return cls("wsls4", labels, payoff_features(m, labels).T)
 
     @classmethod
-    def custom(cls, vectors: Sequence[PayoffVector]) -> "BasisSpec":
-        labels = tuple(v.label for v in vectors)
-        return cls("custom", labels, np.column_stack([v.array for v in vectors]))
+    def custom(cls, m: PayoffMatrix, labels: Sequence) -> "BasisSpec":
+        """Any family of payoff-feature labels, as in :func:`payoff_features`."""
+        labels = tuple(labels)
+        return cls("custom", labels, payoff_features(m, labels).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,13 +211,21 @@ class DecompositionResult:
 def decompose(pd, basis: BasisSpec, tol: float = EXACT_TOL) -> DecompositionResult:
     """Decompose a Press-Dyson vector against a basis.
 
-    Minimum-norm least squares with the basis rank revealed at ``RANK_TOL``
-    (relative to the largest singular value); a rank-deficient basis is
-    reported, never an error.  ``exact`` is True iff the residual 2-norm is
-    at most ``tol``.
+    Least squares over the equilibrated basis, each column scaled to unit
+    2-norm (a zero column keeps scale 1), so that columns of very different
+    magnitude (5^20 against 1) do not hide the small ones below the rank
+    threshold ``RANK_TOL``, relative to the largest singular value.  A
+    rank-deficient or overcomplete basis is reported through ``rank``,
+    never an error; its coefficients are the solution whose scaled
+    coefficients (coefficient times column norm) have minimum norm.  The
+    residual is taken against the unscaled basis, and ``exact`` is True iff
+    its 2-norm is at most ``tol``.
     """
     target = pd.array if isinstance(pd, PressDysonVector) else np.asarray(pd, float)
-    coef, _, rank, _ = np.linalg.lstsq(basis.matrix, target, rcond=RANK_TOL)
+    scale = np.linalg.norm(basis.matrix, axis=0)
+    scale[scale == 0.0] = 1.0
+    coef, _, rank, _ = np.linalg.lstsq(basis.matrix / scale, target, rcond=RANK_TOL)
+    coef = coef / scale
     residual = target - basis.matrix @ coef
     residual.flags.writeable = False
     norm = float(np.linalg.norm(residual))
@@ -263,25 +249,20 @@ class IdentityCheck(NamedTuple):
 def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     """Check that (s1^k - s2^k) / (T^k - S^k) reproduces the TFT vector.
 
-    Valid for any k >= 1 with T^k != S^k; the denominator is checked per k
-    because e.g. T = -S kills it for even k even though T != S.
+    Valid for any integer k >= 1 with T^k != S^k; the denominator is
+    checked per k because e.g. T = -S kills it for even k even though
+    T != S.  Any other k is a ValueError, and a payoff power or a
+    denominator beyond double precision is an OverflowError.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    try:
-        float(m.max_abs()) ** k  # every payoff's k-th power must be finite
-        denominator = float(m.T) ** k - float(m.S) ** k
-        scale = max(abs(m.T) ** k, abs(m.S) ** k, 1.0)
-    except OverflowError:
-        denominator = math.inf
-    # |T^k - S^k| is also the largest entry of |s1^k - s2^k|
+    s1k, s2k = payoff_features(m, [(k, 0), (0, k)])
+    # s1^k - s2^k is (0, S^k - T^k, T^k - S^k, 0): its DC entry normalises it
+    dc = JointState.DC
+    denominator = float(s1k[dc]) - float(s2k[dc])
     if not math.isfinite(denominator):
-        raise OverflowError(f"a payoff power overflows double precision at k={k}")
-    if abs(denominator) <= 1e-12 * scale:
+        raise OverflowError(f"T^k - S^k overflows double precision at k={k}")
+    if abs(denominator) <= 1e-12 * max(abs(s1k[dc]), abs(s2k[dc]), 1.0):
         raise ValueError(f"degenerate denominator: T^k - S^k vanishes at k={k}")
-    s1 = payoff_vector(m, 1).array
-    s2 = payoff_vector(m, 2).array
-    w = (s1**k - s2**k) / denominator
+    w = (s1k - s2k) / denominator
     return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
 
 
@@ -294,11 +275,9 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     h = float(h)
     if h == 0.0:
         raise ValueError("h = 0 is excluded (the identity degenerates)")
-    check_exp_range(h, m.max_abs())
-    s1 = payoff_vector(m, 1).array
-    s2 = payoff_vector(m, 2).array
-    denominator = float(np.exp(h * m.T) - np.exp(h * m.S))
-    w = (np.exp(h * s1) - np.exp(h * s2)) / denominator
+    e1, e2 = payoff_features(m, [("exp", 1, h), ("exp", 2, h)])
+    denominator = float(e1[JointState.DC]) - float(e2[JointState.DC])
+    w = (e1 - e2) / denominator
     return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
 
 
@@ -308,7 +287,7 @@ def wsls_coefficients(m: PayoffMatrix, tol: float = EXACT_TOL) -> DecompositionR
     For generic payoffs the four vectors are linearly independent and the
     solve is exact; degenerate payoff sets (for example R = P, which makes
     the CC and DD rows coincide) are reported through ``rank`` < 4 with the
-    minimum-norm coefficients.  The coefficients depend on the payoff
+    minimum-norm coefficients of :func:`decompose`.  The coefficients depend on the payoff
     values, unlike the payoff-independent TFT identities.
     """
     pd = press_dyson(named_strategy("wsls"), 1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,22 @@ class TestDecompose:
         code, _, err = _run(["decompose", "tft", "--basis", "exp:1000"], capsys)
         assert code == 2
         assert "exceeds the double-precision exponential range" in err
+
+    def test_monomial_basis_out_of_range(self):
+        # a subprocess, so numpy warnings and LAPACK messages would show on stderr
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "zdlab", "decompose", "wsls", "--basis", "monomial:500"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: payoff power s1^442*s2^0 overflows double precision at k=442\n"
+        )
 
     def test_unknown_basis(self, capsys):
         code, _, err = _run(["decompose", "tft", "--basis", "fourier"], capsys)

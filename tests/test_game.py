@@ -51,20 +51,19 @@ class TestPayoffVectors:
         assert v1[z.JointState.DD] == v2[z.JointState.DD]
 
     def test_power_transform(self, m):
-        v = z.transform_power(z.payoff_vector(m, 1), 2)
-        assert v.values == (9, 0, 25, 1)
-        v = z.transform_power(z.payoff_vector(m, 2), 3)
-        assert v.values == (27, 125, 0, 1)
+        np.testing.assert_array_equal(z.payoff_features(m, [(2, 0)])[0], [9, 0, 25, 1])
+        np.testing.assert_array_equal(z.payoff_features(m, [(0, 3)])[0], [27, 125, 0, 1])
 
     def test_power_one_is_identity(self, m):
-        v = z.payoff_vector(m, 1)
-        assert z.transform_power(v, 1).values == v.values
+        F = z.payoff_features(m, [(1, 0), (0, 1)])
+        np.testing.assert_array_equal(F[0], z.payoff_vector(m, 1).array)
+        np.testing.assert_array_equal(F[1], z.payoff_vector(m, 2).array)
 
-    def test_power_zero_rejected(self, m):
-        with pytest.raises(ValueError, match="ones_vector"):
-            z.transform_power(z.payoff_vector(m, 1), 0)
-        with pytest.raises(ValueError):
-            z.transform_power(z.payoff_vector(m, 1), 1.5)
+    def test_malformed_labels_rejected(self, m):
+        for label in [(1.5, 0), (-1, 0), (0, -2), (True, 0), (1, 2, 3), ("exp", 3, 1.0),
+                      ("exp", 1, math.nan), ("exp", 1, "h"), "s1", 1]:
+            with pytest.raises(ValueError, match="label"):
+                z.payoff_features(m, [label])
 
     @given(st.integers(min_value=1, max_value=10))
     def test_power_matches_repeated_multiplication(self, k):
@@ -72,38 +71,43 @@ class TestPayoffVectors:
         expected = np.ones(4)
         for _ in range(k):
             expected = expected * v.array
-        np.testing.assert_allclose(z.transform_power(v, k).array, expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            z.payoff_features(z.DEFAULT_PAYOFFS, [(k, 0)])[0], expected, rtol=1e-12
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_overflow_is_a_range_error(self, m):
+        with pytest.raises(OverflowError, match="s1\\^442.*overflows double precision"):
+            z.payoff_features(m, [(1, 0), (442, 0)])
+        assert np.isfinite(z.payoff_features(m, [(441, 0)])).all()
 
     def test_exp_transform(self, m):
-        v = z.transform_exp(z.payoff_vector(m, 1), 1.0)
+        F = z.payoff_features(m, [("exp", 1, 1.0), ("exp", 2, -1.0)])
         np.testing.assert_allclose(
-            v.array, [math.e**3, 1.0, math.e**5, math.e], rtol=1e-15
+            F[0], [math.e**3, 1.0, math.e**5, math.e], rtol=1e-15
         )
-        v = z.transform_exp(z.payoff_vector(m, 2), -1.0)
         np.testing.assert_allclose(
-            v.array, [math.e**-3, math.e**-5, 1.0, math.e**-1], rtol=1e-15
+            F[1], [math.e**-3, math.e**-5, 1.0, math.e**-1], rtol=1e-15
         )
+        with pytest.raises(OverflowError, match="exponential range"):
+            z.payoff_features(m, [("exp", 2, 141.0)])  # 141 * 5 > 700
 
-    def test_exp_zero_rejected(self, m):
-        with pytest.raises(ValueError):
-            z.transform_exp(z.payoff_vector(m, 1), 0.0)
+    def test_exp_zero_gives_ones(self, m):
+        np.testing.assert_array_equal(z.payoff_features(m, [("exp", 1, 0.0)])[0], np.ones(4))
 
     def test_exp_small_h_approaches_linear_difference(self, m):
         # [e^{h s1} - e^{h s2}] / (e^{hT} - e^{hS}) -> [s1 - s2] / (T - S)
         h = 1e-6
-        phi1 = z.transform_exp(z.payoff_vector(m, 1), h).array
-        phi2 = z.transform_exp(z.payoff_vector(m, 2), h).array
+        phi1, phi2 = z.payoff_features(m, [("exp", 1, h), ("exp", 2, h)])
         lhs = (phi1 - phi2) / (math.exp(h * m.T) - math.exp(h * m.S))
         rhs = (z.payoff_vector(m, 1).array - z.payoff_vector(m, 2).array) / (m.T - m.S)
         np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
     def test_pointwise_product(self, m):
-        r12 = z.pointwise_product(z.payoff_vector(m, 1), z.payoff_vector(m, 2))
-        assert r12.values == (9, 0, 0, 1)
-        assert r12.label == "s1*s2"
+        np.testing.assert_array_equal(z.payoff_features(m, [(1, 1)])[0], [9, 0, 0, 1])
 
-    def test_ones_vector(self):
-        assert z.ones_vector().values == (1, 1, 1, 1)
+    def test_ones_vector(self, m):
+        np.testing.assert_array_equal(z.payoff_features(m, [(0, 0)])[0], np.ones(4))
 
 
 class TestStrategies:

@@ -68,7 +68,6 @@ class TestMoment:
         v = z.payoff_vector(m, 1)
         with pytest.raises(ValueError, match="cap"):
             z.moment(v, CYCLE, 21)
-        assert z.moment(v, CYCLE, 21, k_cap=25) > 0  # cap is configurable
 
 
 class TestCrossMoment:
@@ -92,7 +91,7 @@ class TestCrossMoment:
     def test_consistency_with_ones_vector(self, k):
         v = z.payoff_vector(z.DEFAULT_PAYOFFS, 1)
         pi = np.array([0.4, 0.3, 0.2, 0.1])
-        assert z.moment(v, pi, k) == z.cross_moment(v, z.ones_vector(), pi, k, 0)
+        assert z.moment(v, pi, k) == z.cross_moment(v, np.ones(4), pi, k, 0)
 
 
 class TestMgf:
@@ -133,6 +132,12 @@ class TestRelationValue:
     def test_all_zero_coefficients(self, m):
         assert z.relation_value({(1, 0): 0.0, (0, 1): 0.0}, CYCLE, m) == 0.0
 
+    def test_precision_cap(self, m):
+        assert z.relation_value({(20, 0): 1.0}, CYCLE, m) == pytest.approx((1 + 5.0**20) / 2)
+        for label in [(21, 0), (0, 21), (500, 0)]:
+            with pytest.raises(ValueError, match="cap"):
+                z.relation_value({label: 1.0}, CYCLE, m)
+
     def test_unknown_label_rejected(self, m):
         with pytest.raises(ValueError, match="label"):
             z.relation_value({"s1": 1.0}, CYCLE, m)
@@ -154,7 +159,7 @@ class TestPayoffDistribution:
         assert dist.as_dict() == {3.0: 1.0}
 
     def test_equal_values_aggregate(self):
-        v = z.PayoffVector((1.0, 1.0, 3.0, 5.0), "v")
+        v = z.PayoffVector((1.0, 1.0, 3.0, 5.0))
         dist = z.payoff_distribution(v, np.array([0.1, 0.2, 0.3, 0.4]))
         assert dist.values == (1.0, 3.0, 5.0)
         assert dist.probabilities == pytest.approx((0.3, 0.3, 0.4))
@@ -178,7 +183,7 @@ class TestPayoffDistributions:
                 assert z.payoff_distribution(v, pi).points == points
 
     def test_tied_values_merge_in_payoff_order(self):
-        v = z.PayoffVector((2.0, 1.0, 2.0, 1.0 + 1e-13), "v")
+        v = z.PayoffVector((2.0, 1.0, 2.0, 1.0 + 1e-13))
         support, probs = z.payoff_distributions(v, [[0.1, 0.2, 0.3, 0.4]])
         assert support.tolist() == [1.0, 2.0]
         assert probs.tolist() == [[0.2 + 0.4, 0.1 + 0.3]]

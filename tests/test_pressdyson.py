@@ -121,8 +121,14 @@ class TestBasisSpec:
         assert labels == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
     def test_monomial_vector_values(self, m):
-        np.testing.assert_array_equal(z.monomial_vector(m, 1, 1), [9, 0, 0, 1])
-        np.testing.assert_array_equal(z.monomial_vector(m, 0, 0), np.ones(4))
+        basis = z.BasisSpec.monomial(m, 2)
+        np.testing.assert_array_equal(basis.matrix[:, basis.labels.index((1, 1))], [9, 0, 0, 1])
+        np.testing.assert_array_equal(basis.matrix[:, basis.labels.index((0, 0))], np.ones(4))
+
+    @pytest.mark.filterwarnings("error")
+    def test_monomial_overflow_is_a_range_error(self, m):
+        with pytest.raises(OverflowError, match="overflows double precision at k=442"):
+            z.BasisSpec.monomial(m, 500)
 
     def test_exponential_basis(self, m):
         basis = z.BasisSpec.exponential(m, 0.5)
@@ -134,10 +140,20 @@ class TestBasisSpec:
             z.BasisSpec.exponential(m, 1000.0)  # 1000 * 5 > 700
 
     def test_custom_basis(self, m):
-        basis = z.BasisSpec.custom([z.payoff_vector(m, 1), z.ones_vector()])
-        assert basis.labels == ("s1", "1")
+        basis = z.BasisSpec.custom(m, [(1, 0), (0, 0)])
+        assert basis.labels == ((1, 0), (0, 0))
+        np.testing.assert_array_equal(basis.matrix, [[3, 1], [0, 1], [5, 1], [1, 1]])
         with pytest.raises(ValueError):
-            z.BasisSpec.custom([])
+            z.BasisSpec.custom(m, [])
+        with pytest.raises(ValueError, match="label"):
+            z.BasisSpec.custom(m, ["s1"])
+        # a custom decomposition reads back as an enforced relation
+        basis = z.BasisSpec.custom(m, [(1, 0), (0, 1), ("exp", 1, 0.5)])
+        result = z.decompose(z.press_dyson(z.TFT, 1), basis)
+        assert result.exact
+        M = z.transition_matrix(z.TFT, z.named_strategy("custom:0.9,0.2,0.6,0.3"))
+        pi = z.cesaro_limit(M).distribution
+        assert abs(z.relation_value(result.coefficients, pi, m)) <= 1e-12
 
     def test_format_label(self):
         assert z.format_label((0, 0)) == "1"
@@ -197,6 +213,27 @@ class TestDecompose:
             result = z.decompose(z.press_dyson(s, 1), basis)
             assert result.rank == 4
             assert result.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("degree", [8, 12, 20, 30])
+    def test_high_degree_monomial_bases_stay_exact(self, m, degree):
+        # every monomial basis of degree >= 3 spans R^4; unequilibrated
+        # columns (5^30 against 1) used to hide that from the rank test
+        basis = z.BasisSpec.monomial(m, degree)
+        result = z.decompose(z.press_dyson(z.WSLS, 1), basis)
+        assert result.rank == 4
+        assert result.exact
+        assert result.residual_norm <= z.pressdyson.EXACT_TOL
+        if degree == 30:
+            assert z.decompose(z.press_dyson(z.TFT, 1), basis).rank == 4
+
+    def test_zero_column_keeps_its_place(self, m):
+        # a zero column keeps scale 1 instead of dividing by its zero norm
+        basis = z.BasisSpec.zd(m)
+        padded = z.BasisSpec("padded", basis.labels + ("zero",),
+                             np.column_stack([basis.matrix, np.zeros(4)]))
+        result = z.decompose(z.press_dyson(z.TFT, 1), padded)
+        assert result.exact and result.rank == 3
+        assert result.coefficients["zero"] == 0.0
 
     def test_decompose_accepts_raw_arrays(self, m):
         result = z.decompose(np.array([0.0, -1.0, 1.0, 0.0]), z.BasisSpec.zd(m))
