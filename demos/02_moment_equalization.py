@@ -40,11 +40,13 @@ for h in (-2.0, -0.5, 0.5, 2.0):
     print(f"{h:>6} {g1:>16.8f} {g2:>16.8f} {g1 - g2:>12.2e}")
 print()
 
-d1 = z.payoff_distribution(s1, pi)
-d2 = z.payoff_distribution(s2, pi)
-print("payoff distribution, player 1:", {v: round(p, 8) for v, p in d1.points})
-print("payoff distribution, player 2:", {v: round(p, 8) for v, p in d2.points})
-print("equal within 1e-8:", z.distributions_equal(d1, d2, tol=1e-8))
+# a payoff distribution is a (support, probabilities) pair
+d1 = z.payoff_distributions(s1, pi)
+d2 = z.payoff_distributions(s2, pi)
+for player, (support, probs) in ((1, d1), (2, d2)):
+    shown = {v: round(p, 8) for v, p in zip(support.tolist(), probs.tolist())}
+    print(f"payoff distribution, player {player}:", shown)
+print("equal within 1e-8:", bool(z.distribution_stacks_equal(d1, d2, tol=1e-8)))
 print()
 
 print("Akin's lemma behind it all: the averaged Press-Dyson vector vanishes")

@@ -36,6 +36,13 @@ for k in (1, 2, 3):
     print(f"  k={k}: <s1^k> - <s2^k> = {diff:+.5f}")
 print()
 
+print("empirical payoff distributions, as (support, probabilities) tuples:")
+for player in (1, 2):
+    support, probs = report.histograms[player]
+    print(f"  player {player}:", {v: round(p, 6) for v, p in zip(support, probs)})
+print()
+
+# every report field is a plain value, so == compares whole reports
 rerun = z.simulate(z.TFT, opponent, cfg)
 print("re-running with the same seed reproduces the report exactly:", rerun == report)
 

@@ -13,7 +13,6 @@ from .game import (
     JointState,
     MemoryOneStrategy,
     PayoffMatrix,
-    PayoffVector,
     cooperation_probs,
     named_strategy,
     parse_strategy,
@@ -26,27 +25,19 @@ from .markov import (
     ChainStructure,
     LimitBatch,
     LimitResult,
-    as_distribution,
     cesaro_limit,
     cesaro_limits,
     classify,
-    evolve,
     perturbed_stationary,
     point_mass,
     stationary_exact,
-    uniform_distribution,
 )
 from .moments import (
-    PayoffDistribution,
     cross_moment,
     distribution_stacks_equal,
-    distributions_equal,
     feature_averages,
     mgf,
-    mgf_features,
     moment,
-    moment_features,
-    payoff_distribution,
     payoff_distributions,
     relation_value,
 )
@@ -91,7 +82,6 @@ __all__ = [
     "JointState",
     "MemoryOneStrategy",
     "PayoffMatrix",
-    "PayoffVector",
     "cooperation_probs",
     "named_strategy",
     "parse_strategy",
@@ -102,25 +92,17 @@ __all__ = [
     "ChainStructure",
     "LimitBatch",
     "LimitResult",
-    "as_distribution",
     "cesaro_limit",
     "cesaro_limits",
     "classify",
-    "evolve",
     "perturbed_stationary",
     "point_mass",
     "stationary_exact",
-    "uniform_distribution",
-    "PayoffDistribution",
     "cross_moment",
     "distribution_stacks_equal",
-    "distributions_equal",
     "feature_averages",
     "mgf",
-    "mgf_features",
     "moment",
-    "moment_features",
-    "payoff_distribution",
     "payoff_distributions",
     "relation_value",
     "PRNG_ID",

@@ -27,15 +27,15 @@ from .game import (
     PayoffMatrix,
     named_strategy,
     parse_strategy,
+    payoff_features,
     payoff_vector,
     transition_matrices,
 )
-from .markov import cesaro_limits, point_mass, uniform_distribution
+from .markov import cesaro_limits, point_mass
 from .moments import (
     distribution_stacks_equal,
     feature_averages,
-    mgf_features,
-    moment_features,
+    moment_orders,
     payoff_distributions,
 )
 from .montecarlo import PRNG_ID, SimulationConfig, simulate
@@ -162,10 +162,8 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: di
 def cmd_verify_tft(args: argparse.Namespace) -> int:
     m = _parse_payoffs(args.payoffs)
     tol = _finite(args.tol)
-    s1 = payoff_vector(m, 1)
-    s2 = payoff_vector(m, 2)
     initial = _parse_initial(args.initial)
-    pi0 = uniform_distribution() if initial is None else point_mass(initial)
+    pi0 = None if initial is None else point_mass(initial)
     h_grid = _parse_floats(args.h_grid)
     if not h_grid:
         raise ValueError("--h-grid is empty")
@@ -182,24 +180,24 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         opponents = rng.random((args.random, 4))
         prng = PRNG_ID
 
-    k_values = list(range(1, args.k_max + 1))
-    features = np.concatenate([
-        moment_features(s1, args.k_max), moment_features(s2, args.k_max),
-        mgf_features(s1, h_grid), mgf_features(s2, h_grid),
-    ])
+    orders = moment_orders(args.k_max)
+    features = payoff_features(m, [(k, 0) for k in orders] + [(0, k) for k in orders]
+                               + [("exp", p, h) for p in (1, 2) for h in h_grid])
     Ms = transition_matrices(named_strategy("tft").array, opponents)
     # a residual bound tighter than the default: k-th moment checks
     # amplify distribution error by T^k
     limits = cesaro_limits(Ms, pi0, tol=1e-13)
     pis = limits.distributions
     averages = feature_averages(features, pis)
-    splits = np.cumsum([len(k_values), len(k_values), len(h_grid)])
+    splits = np.cumsum([len(orders), len(orders), len(h_grid)])
     moments1, moments2, mgf1, mgf2 = np.split(averages, splits, axis=1)
     dev_k = np.abs(moments1 - moments2)
     dev_h = np.abs(mgf1 - mgf2)
     gaps = pis[:, JointState.CD] - pis[:, JointState.DC]
     dist_equal = distribution_stacks_equal(
-        payoff_distributions(s1, pis), payoff_distributions(s2, pis), tol
+        payoff_distributions(payoff_vector(m, 1), pis),
+        payoff_distributions(payoff_vector(m, 2), pis),
+        tol,
     )
     passed = (
         limits.converged
@@ -227,7 +225,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
             "pi": pi,
             "converged": converged,
             "unique": structure.unique,
-            "moment_deviations": {str(k): d for k, d in zip(k_values, dk)},
+            "moment_deviations": {str(k): d for k, d in zip(orders, dk)},
             "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dh)},
             "pi_cd_minus_pi_dc": gap,
             "distributions_equal": equal,
@@ -262,7 +260,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         header = (
             ["opp_p_cc", "opp_p_cd", "opp_p_dc", "opp_p_dd",
              "pi_cc", "pi_cd", "pi_dc", "pi_dd", "converged", "unique"]
-            + [f"dev_k{k}" for k in k_values]
+            + [f"dev_k{k}" for k in orders]
             + [f"dev_h_{format(h, 'g')}" for h in h_grid]
             + ["pi_cd_minus_pi_dc", "dist_equal", "pass"]
         )
@@ -344,7 +342,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 for p in (1, 2)
             },
             "histograms": {
-                f"player{p}": [list(point) for point in report.histograms[p].points]
+                f"player{p}": [[x, q] for x, q in zip(*report.histograms[p]) if q != 0.0]
                 for p in (1, 2)
             },
             "rounds": report.rounds,
@@ -438,12 +436,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rows.append([k, None, None, str(exc)])
         parameters = {"mode": "tft-k-range", "k_range": args.tft_k_range}
     else:
-        h_values = _parse_floats(args.h_range)
-        if not h_values:
+        hs = _parse_floats(args.h_range)
+        if not hs:
             raise ValueError("empty --h-range")
         header = ["h", "coefficient", "max_abs_error", "error"]
         rows = []
-        for h in h_values:
+        for h in hs:
             try:
                 check = tft_exponential_identity(base, h)
                 rows.append([h, check.coefficient, check.max_abs_error, None])

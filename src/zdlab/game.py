@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "JointState",
     "PayoffMatrix",
-    "PayoffVector",
     "MemoryOneStrategy",
     "DEFAULT_PAYOFFS",
     "payoff_vector",
@@ -40,19 +39,6 @@ class JointState(IntEnum):
     CD = 1
     DC = 2
     DD = 3
-
-    @classmethod
-    def from_actions(cls, a1: str, a2: str) -> "JointState":
-        return cls(2 * (a1.upper() == "D") + (a2.upper() == "D"))
-
-    @property
-    def actions(self) -> tuple[str, str]:
-        return ("CD"[self.value >> 1], "CD"[self.value & 1])
-
-    @property
-    def swapped(self) -> "JointState":
-        """The same outcome viewed from the other player's side (CD<->DC)."""
-        return JointState(((self.value & 1) << 1) | (self.value >> 1))
 
 
 # Index permutation mapping a global state to the opponent's viewpoint.
@@ -107,42 +93,24 @@ class PayoffMatrix:
 DEFAULT_PAYOFFS = PayoffMatrix(R=3.0, S=0.0, T=5.0, P=1.0)
 
 
-@dataclass(frozen=True)
-class PayoffVector:
-    """A real 4-vector indexed by JointState."""
-
-    values: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        if len(values) != 4:
-            raise ValueError("a payoff vector has exactly four components")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-    def __getitem__(self, state: int) -> float:
-        return self.values[state]
-
-
-def payoff_vector(m: PayoffMatrix, player: int) -> PayoffVector:
-    """Per-state payoffs of one player: (R,S,T,P) for 1, (R,T,S,P) for 2."""
-    if player == 1:
-        return PayoffVector((m.R, m.S, m.T, m.P))
-    if player == 2:
-        return PayoffVector((m.R, m.T, m.S, m.P))
-    raise ValueError(f"player must be 1 or 2, got {player!r}")
+def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
+    """Read-only per-state payoffs of one player: (R,S,T,P) for 1, (R,T,S,P) for 2."""
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    v = np.array([m.R, m.S, m.T, m.P] if player == 1 else [m.R, m.T, m.S, m.P])
+    v.flags.writeable = False
+    return v
 
 
 def check_exp_range(h: float, max_abs: float) -> None:
     """Refuse e^{h * x} for |x| <= max_abs when it can overflow a double.
 
-    Raises OverflowError when |h| * max_abs > 700; every exponential of a
-    payoff in this package (MGFs, exponential bases and identities) is
-    guarded by this one check.
+    A non-finite h is a ValueError, and |h| * max_abs > 700 an
+    OverflowError; every exponential of a payoff in this package (MGFs,
+    exponential bases and identities) is guarded by this one check.
     """
+    if not math.isfinite(h):
+        raise ValueError(f"h must be a finite real number, got {h!r}")
     if abs(h) * max_abs > 700.0:
         raise OverflowError(
             f"|h| * max|payoff| = {abs(h) * max_abs:g} exceeds the "
@@ -164,7 +132,7 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
     :func:`check_exp_range`; a power that is not finite in double
     precision is an OverflowError.  Returns shape (len(labels), 4).
     """
-    s = np.array([payoff_vector(m, 1).values, payoff_vector(m, 2).values])
+    s = np.array([payoff_vector(m, 1), payoff_vector(m, 2)])
     rows = np.empty((len(labels), 4))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, label in enumerate(labels):
@@ -211,9 +179,6 @@ class MemoryOneStrategy:
     @property
     def array(self) -> np.ndarray:
         return np.array(self.p, dtype=float)
-
-    def __getitem__(self, state: int) -> float:
-        return self.p[state]
 
     def with_noise(self, eps: float) -> "MemoryOneStrategy":
         """Trembling-hand mixture: p <- (1 - eps) * p + eps / 2."""
@@ -291,7 +256,7 @@ def cooperation_probs(s: MemoryOneStrategy, player: int) -> np.ndarray:
     """Cooperation probabilities indexed by the *global* previous state.
 
     Player 1's own frame is the global frame; player 2 sees each state
-    with the two actions swapped, so their vector is permuted by CD<->DC.
+    with the two actions exchanged, so their vector is permuted by CD<->DC.
     """
     if player == 1:
         return s.array

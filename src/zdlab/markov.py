@@ -44,10 +44,7 @@ __all__ = [
     "ChainStructure",
     "LimitResult",
     "LimitBatch",
-    "as_distribution",
-    "uniform_distribution",
     "point_mass",
-    "evolve",
     "classify",
     "stationary_exact",
     "cesaro_limit",
@@ -84,11 +81,6 @@ def point_mass(state: int) -> np.ndarray:
     pi = np.zeros(N_STATES)
     pi[int(state)] = 1.0
     return pi
-
-
-def evolve(M, pi) -> np.ndarray:
-    """One step of the chain: returns M @ pi."""
-    return np.asarray(M, dtype=float) @ as_distribution(pi)
 
 
 @dataclass(frozen=True)

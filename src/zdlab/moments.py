@@ -5,31 +5,28 @@ Every moment, cross moment, MGF value and enforced relation is an average
 vectors) under a state distribution pi, and all of them go through one kernel,
 :func:`feature_averages`, which evaluates a stack of features under a stack
 of distributions.  It makes one BLAS dot per (distribution, feature) pair,
-so a value does not depend on how many others are computed with it.
+so a value does not depend on how many others are computed with it;
+:func:`moment`, :func:`cross_moment` and :func:`mgf` are its single-value
+entry points on any 4-vector.  A payoff distribution is the (support,
+probabilities) pair that :func:`payoff_distributions` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .game import PayoffMatrix, PayoffVector, check_exp_range, payoff_features
+from .game import PayoffMatrix, check_exp_range, payoff_features
 
 __all__ = [
-    "PayoffDistribution",
     "feature_averages",
-    "moment_features",
-    "mgf_features",
     "moment",
     "cross_moment",
     "mgf",
     "relation_value",
-    "payoff_distribution",
     "payoff_distributions",
     "distribution_stacks_equal",
-    "distributions_equal",
 ]
 
 #: Exponents above this are refused: payoff values raised to very large
@@ -40,18 +37,19 @@ K_CAP = 20
 VALUE_TOL = 1e-12
 
 
-def _values(v) -> np.ndarray:
-    if isinstance(v, PayoffVector):
-        return v.array
-    return np.asarray(v, dtype=float)
-
-
 def _check_k(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {k!r}")
     if k > K_CAP:
         raise ValueError(f"moment order {k} exceeds the precision cap {K_CAP}")
     return int(k)
+
+
+def moment_orders(k_max: int) -> list[int]:
+    """The moment orders 1 ... ``k_max``, each at most :data:`K_CAP`."""
+    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
+        raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
+    return [_check_k(k) for k in range(1, k_max + 1)]
 
 
 def feature_averages(F, pi) -> np.ndarray:
@@ -67,44 +65,27 @@ def feature_averages(F, pi) -> np.ndarray:
     return np.matmul(pi[..., None, None, :], F[:, :, None])[..., 0, 0]
 
 
-def moment_features(v, k_max: int) -> np.ndarray:
-    """Rows v^1 ... v^k_max: the features of the first ``k_max`` moments."""
-    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
-        raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
-    values = _values(v)
-    return np.array([values ** _check_k(k) for k in range(1, k_max + 1)])
-
-
-def mgf_features(v, hs) -> np.ndarray:
-    """Rows e^{h v} for each h of ``hs``: the features of the MGF values."""
-    values = _values(v)
-    max_abs = float(np.max(np.abs(values)))
-    rows = []
-    for h in hs:
-        h = float(h)
-        check_exp_range(h, max_abs)
-        rows.append(np.exp(h * values))
-    return np.array(rows).reshape(-1, len(values))
-
-
 def moment(v, pi, k: int) -> float:
     """k-th payoff moment sum_s v[s]^k * pi[s] for k >= 1."""
     k = _check_k(k)
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    return float(feature_averages([_values(v) ** k], pi)[0])
+    return float(feature_averages([np.asarray(v, dtype=float) ** k], pi)[0])
 
 
 def cross_moment(v1, v2, pi, k1: int, k2: int) -> float:
     """Mixed moment sum_s v1[s]^k1 * v2[s]^k2 * pi[s], k1 and k2 >= 0."""
     k1 = _check_k(k1)
     k2 = _check_k(k2)
-    return float(feature_averages([_values(v1) ** k1 * _values(v2) ** k2], pi)[0])
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    return float(feature_averages([v1 ** k1 * v2 ** k2], pi)[0])
 
 
 def mgf(v, pi, h: float) -> float:
-    """Moment generating function sum_s e^{h * v[s]} * pi[s]."""
-    return float(feature_averages(mgf_features(v, [h]), pi)[0])
+    """Moment generating function sum_s e^{h * v[s]} * pi[s], for finite h."""
+    v = np.asarray(v, dtype=float)
+    check_exp_range(h, float(np.max(np.abs(v))))
+    return float(feature_averages([np.exp(h * v)], pi)[0])
 
 
 def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
@@ -126,24 +107,6 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     return float(np.dot(list(coeffs.values()), averages))
 
 
-@dataclass(frozen=True)
-class PayoffDistribution:
-    """A finite payoff distribution as sorted (value, probability) pairs."""
-
-    points: tuple[tuple[float, float], ...]
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.points)
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.points)
-
-    def as_dict(self) -> dict[float, float]:
-        return dict(self.points)
-
-
 def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
     """Aggregate state probabilities over states sharing a payoff value.
 
@@ -153,7 +116,7 @@ def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
     value counts as that outcome; probabilities are summed in ascending
     payoff order.
     """
-    values = _values(v)
+    values = np.asarray(v, dtype=float)
     pi = np.asarray(pi, dtype=float)
     support: list[float] = []
     probs: list[np.ndarray] = []
@@ -164,18 +127,6 @@ def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
             support.append(float(values[idx]))
             probs.append(pi[..., idx])
     return np.array(support), np.stack(probs, axis=-1)
-
-
-def payoff_distribution(v, pi, value_tol: float = VALUE_TOL) -> PayoffDistribution:
-    """The payoff distribution of one state distribution.
-
-    The support and probabilities of :func:`payoff_distributions`;
-    outcomes whose aggregated probability is exactly zero carry no
-    support point.
-    """
-    support, probs = payoff_distributions(v, pi, value_tol)
-    points = zip(support.tolist(), probs.tolist())
-    return PayoffDistribution(tuple((x, p) for x, p in points if p != 0.0))
 
 
 def distribution_stacks_equal(a, b, tol: float, value_tol: float = VALUE_TOL) -> np.ndarray:
@@ -213,18 +164,3 @@ def distribution_stacks_equal(a, b, tol: float, value_tol: float = VALUE_TOL) ->
     pb = np.concatenate([pb, np.zeros(pb.shape[:-1] + (1,))], axis=-1)
     return (np.abs(pa[..., ja] - pb[..., jb]) <= tol).all(axis=-1)
 
-
-def distributions_equal(
-    a: PayoffDistribution,
-    b: PayoffDistribution,
-    tol: float,
-    value_tol: float = VALUE_TOL,
-) -> bool:
-    """True iff supports match within value_tol and probabilities within tol.
-
-    :func:`distribution_stacks_equal` for one pair: an outcome present on
-    one side only still passes when its probability is at most ``tol``.
-    """
-    return bool(distribution_stacks_equal(
-        (a.values, [a.probabilities]), (b.values, [b.probabilities]), tol, value_tol
-    )[0])

@@ -28,6 +28,7 @@ from .game import (
     MemoryOneStrategy,
     PayoffMatrix,
     cooperation_probs,
+    payoff_features,
     payoff_vector,
     transition_matrix,
 )
@@ -38,12 +39,7 @@ from .markov import (
     point_mass,
     uniform_distribution,
 )
-from .moments import (
-    PayoffDistribution,
-    feature_averages,
-    moment_features,
-    payoff_distribution,
-)
+from .moments import feature_averages, moment_orders, payoff_distributions
 
 __all__ = [
     "PRNG_ID",
@@ -129,7 +125,7 @@ class SimulationReport:
     state_counts: tuple[int, int, int, int]
     frequencies: tuple[float, float, float, float]
     moments: Mapping[int, Mapping[int, float]]
-    histograms: Mapping[int, PayoffDistribution]
+    histograms: Mapping[int, tuple[tuple[float, ...], tuple[float, ...]]]
     rounds: int
     counted_rounds: int
     seed: int
@@ -192,16 +188,17 @@ def simulate(
     """Play ``cfg.rounds`` rounds and report empirical statistics.
 
     The report holds each player's payoff moments of orders 1 to ``k_max``
-    (at most :data:`~zdlab.moments.K_CAP`), computed like every other
-    moment in the package, by :func:`~zdlab.moments.feature_averages`.
+    (at most :data:`~zdlab.moments.K_CAP`), feature averages like every
+    other moment in the package, and each player's payoff distribution as
+    a (support, probabilities) pair of tuples, so reports compare by value.
 
     Deterministic in (s1, s2, cfg): identical inputs give bit-identical
     reports.  Each round draws player 1's action, then player 2's, from
     the noise-mixed conditional cooperation probabilities given the
     previous state.
     """
-    payoff_vectors = {player: payoff_vector(payoffs, player) for player in (1, 2)}
-    features = {player: moment_features(v, k_max) for player, v in payoff_vectors.items()}
+    orders = moment_orders(k_max)
+    features = payoff_features(payoffs, [(k, 0) for k in orders] + [(0, k) for k in orders])
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if isinstance(cfg.initial, JointState):
         state = int(cfg.initial)
@@ -216,13 +213,12 @@ def simulate(
 
     counted = cfg.rounds - cfg.burn_in
     frequencies = tuple(c / counted for c in counts)
-    moments = {
-        player: dict(enumerate(feature_averages(F, frequencies).tolist(), start=1))
-        for player, F in features.items()
-    }
-    histograms = {
-        player: payoff_distribution(v, frequencies) for player, v in payoff_vectors.items()
-    }
+    averages = np.split(feature_averages(features, frequencies), 2)
+    moments = {p: dict(zip(orders, a.tolist())) for p, a in zip((1, 2), averages)}
+    histograms = {}
+    for player in (1, 2):
+        support, probs = payoff_distributions(payoff_vector(payoffs, player), frequencies)
+        histograms[player] = (tuple(support.tolist()), tuple(probs.tolist()))
     return SimulationReport(
         state_counts=counts,
         frequencies=frequencies,

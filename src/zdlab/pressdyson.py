@@ -160,6 +160,14 @@ class BasisSpec:
         """All payoff monomials s1^k1 * s2^k2 with k1 + k2 <= the bound."""
         if max_total_degree < 0:
             raise ValueError("max_total_degree must be >= 0")
+        big = np.float64(m.max_abs())
+        with np.errstate(over="ignore"):
+            if np.isinf(big ** max_total_degree):
+                # rows of degree k are bounded by max|payoff|^k, reached by (k, 0)
+                k = max(int(math.log(np.finfo(float).max) / math.log(big)) - 1, 0)
+                while np.isfinite(big ** k):
+                    k += 1
+                payoff_features(m, [(k, 0)])
         labels = tuple(
             (k1, total - k1)
             for total in range(max_total_degree + 1)

@@ -88,9 +88,9 @@ def test_criterion_3_structural_core(tft_limits):
     all_equal = True
     for _, pi in tft_limits:
         worst_gap = max(worst_gap, abs(pi[z.JointState.CD] - pi[z.JointState.DC]))
-        d1 = z.payoff_distribution(S1, pi)
-        d2 = z.payoff_distribution(S2, pi)
-        all_equal = all_equal and z.distributions_equal(d1, d2, tol=1e-8)
+        d1 = z.payoff_distributions(S1, pi)
+        d2 = z.payoff_distributions(S2, pi)
+        all_equal = all_equal and bool(z.distribution_stacks_equal(d1, d2, tol=1e-8))
     _check(
         3,
         "structural core",
@@ -196,7 +196,7 @@ def test_criterion_7_wsls_relation():
 
 def test_criterion_8_monte_carlo_cross_validation():
     opponents = _random_strategies(50, OPPONENT_SEED + 2)
-    diff_values = (S1.array - S2.array) ** 2
+    diff_values = (S1 - S2) ** 2
     within = 0
     pathwise_broken = []
     for i, opponent in enumerate(opponents):

@@ -127,11 +127,17 @@ class TestVerifyTft:
         ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "-1"],
         ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "0"],
         ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "25"],
+        ["verify-tft", "--random", "5", "--k-max", "25"],
+        ["simulate", "tft", "wsls", "--rounds", "100", "--k-max", "21"],
     ])
     def test_k_max_out_of_range_is_usage_error(self, argv, capsys):
         code, out, err = _run(argv, capsys)
         assert code == 2 and out == ""
-        assert "moment order" in err
+        k_max = int(argv[-1])
+        if k_max < 1:
+            assert err == f"error: need at least one moment order, got k_max={k_max}\n"
+        else:
+            assert err == "error: moment order 21 exceeds the precision cap 20\n"
 
 
 class TestDecompose:

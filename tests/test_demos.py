@@ -1,4 +1,4 @@
-"""Smoke test: every demo runs to completion."""
+"""Smoke test: every demo runs to completion, with warnings as errors."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_demo_runs(name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),

@@ -36,10 +36,16 @@ class TestPayoffMatrix:
 
 class TestPayoffVectors:
     def test_player1_reads_off_rstp(self, m):
-        assert z.payoff_vector(m, 1).values == (3, 0, 5, 1)
+        assert z.payoff_vector(m, 1).tolist() == [3, 0, 5, 1]
 
     def test_player2_swaps_s_and_t(self, m):
-        assert z.payoff_vector(m, 2).values == (3, 5, 0, 1)
+        assert z.payoff_vector(m, 2).tolist() == [3, 5, 0, 1]
+
+    def test_result_is_read_only(self, m):
+        v = z.payoff_vector(m, 1)
+        assert v.shape == (4,) and v.dtype == float
+        with pytest.raises(ValueError):
+            v[0] = 2.0
 
     def test_bad_player(self, m):
         with pytest.raises(ValueError):
@@ -56,8 +62,8 @@ class TestPayoffVectors:
 
     def test_power_one_is_identity(self, m):
         F = z.payoff_features(m, [(1, 0), (0, 1)])
-        np.testing.assert_array_equal(F[0], z.payoff_vector(m, 1).array)
-        np.testing.assert_array_equal(F[1], z.payoff_vector(m, 2).array)
+        np.testing.assert_array_equal(F[0], z.payoff_vector(m, 1))
+        np.testing.assert_array_equal(F[1], z.payoff_vector(m, 2))
 
     def test_malformed_labels_rejected(self, m):
         for label in [(1.5, 0), (-1, 0), (0, -2), (True, 0), (1, 2, 3), ("exp", 3, 1.0),
@@ -70,7 +76,7 @@ class TestPayoffVectors:
         v = z.payoff_vector(z.DEFAULT_PAYOFFS, 1)
         expected = np.ones(4)
         for _ in range(k):
-            expected = expected * v.array
+            expected = expected * v
         np.testing.assert_allclose(
             z.payoff_features(z.DEFAULT_PAYOFFS, [(k, 0)])[0], expected, rtol=1e-12
         )
@@ -100,7 +106,7 @@ class TestPayoffVectors:
         h = 1e-6
         phi1, phi2 = z.payoff_features(m, [("exp", 1, h), ("exp", 2, h)])
         lhs = (phi1 - phi2) / (math.exp(h * m.T) - math.exp(h * m.S))
-        rhs = (z.payoff_vector(m, 1).array - z.payoff_vector(m, 2).array) / (m.T - m.S)
+        rhs = (z.payoff_vector(m, 1) - z.payoff_vector(m, 2)) / (m.T - m.S)
         np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
     def test_pointwise_product(self, m):
@@ -163,17 +169,17 @@ class TestStrategies:
 class TestJointState:
     def test_index_order(self):
         assert [s.value for s in z.JointState] == [0, 1, 2, 3]
-        assert z.JointState.from_actions("C", "D") is z.JointState.CD
+        assert z.JointState["C" + "D"] is z.JointState.CD
 
     def test_actions_roundtrip(self):
+        # the name spells the actions, player 1's first; its D is the high bit
         for s in z.JointState:
-            assert z.JointState.from_actions(*s.actions) is s
+            assert z.JointState[s.name] is s
+            assert s == 2 * (s.name[0] == "D") + (s.name[1] == "D")
 
     def test_swap(self):
-        assert z.JointState.CD.swapped is z.JointState.DC
-        assert z.JointState.DC.swapped is z.JointState.CD
-        assert z.JointState.CC.swapped is z.JointState.CC
-        assert z.JointState.DD.swapped is z.JointState.DD
+        # SWAP views each state from the other player's side: CD <-> DC
+        assert [z.JointState(SWAP[s]).name for s in z.JointState] == ["CC", "DC", "CD", "DD"]
 
 
 def _conditional(s: z.MemoryOneStrategy, player: int, action: str, prev: int) -> float:
@@ -215,7 +221,7 @@ class TestTransitionMatrix:
         for prev in range(4):
             for a1 in "CD":
                 for a2 in "CD":
-                    to = z.JointState.from_actions(a1, a2)
+                    to = z.JointState[a1 + a2]
                     expected = _conditional(s1, 1, a1, prev) * _conditional(s2, 2, a2, prev)
                     assert M[to, prev] == pytest.approx(expected, abs=1e-15)
 

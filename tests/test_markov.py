@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import zdlab as z
-
-probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-strategy_vectors = st.tuples(probability, probability, probability, probability)
 
 CC, CD, DC, DD = z.JointState
 
@@ -61,35 +57,6 @@ def _stationary_rational(M):
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
                 b[r] -= f * b[c]
     return np.array([float(b[i] / A[i][i]) for i in range(4)])
-
-
-class TestEvolve:
-    def test_identity_chain(self):
-        pi = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_array_equal(z.evolve(np.eye(4), pi), pi)
-
-    def test_tft_vs_allc_one_step(self):
-        M = z.transition_matrix(z.TFT, z.ALL_C)
-        np.testing.assert_array_equal(z.evolve(M, z.point_mass(DD)), z.point_mass(DC))
-
-    def test_rank_one_chain(self):
-        M = np.full((4, 4), 0.25)
-        np.testing.assert_allclose(z.evolve(M, [0.7, 0.1, 0.1, 0.1]), np.full(4, 0.25))
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValueError):
-            z.evolve(np.eye(4), [0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(ValueError):
-            z.evolve(np.eye(4), [1.5, -0.5, 0.0, 0.0])
-
-    @given(strategy_vectors, strategy_vectors, strategy_vectors)
-    def test_conservation(self, p1, p2, w):
-        M = z.transition_matrix(z.MemoryOneStrategy(p1), z.MemoryOneStrategy(p2))
-        weights = np.array(w) + 1e-3  # keep the draw normalisable
-        pi = weights / weights.sum()
-        out = z.evolve(M, pi)
-        assert abs(out.sum() - 1.0) <= 1e-14
-        assert np.all(out >= 0.0)
 
 
 class TestClassify:
@@ -310,6 +277,10 @@ class TestCesaroLimits:
             z.cesaro_limits(np.eye(4)[None], tol=0.0)
         with pytest.raises(ValueError, match="4x4"):
             z.cesaro_limits(np.eye(4))
+        with pytest.raises(ValueError, match="sum to"):
+            z.cesaro_limits(np.eye(4)[None], [0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="negative"):
+            z.cesaro_limits(np.eye(4)[None], [1.5, -0.5, 0.0, 0.0])
 
 
 class TestPerturbedStationary:

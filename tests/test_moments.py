@@ -17,8 +17,8 @@ class TestFeatureAverages:
         rng = np.random.Generator(np.random.PCG64(n))
         pis = rng.dirichlet(np.ones(4), size=n)
         F = np.concatenate([
-            z.moment_features(z.payoff_vector(z.DEFAULT_PAYOFFS, 1), 20),
-            z.mgf_features(z.payoff_vector(z.DEFAULT_PAYOFFS, 2), [-2.0, -0.1, 0.3, 1.5]),
+            z.payoff_features(z.DEFAULT_PAYOFFS, [(k, 0) for k in range(1, 21)]),
+            z.payoff_features(z.DEFAULT_PAYOFFS, [("exp", 2, h) for h in (-2.0, -0.1, 0.3, 1.5)]),
             rng.normal(size=(6, 4)),
         ])
         averages = z.feature_averages(F, pis)
@@ -30,18 +30,21 @@ class TestFeatureAverages:
     def test_moment_and_mgf_are_single_entries(self, m):
         pi = np.array([0.1, 0.2, 0.3, 0.4])
         s1 = z.payoff_vector(m, 1)
-        averages = z.feature_averages(z.moment_features(s1, 5), pi)
+        averages = z.feature_averages(z.payoff_features(m, [(k, 0) for k in range(1, 6)]), pi)
         assert averages.tolist() == [z.moment(s1, pi, k) for k in range(1, 6)]
-        assert z.feature_averages(z.mgf_features(s1, [0.7]), pi)[0] == z.mgf(s1, pi, 0.7)
+        mgf_row = z.payoff_features(m, [("exp", 1, 0.7)])
+        assert z.feature_averages(mgf_row, pi)[0] == z.mgf(s1, pi, 0.7)
 
     @pytest.mark.parametrize("k_max", [0, -1, 21, 2.0, True])
     def test_moment_orders_validated(self, m, k_max):
+        # simulate and verify-tft build their moment rows through one check
+        cfg = z.SimulationConfig(rounds=100, seed=1, burn_in=0)
         with pytest.raises(ValueError, match="moment order"):
-            z.moment_features(z.payoff_vector(m, 1), k_max)
+            z.simulate(z.TFT, z.WSLS, cfg, m, k_max=k_max)
 
     def test_mgf_range_guard(self, m):
         with pytest.raises(OverflowError):
-            z.mgf_features(z.payoff_vector(m, 1), [0.5, 200.0])
+            z.payoff_features(m, [("exp", 1, 0.5), ("exp", 1, 200.0)])
 
 
 class TestMoment:
@@ -108,6 +111,11 @@ class TestMgf:
         with pytest.raises(OverflowError):
             z.mgf(z.payoff_vector(m, 1), CYCLE, 150.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_h_rejected(self, m, h):
+        with pytest.raises(ValueError, match="finite"):
+            z.mgf(z.payoff_vector(m, 1), z.point_mass(0), h)
+
 
 class TestRelationValue:
     def test_tft_first_order_relation(self, m):
@@ -145,28 +153,30 @@ class TestRelationValue:
 
 class TestPayoffDistribution:
     def test_cycle_distribution(self, m):
-        dist = z.payoff_distribution(z.payoff_vector(m, 1), CYCLE)
-        assert dist.points == ((0.0, 0.5), (5.0, 0.5))
+        support, probs = z.payoff_distributions(z.payoff_vector(m, 1), CYCLE)
+        assert support.tolist() == [0.0, 1.0, 3.0, 5.0]
+        assert probs.tolist() == [0.5, 0.0, 0.0, 0.5]
 
     def test_both_players_identical_on_cycle(self, m):
-        d1 = z.payoff_distribution(z.payoff_vector(m, 1), CYCLE)
-        d2 = z.payoff_distribution(z.payoff_vector(m, 2), CYCLE)
-        assert d1 == d2
+        support1, probs1 = z.payoff_distributions(z.payoff_vector(m, 1), CYCLE)
+        support2, probs2 = z.payoff_distributions(z.payoff_vector(m, 2), CYCLE)
+        assert support1.tolist() == support2.tolist()
+        assert probs1.tolist() == probs2.tolist()
 
     def test_point_mass(self, m):
-        dist = z.payoff_distribution(z.payoff_vector(m, 1), z.point_mass(0))
-        assert dist.points == ((3.0, 1.0),)
-        assert dist.as_dict() == {3.0: 1.0}
+        support, probs = z.payoff_distributions(z.payoff_vector(m, 1), z.point_mass(0))
+        assert support.tolist() == [0.0, 1.0, 3.0, 5.0]
+        assert probs.tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_equal_values_aggregate(self):
-        v = z.PayoffVector((1.0, 1.0, 3.0, 5.0))
-        dist = z.payoff_distribution(v, np.array([0.1, 0.2, 0.3, 0.4]))
-        assert dist.values == (1.0, 3.0, 5.0)
-        assert dist.probabilities == pytest.approx((0.3, 0.3, 0.4))
+        v = np.array([1.0, 1.0, 3.0, 5.0])
+        support, probs = z.payoff_distributions(v, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert support.tolist() == [1.0, 3.0, 5.0]
+        assert probs.tolist() == pytest.approx([0.3, 0.3, 0.4])
 
     def test_probabilities_sum_to_one(self, m):
-        dist = z.payoff_distribution(z.payoff_vector(m, 1), np.full(4, 0.25))
-        assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+        _, probs = z.payoff_distributions(z.payoff_vector(m, 1), np.full(4, 0.25))
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPayoffDistributions:
@@ -177,13 +187,15 @@ class TestPayoffDistributions:
         for player in (1, 2):
             v = z.payoff_vector(m, player)
             support, probs = z.payoff_distributions(v, pis)
-            assert support.tolist() == sorted(v.values)
+            assert support.tolist() == sorted(v.tolist())
+            assert probs.shape == (50, 4)
             for pi, row in zip(pis, probs.tolist()):
-                points = tuple((x, p) for x, p in zip(support.tolist(), row) if p != 0.0)
-                assert z.payoff_distribution(v, pi).points == points
+                single_support, single = z.payoff_distributions(v, pi)
+                assert single_support.tolist() == support.tolist()
+                assert single.tolist() == row
 
     def test_tied_values_merge_in_payoff_order(self):
-        v = z.PayoffVector((2.0, 1.0, 2.0, 1.0 + 1e-13))
+        v = np.array([2.0, 1.0, 2.0, 1.0 + 1e-13])
         support, probs = z.payoff_distributions(v, [[0.1, 0.2, 0.3, 0.4]])
         assert support.tolist() == [1.0, 2.0]
         assert probs.tolist() == [[0.2 + 0.4, 0.1 + 0.3]]
@@ -191,29 +203,29 @@ class TestPayoffDistributions:
 
 class TestDistributionsEqual:
     def test_reflexive(self, m):
-        d = z.payoff_distribution(z.payoff_vector(m, 1), CYCLE)
-        assert z.distributions_equal(d, d, tol=0.0)
+        d = z.payoff_distributions(z.payoff_vector(m, 1), CYCLE)
+        assert z.distribution_stacks_equal(d, d, tol=0.0)
 
     def test_distinct_point_masses(self, m):
-        d_r = z.payoff_distribution(z.payoff_vector(m, 1), z.point_mass(0))
-        d_p = z.payoff_distribution(z.payoff_vector(m, 1), z.point_mass(3))
-        assert not z.distributions_equal(d_r, d_p, tol=1e-6)
+        d_r = z.payoff_distributions(z.payoff_vector(m, 1), z.point_mass(0))
+        d_p = z.payoff_distributions(z.payoff_vector(m, 1), z.point_mass(3))
+        assert not z.distribution_stacks_equal(d_r, d_p, tol=1e-6)
 
     def test_probability_tolerance(self):
-        a = z.PayoffDistribution(((1.0, 0.5), (2.0, 0.5)))
-        b = z.PayoffDistribution(((1.0, 0.5 + 1e-9), (2.0, 0.5 - 1e-9)))
-        assert z.distributions_equal(a, b, tol=1e-8)
-        assert not z.distributions_equal(a, b, tol=1e-10)
+        a = ([1.0, 2.0], [0.5, 0.5])
+        b = ([1.0, 2.0], [0.5 + 1e-9, 0.5 - 1e-9])
+        assert z.distribution_stacks_equal(a, b, tol=1e-8)
+        assert not z.distribution_stacks_equal(a, b, tol=1e-10)
 
     def test_support_mismatch(self):
-        a = z.PayoffDistribution(((1.0, 1.0),))
-        b = z.PayoffDistribution(((1.0, 0.5), (2.0, 0.5)))
-        assert not z.distributions_equal(a, b, tol=1e-6)
+        a = ([1.0], [1.0])
+        b = ([1.0, 2.0], [0.5, 0.5])
+        assert not z.distribution_stacks_equal(a, b, tol=1e-6)
 
     def test_negligible_extra_support_point_tolerated(self):
-        a = z.PayoffDistribution(((1.0, 1.0),))
-        b = z.PayoffDistribution(((1.0, 1.0 - 1e-12), (2.0, 1e-12)))
-        assert z.distributions_equal(a, b, tol=1e-8)
+        a = ([1.0], [1.0])
+        b = ([1.0, 2.0], [1.0 - 1e-12, 1e-12])
+        assert z.distribution_stacks_equal(a, b, tol=1e-8)
 
 
 class TestDistributionStacksEqual:
@@ -228,9 +240,9 @@ class TestDistributionStacksEqual:
             z.payoff_distributions(s1, pis), z.payoff_distributions(s2, pis), tol=1e-8
         )
         single = [
-            z.distributions_equal(
-                z.payoff_distribution(s1, pi), z.payoff_distribution(s2, pi), tol=1e-8
-            )
+            bool(z.distribution_stacks_equal(
+                z.payoff_distributions(s1, pi), z.payoff_distributions(s2, pi), tol=1e-8
+            ))
             for pi in pis
         ]
         assert stacked.tolist() == single
@@ -255,6 +267,6 @@ class TestStructuralTftEquality:
         M = z.transition_matrix(z.TFT, opponent)
         pi = z.cesaro_limit(M, tol=1e-13).distribution
         assert abs(pi[z.JointState.CD] - pi[z.JointState.DC]) <= 1e-10
-        d1 = z.payoff_distribution(z.payoff_vector(m, 1), pi)
-        d2 = z.payoff_distribution(z.payoff_vector(m, 2), pi)
-        assert z.distributions_equal(d1, d2, tol=1e-8)
+        d1 = z.payoff_distributions(z.payoff_vector(m, 1), pi)
+        d2 = z.payoff_distributions(z.payoff_vector(m, 2), pi)
+        assert z.distribution_stacks_equal(d1, d2, tol=1e-8)

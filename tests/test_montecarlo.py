@@ -113,6 +113,17 @@ class TestSimulate:
         assert first == second
         assert first.prng == z.PRNG_ID == "numpy.random.PCG64"
 
+    def test_reports_compare_by_value(self):
+        # uniform start and noise: every report field is a plain value
+        cfg = z.SimulationConfig(rounds=3000, seed=17, initial=None, burn_in=50, noise=0.05)
+        report = z.simulate(z.TFT, z.WSLS, cfg)
+        assert z.simulate(z.TFT, z.WSLS, cfg) == report
+        for player in (1, 2):
+            support, probs = report.histograms[player]
+            assert isinstance(support, tuple) and isinstance(probs, tuple)
+            hash(report.histograms[player])  # TypeError if any part is mutable
+            assert support == tuple(sorted(z.payoff_vector(z.DEFAULT_PAYOFFS, player).tolist()))
+
     def test_tft_vs_alld_path(self):
         # from CC the deterministic path is CD, DD, DD, ...
         cfg = z.SimulationConfig(rounds=1000, seed=7, initial=CC, burn_in=0)
@@ -136,10 +147,13 @@ class TestSimulate:
     def test_moments_and_histogram_derive_from_frequencies(self, m):
         cfg = z.SimulationConfig(rounds=2000, seed=11, burn_in=0)
         report = z.simulate(z.TFT, z.named_strategy("random:0.3"), cfg)
-        v1 = z.payoff_vector(m, 1).array
+        v1 = z.payoff_vector(m, 1)
         expected = float(np.dot(v1**2, report.frequencies))
         assert report.moments[1][2] == expected
-        assert sum(report.histograms[1].probabilities) == pytest.approx(1.0)
+        support, probs = report.histograms[1]
+        assert sum(probs) == pytest.approx(1.0)
+        assert support == (0.0, 1.0, 3.0, 5.0)
+        assert probs == tuple(report.frequencies[s] for s in (CD, DD, CC, DC))
 
     @pytest.mark.parametrize("k_max", [0, 21])
     def test_moment_orders_bounded(self, k_max):
@@ -183,8 +197,8 @@ class TestMomentConsistency:
         # from the empirical per-round variance, which ignores the chain's
         # autocorrelation, so the seeded run tolerates two excursions per k
         # (the same allowance the acceptance criterion uses).
-        v1 = z.payoff_vector(m, 1).array
-        v2 = z.payoff_vector(m, 2).array
+        v1 = z.payoff_vector(m, 1)
+        v2 = z.payoff_vector(m, 2)
         within = {1: 0, 2: 0, 3: 0}
         for i, opponent in enumerate(random_strategies(50, seed=606)):
             cfg = z.SimulationConfig(rounds=10**6, seed=z.derive_seed(51000, i), burn_in=10**3)

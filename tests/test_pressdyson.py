@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zdlab as z
+from zdlab import pressdyson
 from zdlab.game import SWAP
 
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -129,6 +130,18 @@ class TestBasisSpec:
     def test_monomial_overflow_is_a_range_error(self, m):
         with pytest.raises(OverflowError, match="overflows double precision at k=442"):
             z.BasisSpec.monomial(m, 500)
+
+    def test_monomial_overflow_builds_no_row_beyond_it(self, m, monkeypatch):
+        requested = []
+
+        def recording(payoffs, labels):
+            requested.extend(labels)
+            return z.payoff_features(payoffs, labels)
+
+        monkeypatch.setattr(pressdyson, "payoff_features", recording)
+        with pytest.raises(OverflowError, match=r"s1\^442\*s2\^0 overflows .* at k=442"):
+            z.BasisSpec.monomial(m, 500)
+        assert requested and max(k1 + k2 for k1, k2 in requested) <= 442
 
     def test_exponential_basis(self, m):
         basis = z.BasisSpec.exponential(m, 0.5)
