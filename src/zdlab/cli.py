@@ -6,13 +6,16 @@ JSON outputs embed the manifest; CSV outputs are accompanied by it (a
 Seeded invocations are fully deterministic: repeating one produces
 byte-identical files.  Exit codes: 0 success / all checks passed,
 1 verification failure, 2 usage error.
+
+CSV cells, as Python's csv module writes them: `%.17g` floats, `true`/`false`,
+an empty cell for none, quotes (doubled inside) only around `,`, `"`, CR or LF,
+CRLF line ends.  `simulate --out` must not end in `.csv`: that is its state table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import itertools
 import json
 import math
@@ -141,17 +144,34 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", out)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    return buffer.getvalue()
+def _quote(text: str, empty: str) -> str:
+    """A cell quoted only where csv's default dialect quotes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text or empty
 
 
-def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: dict) -> None:
-    _write_text(_csv_text(header, rows), out)
+def _csv_text(header: list[str], columns: list) -> str:
+    """A CSV table from columns (sequences, 1-d float or bool arrays) by one `%`."""
+    empty = '""' if len(header) == 1 else ""  # a bare lone blank cell reads back as no row
+    specs, cells = [], []
+    for values in columns:
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+        if kind == "b":
+            spec, values = "%s", np.where(values, "true", "false").tolist()
+        elif kind == "f" or all(isinstance(v, float) for v in values):
+            spec, values = "%.17g", values.tolist() if kind else values
+        else:
+            spec, values = "%s", [_quote(_fmt(v), empty) for v in values]
+        specs.append(spec)
+        cells.append(values)
+    template = (",".join(specs) + "\r\n") * (len(cells[0]) if cells else 0)
+    head = ",".join(_quote(name, empty) for name in header) + "\r\n"
+    return head + template % tuple(itertools.chain.from_iterable(zip(*cells)))
+
+
+def _emit_csv(header: list[str], columns: list, out: str | None, manifest: dict) -> None:
+    _write_text(_csv_text(header, columns), out)
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     if out is None:
         sys.stderr.write(manifest_text)
@@ -169,14 +189,12 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         raise ValueError("--h-grid is empty")
 
     if args.opponent is not None:
-        labels = [args.opponent]
         opponents = np.array([parse_strategy(args.opponent).p])
         prng = None
     else:
         if args.random < 1:
             raise ValueError(f"--random needs at least one opponent, got {args.random}")
         rng = np.random.Generator(np.random.PCG64(args.seed))
-        labels = [f"random[{i}]" for i in range(args.random)]
         opponents = rng.random((args.random, 4))
         prng = PRNG_ID
 
@@ -207,41 +225,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         & (dev_h <= tol).all(axis=1)
     )
     passed_count = int(passed.sum())
-
-    columns = zip(
-        labels, opponents.tolist(), pis.tolist(), limits.converged.tolist(),
-        limits.structures, dev_k.tolist(), dev_h.tolist(), gaps.tolist(),
-        dist_equal.tolist(), passed.tolist(),
-    )
-    rows = []
-    json_rows = []
-    for label, p, pi, converged, structure, dk, dh, gap, equal, ok in columns:
-        if args.format != "json":
-            rows.append(p + pi + [converged, structure.unique] + dk + dh + [gap, equal, ok])
-            continue
-        json_row = {
-            "opponent": label,
-            "opponent_p": p,
-            "pi": pi,
-            "converged": converged,
-            "unique": structure.unique,
-            "moment_deviations": {str(k): d for k, d in zip(orders, dk)},
-            "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dh)},
-            "pi_cd_minus_pi_dc": gap,
-            "distributions_equal": equal,
-            "passed": ok,
-        }
-        if not structure.unique:
-            # several invariant measures exist; show which states commune
-            json_row["chain_classes"] = [
-                {"states": [JointState(s).name.lower() for s in members],
-                 "recurrent": recurrent, "period": period}
-                for members, recurrent, period in zip(
-                    structure.classes, structure.recurrent, structure.periods
-                )
-            ]
-        json_rows.append(json_row)
-    all_passed = passed_count == len(labels)
+    all_passed = passed_count == len(opponents)
 
     parameters = {
         "opponent": args.opponent,
@@ -254,6 +238,37 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     }
     manifest = _manifest("verify-tft", m, parameters, prng)
     if args.format == "json":
+        labels = ([args.opponent] if args.opponent is not None
+                  else [f"random[{i}]" for i in range(len(opponents))])
+        columns = zip(
+            labels, opponents.tolist(), pis.tolist(), limits.converged.tolist(),
+            limits.structures, dev_k.tolist(), dev_h.tolist(), gaps.tolist(),
+            dist_equal.tolist(), passed.tolist(),
+        )
+        json_rows = []
+        for label, p, pi, converged, structure, dk, dh, gap, equal, ok in columns:
+            json_row = {
+                "opponent": label,
+                "opponent_p": p,
+                "pi": pi,
+                "converged": converged,
+                "unique": structure.unique,
+                "moment_deviations": {str(k): d for k, d in zip(orders, dk)},
+                "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dh)},
+                "pi_cd_minus_pi_dc": gap,
+                "distributions_equal": equal,
+                "passed": ok,
+            }
+            if not structure.unique:
+                # several invariant measures exist; show which states commune
+                json_row["chain_classes"] = [
+                    {"states": [JointState(s).name.lower() for s in members],
+                     "recurrent": recurrent, "period": period}
+                    for members, recurrent, period in zip(
+                        structure.classes, structure.recurrent, structure.periods
+                    )
+                ]
+            json_rows.append(json_row)
         _emit_json({"manifest": manifest, "rows": json_rows, "all_passed": all_passed},
                    args.out)
     else:
@@ -264,9 +279,11 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
             + [f"dev_h_{format(h, 'g')}" for h in h_grid]
             + ["pi_cd_minus_pi_dc", "dist_equal", "pass"]
         )
-        _emit_csv(header, rows, args.out, manifest)
+        unique = np.array([structure.unique for structure in limits.structures])
+        _emit_csv(header, [*opponents.T, *pis.T, limits.converged, unique, *dev_k.T,
+                           *dev_h.T, gaps, dist_equal, passed], args.out, manifest)
     print(
-        f"verify-tft: {passed_count}/{len(labels)} opponents passed (tol {tol:g})",
+        f"verify-tft: {passed_count}/{len(opponents)} opponents passed (tol {tol:g})",
         file=sys.stderr,
     )
     return 0 if all_passed else 1
@@ -283,12 +300,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     manifest = _manifest("decompose", m, parameters, None)
     if args.format == "csv":
         header = ["label", "coefficient", "residual_norm", "rank", "exact"]
-        rows = [
-            [text, result.coefficients[label], result.residual_norm,
-             result.rank, result.exact]
-            for text, label in zip(labels, basis.labels)
-        ]
-        _emit_csv(header, rows, args.out, manifest)
+        n = len(labels)
+        columns = [labels, [result.coefficients[label] for label in basis.labels],
+                   [result.residual_norm] * n, [result.rank] * n, [result.exact] * n]
+        _emit_csv(header, columns, args.out, manifest)
     else:
         payload = {
             "manifest": manifest,
@@ -309,6 +324,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.out is not None and Path(args.out).suffix == ".csv":
+        raise ValueError(f"simulate --out {args.out}: .csv is the state table's suffix")
     m = _parse_payoffs(args.payoffs)
     s1 = parse_strategy(args.strategy1)
     s2 = parse_strategy(args.strategy2)
@@ -354,11 +371,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit_json(payload, args.out)
     if args.out is not None:
         header = ["state", "count", "frequency"]
-        rows = [
-            [JointState(i).name.lower(), report.state_counts[i], report.frequencies[i]]
-            for i in range(4)
-        ]
-        Path(args.out).with_suffix(".csv").write_text(_csv_text(header, rows), newline="")
+        columns = [["cc", "cd", "dc", "dd"], report.state_counts, report.frequencies]
+        Path(args.out).with_suffix(".csv").write_text(_csv_text(header, columns), newline="")
     return 0
 
 
@@ -456,10 +470,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
         _emit_json({"manifest": manifest, "rows": json_rows}, args.out)
     else:
-        _emit_csv(header, rows, args.out, manifest)
+        _emit_csv(header, list(zip(*rows)), args.out, manifest)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdlab",

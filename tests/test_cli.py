@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from zdlab import cli
 from zdlab.cli import main
 
 #: Seeded ``simulate --out`` invocations and the JSON and CSV bytes they wrote.
@@ -17,6 +21,10 @@ SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_cli.j
 #: output bytes (plus the manifest sidecar of CSV runs), captured from the
 #: per-opponent solver that preceded the batched one.
 VERIFY_GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_tft_cli.json").read_text())
+#: CSV tables of every command, captured from the row-by-row ``csv.writer``
+#: that preceded the one-template writer: exit code, stdout and stderr of runs
+#: printing to stdout, and the sha256 of the table and manifest of an --out run.
+CSV_GOLDEN = json.loads((Path(__file__).parent / "golden" / "csv_cli.json").read_text())
 
 
 def _run(argv, capsys):
@@ -28,6 +36,13 @@ def _run(argv, capsys):
 def _read_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _module_env() -> dict:
+    """The environment of a fresh ``python -m zdlab`` importing this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class TestVerifyTft:
@@ -199,13 +214,11 @@ class TestDecompose:
 
     def test_monomial_basis_out_of_range(self):
         # a subprocess, so numpy warnings and LAPACK messages would show on stderr
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "zdlab", "decompose", "wsls", "--basis", "monomial:500"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_module_env(),
         )
         assert result.returncode == 2
         assert result.stdout == ""
@@ -259,6 +272,16 @@ class TestSimulate:
         assert header == ["state", "count", "frequency"]
         assert [r[0] for r in rows] == ["cc", "cd", "dc", "dd"]
         assert sum(int(r[1]) for r in rows) == 500
+
+    def test_csv_out_is_usage_error(self, capsys, tmp_path):
+        # the state-occupancy table beside the report would overwrite it
+        out = tmp_path / "run.csv"
+        code, stdout, err = _run(
+            ["simulate", "tft", "wsls", "--rounds", "100", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and str(out) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = _run(["simulate", "tft", "all_d", "--epsilon", "0.7"], capsys)
@@ -354,6 +377,68 @@ class TestSweep:
         assert [row["k"] for row in payload["rows"]] == [1, 2, 3]
 
 
+def _reference_csv(header, columns) -> str:
+    """The row-by-row writer that preceded the one-template one."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    for row in zip(*cells):
+        writer.writerow([cli._fmt(cell) for cell in row])
+    return buffer.getvalue()
+
+
+_TEXT = st.text(st.sampled_from('ab1 ,"\r\n%é'), max_size=6) | st.sampled_from(
+    ["", '""', ",", '"', "\r\n", "%s", "%%"]
+)
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
+_FLOAT_CELLS = _FLOATS | _FLOATS.map(np.float64)
+_CELLS = _FLOAT_CELLS | st.integers(-10**20, 10**20) | st.booleans() | st.none() | _TEXT
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 4))
+    width = draw(st.integers(1, 5))
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=rows, max_size=rows))
+
+    columns = []
+    kinds = st.sampled_from(["mixed", "floats", "float_array", "bool_array"])
+    for kind in draw(st.lists(kinds, min_size=width, max_size=width)):
+        if kind == "mixed":
+            columns.append(cells(_CELLS))
+        elif kind == "floats":
+            columns.append(tuple(cells(_FLOAT_CELLS)))
+        elif kind == "float_array":
+            columns.append(np.array(cells(_FLOATS), dtype=float))
+        else:
+            columns.append(np.array(cells(st.booleans()), dtype=bool))
+    return draw(st.lists(_TEXT, min_size=width, max_size=width)), columns
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("name", sorted(CSV_GOLDEN))
+    def test_outputs_match_golden_files(self, name, tmp_path, capsys):
+        golden = CSV_GOLDEN[name]
+        if "stdout" in golden:
+            expected = (golden["exit_code"], golden["stdout"], golden["stderr"])
+            assert _run(golden["argv"], capsys) == expected
+            return
+        out = tmp_path / "run.csv"
+        code, stdout, err = _run(golden["argv"] + ["--out", str(out)], capsys)
+        assert (code, stdout, err) == (golden["exit_code"], "", golden["stderr"])
+        manifest = out.with_suffix(".manifest.json")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["output_sha256"]
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == golden["manifest_sha256"]
+
+    @given(_tables())
+    def test_writer_matches_csv_module(self, table):
+        header, columns = table
+        assert cli._csv_text(header, columns) == _reference_csv(header, columns)
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         result = subprocess.run(
@@ -371,6 +456,33 @@ class TestEntryPoints:
             text=True,
         )
         assert result.returncode == 2
+
+    def test_cached_parser_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # one process reuses the parser; each run must write what a fresh one writes
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        verify = ["verify-tft", "--random", "50", "--seed", "4", "--out", "A.csv"]
+        for argv in [
+            ["simulate", "tft"],
+            verify,
+            ["simulate", "tft", "wsls", "--rounds", "2000", "--seed", "5", "--out", "B.json"],
+            verify,
+        ]:
+            result = subprocess.run(
+                [sys.executable, "-m", "zdlab", *argv],
+                capture_output=True, cwd=fresh, env=_module_env(),
+            )
+            code, stdout, err = _run(argv, capsys)
+            assert (code, stdout.encode(), err.encode()) == (
+                result.returncode, result.stdout, result.stderr
+            )
+            assert {p.name: p.read_bytes() for p in here.iterdir()} == {
+                p.name: p.read_bytes() for p in fresh.iterdir()
+            }
 
     def test_malformed_payoffs(self, capsys):
         code, _, err = _run(["decompose", "tft", "--payoffs", "3,0,5"], capsys)
