@@ -16,7 +16,7 @@ m = z.DEFAULT_PAYOFFS
 
 print("=== TFT in the classical basis {1, s1, s2} ===")
 pd_tft = z.press_dyson(z.TFT, 1)
-print("press-dyson vector:", pd_tft.values)
+print("press-dyson vector:", pd_tft.tolist())
 result = z.decompose(pd_tft, z.BasisSpec.zd(m))
 for label, value in result.coefficients.items():
     print(f"  coefficient on {z.format_label(label):>5}: {value:+.6f}")
@@ -36,7 +36,7 @@ print()
 print("=== WSLS is not zero-determinant ===")
 pd_wsls = z.press_dyson(z.WSLS, 1)
 result = z.decompose(pd_wsls, z.BasisSpec.zd(m))
-print("press-dyson vector:", pd_wsls.values)
+print("press-dyson vector:", pd_wsls.tolist())
 print(f"best {'{1, s1, s2}'} fit leaves residual {result.residual_norm:.4f} (exact={result.exact})")
 print()
 

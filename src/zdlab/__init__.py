@@ -54,7 +54,6 @@ from .pressdyson import (
     BasisSpec,
     DecompositionResult,
     IdentityCheck,
-    PressDysonVector,
     akin_residual,
     decompose,
     format_label,
@@ -115,7 +114,6 @@ __all__ = [
     "BasisSpec",
     "DecompositionResult",
     "IdentityCheck",
-    "PressDysonVector",
     "akin_residual",
     "decompose",
     "format_label",

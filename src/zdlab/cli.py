@@ -76,12 +76,12 @@ def _finite(text) -> float:
     return value
 
 
-def _parse_payoffs(text: str, permissive: bool = False) -> PayoffMatrix:
+def _parse_payoffs(text: str) -> PayoffMatrix:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--payoffs expects R,S,T,P, got {text!r}")
     r, s, t, p = (_finite(x) for x in parts)
-    return PayoffMatrix(R=r, S=s, T=t, P=p, permissive=permissive)
+    return PayoffMatrix(R=r, S=s, T=t, P=p)
 
 
 def _parse_initial(text: str):
@@ -308,7 +308,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         payload = {
             "manifest": manifest,
             "strategy_p": list(strategy.p),
-            "press_dyson": list(pd.values),
+            "press_dyson": pd.tolist(),
             "basis": {"kind": basis.kind, "labels": labels},
             "coefficients": {
                 text: result.coefficients[label]
@@ -435,33 +435,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  result.residual_norm, result.rank, result.exact, None]
             )
         parameters = {"mode": "wsls-coeffs", "payoff_grid": args.payoff_grid}
-    elif args.tft_k_range is not None:
-        lo, _, hi = args.tft_k_range.partition(":")
-        k_lo, k_hi = int(lo), int(hi or lo)
-        if k_hi < k_lo or k_lo < 1:
-            raise ValueError(f"empty or invalid k range {args.tft_k_range!r}")
-        header = ["k", "coefficient", "max_abs_error", "error"]
-        rows = []
-        for k in range(k_lo, k_hi + 1):
-            try:
-                check = tft_power_identity(base, k)
-                rows.append([k, check.coefficient, check.max_abs_error, None])
-            except (ValueError, OverflowError) as exc:
-                rows.append([k, None, None, str(exc)])
-        parameters = {"mode": "tft-k-range", "k_range": args.tft_k_range}
     else:
-        hs = _parse_floats(args.h_range)
-        if not hs:
-            raise ValueError("empty --h-range")
-        header = ["h", "coefficient", "max_abs_error", "error"]
+        if args.tft_k_range is not None:
+            lo, _, hi = args.tft_k_range.partition(":")
+            k_lo, k_hi = int(lo), int(hi or lo)
+            if k_hi < k_lo or k_lo < 1:
+                raise ValueError(f"empty or invalid k range {args.tft_k_range!r}")
+            values, identity, column = range(k_lo, k_hi + 1), tft_power_identity, "k"
+            parameters = {"mode": "tft-k-range", "k_range": args.tft_k_range}
+        else:
+            values = _parse_floats(args.h_range)
+            if not values:
+                raise ValueError("empty --h-range")
+            identity, column = tft_exponential_identity, "h"
+            parameters = {"mode": "h-range", "h_range": args.h_range}
+        header = [column, "coefficient", "max_abs_error", "error"]
         rows = []
-        for h in hs:
+        for x in values:
             try:
-                check = tft_exponential_identity(base, h)
-                rows.append([h, check.coefficient, check.max_abs_error, None])
+                check = identity(base, x)
+                rows.append([x, check.coefficient, check.max_abs_error, None])
             except (ValueError, OverflowError) as exc:
-                rows.append([h, None, None, str(exc)])
-        parameters = {"mode": "h-range", "h_range": args.h_range}
+                rows.append([x, None, None, str(exc)])
 
     manifest = _manifest("sweep", base, parameters, None)
     if args.format == "json":
@@ -483,12 +478,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zdlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_format: str) -> None:
+    def add_common(p: argparse.ArgumentParser, default_format: str | None) -> None:
         p.add_argument("--payoffs", default="3,0,5,1", metavar="R,S,T,P",
                        help="payoff values (default 3,0,5,1)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+        if default_format is not None:  # simulate writes JSON and its CSV state table
+            p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
     p = sub.add_parser("verify-tft",
                        help="check that TFT equalises the two players' payoff "
@@ -527,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=0, dest="burn_in",
                    help="simulated rounds discarded from statistics (default 0)")
     p.add_argument("--k-max", type=int, default=6, dest="k_max")
-    add_common(p, "json")
+    add_common(p, None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="tabulate identities over a grid")

@@ -33,7 +33,6 @@ from .game import (
 )
 
 __all__ = [
-    "PressDysonVector",
     "BasisSpec",
     "DecompositionResult",
     "IdentityCheck",
@@ -62,60 +61,28 @@ _OWN_PREV_C = {
 }
 
 
-@dataclass(frozen=True)
-class PressDysonVector:
-    """Cooperation component of a strategy's Press-Dyson vector.
+def press_dyson(s: MemoryOneStrategy, player: int) -> np.ndarray:
+    """Press-Dyson vector (cooperation component) of a strategy, read-only.
 
-    Indexed by the global previous state; entry s is the cooperation
-    probability given s minus 1 if the owner cooperated in s.  Entries
-    where the owner previously cooperated lie in [-1, 0], the others in
-    [0, 1], and the defection component is exactly the negative of this
-    vector.
+    A float array in the global state order, as :func:`zdlab.game.payoff_vector`
+    returns: entry s is the owner's cooperation probability given s minus
+    1 if the owner cooperated in s, so entries where the owner previously
+    cooperated lie in [-1, 0] and the others in [0, 1].  The defection
+    component is exactly its negative.
     """
-
-    values: tuple[float, float, float, float]
-    player: int
-
-    def __post_init__(self) -> None:
-        if self.player not in (1, 2):
-            raise ValueError(f"player must be 1 or 2, got {self.player!r}")
-        values = tuple(float(x) for x in self.values)
-        if len(values) != 4:
-            raise ValueError("a Press-Dyson vector has exactly four components")
-        for state, x in enumerate(values):
-            cooperated = _OWN_PREV_C[self.player][state] == 1.0
-            low, high = (-1.0, 0.0) if cooperated else (0.0, 1.0)
-            if not (low <= x <= high):
-                raise ValueError(
-                    f"component {x!r} at state {state} outside [{low}, {high}]"
-                )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+    pd = cooperation_probs(s, player) - _OWN_PREV_C[player]
+    pd.flags.writeable = False
+    return pd
 
 
-def press_dyson(s: MemoryOneStrategy, player: int) -> PressDysonVector:
-    """Press-Dyson vector (cooperation component) of a strategy.
-
-    For player 2 the strategy's own frame is translated to the global
-    state order and the previous-action indicator reads the second action.
-    """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    values = cooperation_probs(s, player) - _OWN_PREV_C[player]
-    return PressDysonVector(tuple(float(x) for x in values), player)
-
-
-def akin_residual(pd: PressDysonVector, pi) -> float:
+def akin_residual(pd, pi) -> float:
     """Average of a Press-Dyson vector under a state distribution.
 
     Vanishes whenever ``pi`` is a stationary (or Cesaro-limit) distribution
     of a chain in which the vector's owner plays the decomposed strategy;
     a visibly nonzero value therefore flags an inconsistent ``pi``.
     """
-    return float(np.dot(pd.array, np.asarray(pi, dtype=float)))
+    return float(np.dot(pd, np.asarray(pi, dtype=float)))
 
 
 def format_label(label) -> str:
@@ -216,8 +183,8 @@ class DecompositionResult:
         return self.basis.matrix @ self.coefficient_vector
 
 
-def decompose(pd, basis: BasisSpec, tol: float = EXACT_TOL) -> DecompositionResult:
-    """Decompose a Press-Dyson vector against a basis.
+def decompose(pd, basis: BasisSpec) -> DecompositionResult:
+    """Decompose a Press-Dyson vector, or any 4-vector, against a basis.
 
     Least squares over the equilibrated basis, each column scaled to unit
     2-norm (a zero column keeps scale 1), so that columns of very different
@@ -227,9 +194,9 @@ def decompose(pd, basis: BasisSpec, tol: float = EXACT_TOL) -> DecompositionResu
     never an error; its coefficients are the solution whose scaled
     coefficients (coefficient times column norm) have minimum norm.  The
     residual is taken against the unscaled basis, and ``exact`` is True iff
-    its 2-norm is at most ``tol``.
+    its 2-norm is at most ``EXACT_TOL``.
     """
-    target = pd.array if isinstance(pd, PressDysonVector) else np.asarray(pd, float)
+    target = np.asarray(pd, dtype=float)
     scale = np.linalg.norm(basis.matrix, axis=0)
     scale[scale == 0.0] = 1.0
     coef, _, rank, _ = np.linalg.lstsq(basis.matrix / scale, target, rcond=RANK_TOL)
@@ -242,7 +209,7 @@ def decompose(pd, basis: BasisSpec, tol: float = EXACT_TOL) -> DecompositionResu
         residual=residual,
         residual_norm=norm,
         rank=int(rank),
-        exact=norm <= tol,
+        exact=norm <= EXACT_TOL,
         basis=basis,
     )
 
@@ -254,6 +221,24 @@ class IdentityCheck(NamedTuple):
     max_abs_error: float
 
 
+def _tft_identity(m: PayoffMatrix, labels, name: str, at: str) -> IdentityCheck:
+    """Normalise the difference of two payoff features by its DC entry.
+
+    The difference is (0, -d, d, 0) for the TFT identities, with d its DC
+    entry; a non-finite d is an OverflowError and one that vanishes next
+    to the two features' DC entries a ValueError, both naming ``at``.
+    """
+    a, b = payoff_features(m, labels)
+    dc = JointState.DC
+    denominator = float(a[dc]) - float(b[dc])
+    if not math.isfinite(denominator):
+        raise OverflowError(f"{name} overflows double precision at {at}")
+    if abs(denominator) <= 1e-12 * max(abs(a[dc]), abs(b[dc]), 1.0):
+        raise ValueError(f"degenerate denominator: {name} vanishes at {at}")
+    w = (a - b) / denominator
+    return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
+
+
 def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     """Check that (s1^k - s2^k) / (T^k - S^k) reproduces the TFT vector.
 
@@ -262,34 +247,24 @@ def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     T != S.  Any other k is a ValueError, and a payoff power or a
     denominator beyond double precision is an OverflowError.
     """
-    s1k, s2k = payoff_features(m, [(k, 0), (0, k)])
-    # s1^k - s2^k is (0, S^k - T^k, T^k - S^k, 0): its DC entry normalises it
-    dc = JointState.DC
-    denominator = float(s1k[dc]) - float(s2k[dc])
-    if not math.isfinite(denominator):
-        raise OverflowError(f"T^k - S^k overflows double precision at k={k}")
-    if abs(denominator) <= 1e-12 * max(abs(s1k[dc]), abs(s2k[dc]), 1.0):
-        raise ValueError(f"degenerate denominator: T^k - S^k vanishes at k={k}")
-    w = (s1k - s2k) / denominator
-    return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
+    return _tft_identity(m, [(k, 0), (0, k)], "T^k - S^k", f"k={k}")
 
 
 def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     """Check that (e^{h s1} - e^{h s2}) / (e^{hT} - e^{hS}) is the TFT vector.
 
-    Valid for any h != 0.  Arguments with |h| * max|payoff| > 700 would
-    overflow double precision and are rejected as a range error.
+    Valid for any h != 0 whose denominator does not vanish in double
+    precision (at the default payoffs, |h| above about 2e-13), which is a
+    ValueError.  Arguments with |h| * max|payoff| > 700 would overflow
+    double precision and are rejected as a range error.
     """
     h = float(h)
     if h == 0.0:
         raise ValueError("h = 0 is excluded (the identity degenerates)")
-    e1, e2 = payoff_features(m, [("exp", 1, h), ("exp", 2, h)])
-    denominator = float(e1[JointState.DC]) - float(e2[JointState.DC])
-    w = (e1 - e2) / denominator
-    return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
+    return _tft_identity(m, [("exp", 1, h), ("exp", 2, h)], "e^{hT} - e^{hS}", f"h={h}")
 
 
-def wsls_coefficients(m: PayoffMatrix, tol: float = EXACT_TOL) -> DecompositionResult:
+def wsls_coefficients(m: PayoffMatrix) -> DecompositionResult:
     """Coefficients of Win-Stay Lose-Shift over the basis (s1, s2, s1*s2, 1).
 
     For generic payoffs the four vectors are linearly independent and the
@@ -299,4 +274,4 @@ def wsls_coefficients(m: PayoffMatrix, tol: float = EXACT_TOL) -> DecompositionR
     values, unlike the payoff-independent TFT identities.
     """
     pd = press_dyson(named_strategy("wsls"), 1)
-    return decompose(pd, BasisSpec.wsls4(m), tol=tol)
+    return decompose(pd, BasisSpec.wsls4(m))

@@ -172,7 +172,7 @@ def test_criterion_6_zd_boundary():
 
 def test_criterion_7_wsls_relation():
     result = z.wsls_coefficients(M)
-    recon_err = float(np.max(np.abs(result.reconstruction() - z.press_dyson(z.WSLS, 1).array)))
+    recon_err = float(np.max(np.abs(result.reconstruction() - z.press_dyson(z.WSLS, 1))))
     worst_relation = 0.0
     for opponent in _random_strategies(100, OPPONENT_SEED + 1):
         chain = z.transition_matrix(z.WSLS, opponent)

@@ -293,6 +293,14 @@ class TestSimulate:
         )
         assert code == 2 and "empty sample" in err
 
+    def test_format_is_a_usage_error(self, capsys):
+        # simulate writes only JSON (and its CSV state table beside --out)
+        code, stdout, err = _run(
+            ["simulate", "tft", "wsls", "--rounds", "100", "--format", "csv"], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments: --format csv" in err
+
 
 class TestSweep:
     def test_wsls_payoff_dependence(self, capsys):
@@ -352,6 +360,17 @@ class TestSweep:
         header, _ = _read_csv(out)
         coeff = float(rows[0][header.index("coefficient")])
         assert coeff == pytest.approx(1.0 / (np.exp(-10.0) - 1.0))
+
+    def test_h_range_vanishing_denominator_is_a_row_error(self, capsys):
+        # e^{hT} - e^{hS} rounds to zero: an error cell, not a traceback
+        code, out, _ = _run(["sweep", "--h-range", "1e-300,1"], capsys)
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert rows[0][header.index("coefficient")] == ""
+        assert rows[0][header.index("error")] == (
+            "degenerate denominator: e^{hT} - e^{hS} vanishes at h=1e-300"
+        )
+        assert rows[1][header.index("error")] == ""
 
     def test_empty_grid_is_usage_error(self, capsys):
         code, _, err = _run(["sweep", "--wsls-coeffs", "--payoff-grid", ""], capsys)

@@ -33,27 +33,34 @@ def _solve_exact(columns, target):
 
 class TestPressDyson:
     def test_tft(self):
-        assert z.press_dyson(z.TFT, 1).values == (0, -1, 1, 0)
+        assert z.press_dyson(z.TFT, 1).tolist() == [0, -1, 1, 0]
 
     def test_allc(self):
-        assert z.press_dyson(z.ALL_C, 1).values == (0, 0, 1, 1)
+        assert z.press_dyson(z.ALL_C, 1).tolist() == [0, 0, 1, 1]
 
     def test_wsls(self):
-        assert z.press_dyson(z.WSLS, 1).values == (0, -1, 0, 1)
+        assert z.press_dyson(z.WSLS, 1).tolist() == [0, -1, 0, 1]
 
     def test_tft_as_player_two(self):
         # player 2's TFT copies player 1's action, so the vector mirrors
-        assert z.press_dyson(z.TFT, 2).values == (0, 1, -1, 0)
+        assert z.press_dyson(z.TFT, 2).tolist() == [0, 1, -1, 0]
 
     def test_bad_player(self):
         with pytest.raises(ValueError):
             z.press_dyson(z.TFT, 0)
 
+    def test_read_only_float_array(self):
+        pd = z.press_dyson(z.WSLS, 2)
+        assert isinstance(pd, np.ndarray) and pd.dtype == float and pd.shape == (4,)
+        assert not pd.flags.writeable
+        with pytest.raises(ValueError):
+            pd[0] = 1.0
+
     @given(strategy_vectors, st.sampled_from([1, 2]))
     def test_antisymmetry_of_action_components(self, p, player):
         # the defection component, computed from scratch, is exactly -v
         s = z.MemoryOneStrategy(p)
-        v = np.array(z.press_dyson(s, player).values)
+        v = z.press_dyson(s, player)
         own_prev_d = [
             1.0 - ((1.0, 1.0, 0.0, 0.0)[i] if player == 1 else (1.0, 0.0, 1.0, 0.0)[i])
             for i in range(4)
@@ -64,7 +71,7 @@ class TestPressDyson:
 
     @given(strategy_vectors)
     def test_sign_pattern(self, p):
-        v = z.press_dyson(z.MemoryOneStrategy(p), 1).values
+        v = z.press_dyson(z.MemoryOneStrategy(p), 1)
         assert -1 <= v[0] <= 0 and -1 <= v[1] <= 0  # own previous action C
         assert 0 <= v[2] <= 1 and 0 <= v[3] <= 1  # own previous action D
 
@@ -199,7 +206,7 @@ class TestDecompose:
     def test_normal_equations_oracle_agrees(self, m):
         # independent route: solve B^T B x = B^T pd directly
         basis = z.BasisSpec.zd(m)
-        pd = z.press_dyson(z.WSLS, 1).array
+        pd = z.press_dyson(z.WSLS, 1)
         B = basis.matrix
         x = np.linalg.solve(B.T @ B, B.T @ pd)
         result = z.decompose(z.press_dyson(z.WSLS, 1), basis)
@@ -217,7 +224,7 @@ class TestDecompose:
         ):
             result = z.decompose(pd, basis)
             np.testing.assert_allclose(
-                result.reconstruction() + result.residual, pd.array, atol=1e-12
+                result.reconstruction() + result.residual, pd, atol=1e-12
             )
 
     def test_monomial_degree_three_spans(self, m, random_strategies):
@@ -249,8 +256,16 @@ class TestDecompose:
         assert result.coefficients["zero"] == 0.0
 
     def test_decompose_accepts_raw_arrays(self, m):
-        result = z.decompose(np.array([0.0, -1.0, 1.0, 0.0]), z.BasisSpec.zd(m))
-        assert result.exact
+        for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
+            assert z.decompose(target, z.BasisSpec.zd(m)).exact
+
+    def test_exactness_has_one_threshold(self, m):
+        result = z.decompose(z.press_dyson(z.WSLS, 1), z.BasisSpec.zd(m))
+        assert result.exact == (result.residual_norm <= z.pressdyson.EXACT_TOL)
+        with pytest.raises(TypeError):
+            z.decompose(z.press_dyson(z.WSLS, 1), z.BasisSpec.zd(m), tol=1.0)
+        with pytest.raises(TypeError):
+            z.wsls_coefficients(m, tol=1.0)
 
 
 class TestTftPowerIdentity:
@@ -296,13 +311,20 @@ class TestTftPowerIdentity:
 
 
 class TestTftExponentialIdentity:
-    @pytest.mark.parametrize("h", [1.0, -2.0, 0.1, -0.1])
+    # 2e-13 and -3e-13 sit just above the degeneracy guard at the default payoffs
+    @pytest.mark.parametrize("h", [1.0, -2.0, 0.1, -0.1, 2e-13, -3e-13])
     def test_small_errors(self, m, h):
         assert z.tft_exponential_identity(m, h).max_abs_error <= 1e-12
 
     def test_h_zero_rejected(self, m):
         with pytest.raises(ValueError):
             z.tft_exponential_identity(m, 0.0)
+
+    @pytest.mark.parametrize("h", [1e-300, -1e-300, 1e-13])
+    def test_vanishing_denominator_rejected(self, m, h):
+        # e^{hT} - e^{hS} rounds to (nearly) zero: refused, not divided by
+        with pytest.raises(ValueError, match=f"degenerate denominator: .* at h={h}$"):
+            z.tft_exponential_identity(m, h)
 
     def test_overflow_guard(self, m):
         with pytest.raises(OverflowError, match="exponential range"):
