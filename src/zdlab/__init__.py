@@ -8,60 +8,12 @@ decompositions enforce, and cross-validates everything with seeded
 round-by-round simulation.
 """
 
-from .game import (
-    DEFAULT_PAYOFFS,
-    JointState,
-    MemoryOneStrategy,
-    PayoffMatrix,
-    cooperation_probs,
-    named_strategy,
-    parse_strategy,
-    payoff_features,
-    payoff_vector,
-    transition_matrices,
-    transition_matrix,
-)
-from .markov import (
-    ChainStructure,
-    LimitBatch,
-    LimitResult,
-    cesaro_limit,
-    cesaro_limits,
-    classify,
-    perturbed_stationary,
-    point_mass,
-    stationary_exact,
-)
-from .moments import (
-    cross_moment,
-    distribution_stacks_equal,
-    feature_averages,
-    mgf,
-    moment,
-    payoff_distributions,
-    relation_value,
-)
-from .montecarlo import (
-    PRNG_ID,
-    ComparisonReport,
-    SimulationConfig,
-    SimulationReport,
-    derive_seed,
-    empirical_vs_exact,
-    simulate,
-)
-from .pressdyson import (
-    BasisSpec,
-    DecompositionResult,
-    IdentityCheck,
-    akin_residual,
-    decompose,
-    format_label,
-    press_dyson,
-    tft_exponential_identity,
-    tft_power_identity,
-    wsls_coefficients,
-)
+from . import game, markov, moments, montecarlo, pressdyson
+from .game import *
+from .markov import *
+from .moments import *
+from .montecarlo import *
+from .pressdyson import *
 
 __version__ = "0.1.0"
 
@@ -72,53 +24,7 @@ ALL_C = named_strategy("all_c")
 ALL_D = named_strategy("all_d")
 
 __all__ = [
-    "__version__",
-    "TFT",
-    "WSLS",
-    "ALL_C",
-    "ALL_D",
-    "DEFAULT_PAYOFFS",
-    "JointState",
-    "MemoryOneStrategy",
-    "PayoffMatrix",
-    "cooperation_probs",
-    "named_strategy",
-    "parse_strategy",
-    "payoff_features",
-    "payoff_vector",
-    "transition_matrix",
-    "transition_matrices",
-    "ChainStructure",
-    "LimitBatch",
-    "LimitResult",
-    "cesaro_limit",
-    "cesaro_limits",
-    "classify",
-    "perturbed_stationary",
-    "point_mass",
-    "stationary_exact",
-    "cross_moment",
-    "distribution_stacks_equal",
-    "feature_averages",
-    "mgf",
-    "moment",
-    "payoff_distributions",
-    "relation_value",
-    "PRNG_ID",
-    "ComparisonReport",
-    "SimulationConfig",
-    "SimulationReport",
-    "derive_seed",
-    "empirical_vs_exact",
-    "simulate",
-    "BasisSpec",
-    "DecompositionResult",
-    "IdentityCheck",
-    "akin_residual",
-    "decompose",
-    "format_label",
-    "press_dyson",
-    "tft_exponential_identity",
-    "tft_power_identity",
-    "wsls_coefficients",
+    "__version__", "TFT", "WSLS", "ALL_C", "ALL_D",
+    *game.__all__, *markov.__all__, *moments.__all__,
+    *montecarlo.__all__, *pressdyson.__all__,
 ]

@@ -85,15 +85,7 @@ def _parse_payoffs(text: str) -> PayoffMatrix:
 
 
 def _parse_initial(text: str):
-    key = text.strip().lower()
-    if key == "uniform":
-        return None
-    try:
-        return JointState[key.upper()]
-    except KeyError:
-        raise ValueError(
-            f"--initial must be one of cc, cd, dc, dd, uniform; got {text!r}"
-        ) from None
+    return None if text == "uniform" else JointState[text.upper()]
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -242,24 +234,24 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
                   else [f"random[{i}]" for i in range(len(opponents))])
         columns = zip(
             labels, opponents.tolist(), pis.tolist(), limits.converged.tolist(),
-            limits.structures, dev_k.tolist(), dev_h.tolist(), gaps.tolist(),
-            dist_equal.tolist(), passed.tolist(),
+            limits.unique.tolist(), limits.structures, dev_k.tolist(), dev_h.tolist(),
+            gaps.tolist(), dist_equal.tolist(), passed.tolist(),
         )
         json_rows = []
-        for label, p, pi, converged, structure, dk, dh, gap, equal, ok in columns:
+        for label, p, pi, converged, unique, structure, dk, dh, gap, equal, ok in columns:
             json_row = {
                 "opponent": label,
                 "opponent_p": p,
                 "pi": pi,
                 "converged": converged,
-                "unique": structure.unique,
+                "unique": unique,
                 "moment_deviations": {str(k): d for k, d in zip(orders, dk)},
                 "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dh)},
                 "pi_cd_minus_pi_dc": gap,
                 "distributions_equal": equal,
                 "passed": ok,
             }
-            if not structure.unique:
+            if not unique:
                 # several invariant measures exist; show which states commune
                 json_row["chain_classes"] = [
                     {"states": [JointState(s).name.lower() for s in members],
@@ -279,8 +271,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
             + [f"dev_h_{format(h, 'g')}" for h in h_grid]
             + ["pi_cd_minus_pi_dc", "dist_equal", "pass"]
         )
-        unique = np.array([structure.unique for structure in limits.structures])
-        _emit_csv(header, [*opponents.T, *pis.T, limits.converged, unique, *dev_k.T,
+        _emit_csv(header, [*opponents.T, *pis.T, limits.converged, limits.unique, *dev_k.T,
                            *dev_h.T, gaps, dist_equal, passed], args.out, manifest)
     print(
         f"verify-tft: {passed_count}/{len(opponents)} opponents passed (tol {tol:g})",
@@ -337,14 +328,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise=_finite(args.epsilon),
     )
     report = simulate(s1, s2, cfg, payoffs=m, k_max=args.k_max)
-    initial = args.initial.strip().lower()
     parameters = {
         "strategy1": args.strategy1,
         "strategy2": args.strategy2,
         "rounds": args.rounds,
         "seed": args.seed,
         "epsilon": args.epsilon,
-        "initial": initial,
+        "initial": args.initial,
         "burn_in": args.burn_in,
         "k_max": args.k_max,
     }

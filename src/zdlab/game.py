@@ -43,6 +43,21 @@ class JointState(IntEnum):
 
 # Index permutation mapping a global state to the opponent's viewpoint.
 SWAP = (0, 2, 1, 3)
+_SWAP_INDEX = np.array(SWAP)  # take() converts a tuple index on every call
+
+
+def global_frame(own: np.ndarray, player: int) -> np.ndarray:
+    """A stack of ``player``'s own-frame 4-vectors in the global state order.
+
+    Player 1's own frame is the global frame, so ``own`` itself is
+    returned; player 2 sees each state with the two actions exchanged, so
+    their CD and DC entries swap.  Any other player is a ValueError.
+    """
+    if player == 1:
+        return own
+    if player == 2:
+        return own.take(_SWAP_INDEX, axis=-1)
+    raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +110,7 @@ DEFAULT_PAYOFFS = PayoffMatrix(R=3.0, S=0.0, T=5.0, P=1.0)
 
 def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
     """Read-only per-state payoffs of one player: (R,S,T,P) for 1, (R,T,S,P) for 2."""
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    v = np.array([m.R, m.S, m.T, m.P] if player == 1 else [m.R, m.T, m.S, m.P])
+    v = global_frame(np.array([m.R, m.S, m.T, m.P]), player)
     v.flags.writeable = False
     return v
 
@@ -247,22 +260,12 @@ def parse_strategy(spec: str | Mapping[str, float]) -> MemoryOneStrategy:
     return named_strategy(text)
 
 
-def _player2_frame(c: np.ndarray) -> np.ndarray:
-    """Re-index a stack of player-2 vectors by global state: CD and DC swap."""
-    return c[..., list(SWAP)]
-
-
 def cooperation_probs(s: MemoryOneStrategy, player: int) -> np.ndarray:
     """Cooperation probabilities indexed by the *global* previous state.
 
-    Player 1's own frame is the global frame; player 2 sees each state
-    with the two actions exchanged, so their vector is permuted by CD<->DC.
+    This is ``s``'s own-frame vector through :func:`global_frame`.
     """
-    if player == 1:
-        return s.array
-    if player == 2:
-        return _player2_frame(s.array)
-    raise ValueError(f"player must be 1 or 2, got {player!r}")
+    return global_frame(s.array, player)
 
 
 def transition_matrices(p1, p2) -> np.ndarray:
@@ -275,7 +278,7 @@ def transition_matrices(p1, p2) -> np.ndarray:
     indexed by JointState.
     """
     c1 = np.asarray(p1, dtype=float)
-    c2 = _player2_frame(np.asarray(p2, dtype=float))
+    c2 = global_frame(np.asarray(p2, dtype=float), 2)
     d1, d2 = 1.0 - c1, 1.0 - c2
     return np.stack([c1 * c2, c1 * d2, d1 * c2, d1 * d2], axis=-2)
 

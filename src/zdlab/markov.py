@@ -198,14 +198,16 @@ class LimitBatch(NamedTuple):
 
     ``distributions`` (N, 4) is read-only; ``residuals`` (N,) holds each
     fixed-point defect max|M pi - pi|, ``converged`` (N,) whether it is
-    within the requested tolerance, and ``structures`` each chain's
-    :class:`ChainStructure` (shared between chains of one support pattern).
+    within the requested tolerance, ``structures`` each chain's
+    :class:`ChainStructure` (shared between chains of one support pattern),
+    and the read-only ``unique`` (N,) each structure's ``unique``.
     """
 
     distributions: np.ndarray
     residuals: np.ndarray
     converged: np.ndarray
     structures: tuple[ChainStructure, ...]
+    unique: np.ndarray
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,16 +273,18 @@ def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
     pi0 = uniform_distribution() if pi0 is None else as_distribution(pi0)
     masks, group = np.unique(_support_masks(Ms), return_inverse=True)
+    structures = [_classify_mask(mask) for mask in masks.tolist()]
     pis = np.empty((len(Ms), N_STATES))
-    structures = []
-    for index, mask in enumerate(masks.tolist()):
+    for index, structure in enumerate(structures):
         members = np.flatnonzero(group == index)
-        structures.append(_classify_mask(mask))
-        pis[members] = _solve_group(Ms[members], pi0, structures[-1])
+        pis[members] = _solve_group(Ms[members], pi0, structure)
     pis.flags.writeable = False
     residuals = np.abs(np.matmul(Ms, pis[:, :, None])[:, :, 0] - pis).max(axis=1)
+    unique = np.array([structure.unique for structure in structures])[group]
+    unique.flags.writeable = False
     return LimitBatch(
-        pis, residuals, residuals <= tol, tuple(structures[g] for g in group.tolist())
+        pis, residuals, residuals <= tol,
+        tuple(structures[g] for g in group.tolist()), unique,
     )
 
 
@@ -288,7 +292,7 @@ def _single(M: np.ndarray, pi0, tol: float) -> LimitResult:
     batch = cesaro_limits(M[None], pi0, tol)
     return LimitResult(
         batch.distributions[0],
-        batch.structures[0].unique,
+        bool(batch.unique[0]),
         0,
         float(batch.residuals[0]),
         bool(batch.converged[0]),

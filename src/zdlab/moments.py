@@ -8,7 +8,12 @@ of distributions.  It makes one BLAS dot per (distribution, feature) pair,
 so a value does not depend on how many others are computed with it;
 :func:`moment`, :func:`cross_moment` and :func:`mgf` are its single-value
 entry points on any 4-vector.  A payoff distribution is the (support,
-probabilities) pair that :func:`payoff_distributions` builds.
+probabilities) pair that :func:`payoff_distributions` builds, and it has
+one outcome rule: sorted by value, a payoff within ``value_tol`` of the
+first value of the current cluster joins that cluster as one outcome.  The
+rule is the same within one distribution and between two, since
+:func:`distribution_stacks_equal` compares two distributions by clustering
+their supports together.
 """
 
 from __future__ import annotations
@@ -134,33 +139,16 @@ def distribution_stacks_equal(a, b, tol: float, value_tol: float = VALUE_TOL) ->
 
     ``a`` and ``b`` are (support, probabilities) pairs as returned by
     :func:`payoff_distributions`, with probabilities of shapes that
-    broadcast to each other.  The two supports are merge-walked, matching
-    values within ``value_tol``; an outcome present on one side only has
+    broadcast to each other.  The outcomes are those of
+    :func:`payoff_distributions` over both supports together, with ``b``'s
+    probabilities negated, so an outcome present on one side only has
     probability zero on the other.  Returns, per distribution, whether
     every outcome's two probabilities agree within ``tol``.
     """
     (xa, pa), (xb, pb) = a, b
-    xa, xb = np.asarray(xa, dtype=float).tolist(), np.asarray(xb, dtype=float).tolist()
-    ia = ib = 0
-    ja: list[int] = []
-    jb: list[int] = []
-    while ia < len(xa) or ib < len(xb):
-        if ib >= len(xb) or (ia < len(xa) and xa[ia] < xb[ib] - value_tol):
-            ja.append(ia)
-            jb.append(-1)
-            ia += 1
-        elif ia >= len(xa) or xb[ib] < xa[ia] - value_tol:
-            ja.append(-1)
-            jb.append(ib)
-            ib += 1
-        else:
-            ja.append(ia)
-            jb.append(ib)
-            ia += 1
-            ib += 1
-    # index -1 selects an appended zero column: the missing outcome
-    pa, pb = (np.asarray(p, dtype=float) for p in (pa, pb))
-    pa = np.concatenate([pa, np.zeros(pa.shape[:-1] + (1,))], axis=-1)
-    pb = np.concatenate([pb, np.zeros(pb.shape[:-1] + (1,))], axis=-1)
-    return (np.abs(pa[..., ja] - pb[..., jb]) <= tol).all(axis=-1)
-
+    pa, pb = np.asarray(pa, dtype=float), np.asarray(pb, dtype=float)
+    stack = np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1])
+    signed = np.concatenate([np.broadcast_to(pa, stack + pa.shape[-1:]),
+                             -np.broadcast_to(pb, stack + pb.shape[-1:])], axis=-1)
+    _, gaps = payoff_distributions(np.concatenate([xa, xb]), signed, value_tol)
+    return (np.abs(gaps) <= tol).all(axis=-1)

@@ -27,7 +27,7 @@ from .game import (
     JointState,
     MemoryOneStrategy,
     PayoffMatrix,
-    cooperation_probs,
+    global_frame,
     named_strategy,
     payoff_features,
 )
@@ -53,12 +53,8 @@ EXACT_TOL = 1e-12
 #: The cooperation-component target that both TFT identities must reproduce.
 _TFT_PD = np.array([0.0, -1.0, 1.0, 0.0])
 
-# Indicator of "own previous action was C" in the global state order,
-# per player.
-_OWN_PREV_C = {
-    1: np.array([1.0, 1.0, 0.0, 0.0]),
-    2: np.array([1.0, 0.0, 1.0, 0.0]),
-}
+# Indicator of "own previous action was C" in the owner's frame.
+_OWN_PREV_C = np.array([1.0, 1.0, 0.0, 0.0])
 
 
 def press_dyson(s: MemoryOneStrategy, player: int) -> np.ndarray:
@@ -70,7 +66,7 @@ def press_dyson(s: MemoryOneStrategy, player: int) -> np.ndarray:
     cooperated lie in [-1, 0] and the others in [0, 1].  The defection
     component is exactly its negative.
     """
-    pd = cooperation_probs(s, player) - _OWN_PREV_C[player]
+    pd = global_frame(s.array - _OWN_PREV_C, player)
     pd.flags.writeable = False
     return pd
 

@@ -245,6 +245,7 @@ class TestCesaroLimits:
             assert batch.converged[n] == single.converged
             assert batch.structures[n] == z.classify(M)
             assert batch.structures[n].unique == single.unique
+            assert batch.unique[n] == single.unique
 
     def test_result_independent_of_batch_composition(self):
         rng = np.random.Generator(np.random.PCG64(5))

@@ -228,7 +228,54 @@ class TestDistributionsEqual:
         assert z.distribution_stacks_equal(a, b, tol=1e-8)
 
 
+GRID = (-1.0, 0.0, 1.0, 2.5, 3.0, 5.0, 7.0)
+PROBABILITIES = st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0, math.nan]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _distribution_pairs(draw):
+    """Two payoff distributions on grid supports, one or both stacked.
+
+    Each of b's probabilities is, one time in four, drawn afresh, and
+    otherwise a's probability of the same value (zero where a lacks it)
+    plus a small offset, so that equal and nearly equal pairs are common.
+    """
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([(n, None), (None, n), (n, n)]))
+    xa, xb = (sorted(draw(st.lists(st.sampled_from(GRID), min_size=1, unique=True)))
+              for _ in rows)
+    pa = np.array([[draw(PROBABILITIES) for _ in xa] for _ in range(rows[0] or 1)])
+    copied = dict(zip(xa, pa[0]))
+    pb = np.array([
+        [copied.get(x, 0.0) + draw(st.sampled_from([0.0, 0.0, 1e-9, 0.1]))
+         if draw(st.integers(0, 3)) else draw(PROBABILITIES) for x in xb]
+        for _ in range(rows[1] or 1)
+    ])
+    return (xa, pa if rows[0] else pa[0]), (xb, pb if rows[1] else pb[0])
+
+
+def _reference_stacks_equal(a, b, tol):
+    """Per distribution: each side's probability summed per exact value, compared."""
+    (xa, pa), (xb, pb) = a, b
+    pa, pb = np.atleast_2d(pa), np.atleast_2d(pb)
+    equal = []
+    for i in range(max(len(pa), len(pb))):
+        totals = [{}, {}]
+        for side, (x, p) in enumerate([(xa, pa[i % len(pa)]), (xb, pb[i % len(pb)])]):
+            for value, q in zip(x, p):
+                totals[side][value] = totals[side].get(value, 0.0) + q
+        equal.append(all(abs(totals[0].get(v, 0.0) - totals[1].get(v, 0.0)) <= tol
+                         for v in totals[0].keys() | totals[1].keys()))
+    return equal
+
+
 class TestDistributionStacksEqual:
+    @given(_distribution_pairs(), st.sampled_from([0.0, 1e-8, 0.3]))
+    def test_matches_per_value_reference(self, pair, tol):
+        a, b = pair
+        got = z.distribution_stacks_equal(a, b, tol)
+        assert got.tolist() == _reference_stacks_equal(a, b, tol)
+
     def test_stack_matches_single_pairs(self, m):
         rng = np.random.default_rng(5)
         pis = rng.dirichlet(np.ones(4), size=50)
