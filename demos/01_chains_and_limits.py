@@ -60,7 +60,8 @@ print("cesaro limit from uniform:", limit.distribution, f"converged={limit.conve
 print()
 print("=== Trembling hands regularise everything ===")
 for eps in (0.1, 0.01, 0.001):
-    result = z.perturbed_stationary(z.TFT, z.TFT, eps)
+    noisy = z.TFT.with_noise(eps)
+    result = z.stationary_exact(z.transition_matrix(noisy, noisy))
     print(f"  eps={eps:<6} stationary ->", result.distribution)
 print("(the eps -> 0 limit is a different object from the Cesaro limit of")
 print(" a fixed start; the library computes both and never conflates them)")

@@ -174,6 +174,8 @@ def _emit_csv(header: list[str], columns: list, out: str | None, manifest: dict)
 def cmd_verify_tft(args: argparse.Namespace) -> int:
     m = _parse_payoffs(args.payoffs)
     tol = _finite(args.tol)
+    if tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol!r}")
     initial = _parse_initial(args.initial)
     pi0 = None if initial is None else point_mass(initial)
     h_grid = _parse_floats(args.h_grid)
@@ -194,9 +196,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     features = payoff_features(m, [(k, 0) for k in orders] + [(0, k) for k in orders]
                                + [("exp", p, h) for p in (1, 2) for h in h_grid])
     Ms = transition_matrices(named_strategy("tft").array, opponents)
-    # a residual bound tighter than the default: k-th moment checks
-    # amplify distribution error by T^k
-    limits = cesaro_limits(Ms, pi0, tol=1e-13)
+    limits = cesaro_limits(Ms, pi0)
     pis = limits.distributions
     averages = feature_averages(features, pis)
     splits = np.cumsum([len(orders), len(orders), len(h_grid)])

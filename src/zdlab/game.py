@@ -26,7 +26,6 @@ __all__ = [
     "payoff_features",
     "named_strategy",
     "parse_strategy",
-    "cooperation_probs",
     "transition_matrix",
     "transition_matrices",
 ]
@@ -80,7 +79,11 @@ class PayoffMatrix:
 
     def __post_init__(self) -> None:
         for name in ("R", "S", "T", "P"):
-            value = float(getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                value = float(raw)
+            except TypeError:
+                raise ValueError(f"payoff {name} must be a number, got {raw!r}") from None
             if not np.isfinite(value):
                 raise ValueError(f"payoff {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -181,7 +184,10 @@ class MemoryOneStrategy:
     p: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        p = tuple(float(x) for x in self.p)
+        try:
+            p = tuple(float(x) for x in self.p)
+        except TypeError:
+            raise ValueError(f"cooperation probabilities must be numbers: {self.p!r}") from None
         if len(p) != 4:
             raise ValueError("a memory-one strategy has exactly four probabilities")
         for x in p:
@@ -258,14 +264,6 @@ def parse_strategy(spec: str | Mapping[str, float]) -> MemoryOneStrategy:
             raise ValueError(f"inline strategy needs four probabilities: {spec!r}")
         return MemoryOneStrategy(tuple(float(x) for x in parts))
     return named_strategy(text)
-
-
-def cooperation_probs(s: MemoryOneStrategy, player: int) -> np.ndarray:
-    """Cooperation probabilities indexed by the *global* previous state.
-
-    This is ``s``'s own-frame vector through :func:`global_frame`.
-    """
-    return global_frame(s.array, player)
 
 
 def transition_matrices(p1, p2) -> np.ndarray:

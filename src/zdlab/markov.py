@@ -38,8 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import MemoryOneStrategy, transition_matrix
-
 __all__ = [
     "ChainStructure",
     "LimitResult",
@@ -49,26 +47,29 @@ __all__ = [
     "stationary_exact",
     "cesaro_limit",
     "cesaro_limits",
-    "perturbed_stationary",
 ]
 
 N_STATES = 4
 
-#: Default bound on the fixed-point residual max|M pi - pi|.
-DEFAULT_TOL = 1e-12
+#: Default bound on the fixed-point residual max|M pi - pi|, tight because
+#: k-th moment checks amplify distribution error by T^k.
+DEFAULT_TOL = 1e-13
+
+#: Slack allowed in a given distribution's signs and sum.
+_DISTRIBUTION_TOL = 1e-12
 
 #: Bit 4*to + frm of a chain's support mask is set when M[to, frm] > 0.
 _MASK_BITS = 1 << np.arange(N_STATES * N_STATES)
 
 
-def as_distribution(pi, tol: float = 1e-12) -> np.ndarray:
+def as_distribution(pi) -> np.ndarray:
     """Validate and return a probability vector over the four states."""
     pi = np.asarray(pi, dtype=float).reshape(-1)
     if pi.shape != (N_STATES,):
         raise ValueError(f"a state distribution has {N_STATES} entries, got {pi.shape}")
-    if np.any(pi < -tol):
+    if np.any(pi < -_DISTRIBUTION_TOL):
         raise ValueError(f"negative probability in {pi}")
-    if abs(pi.sum() - 1.0) > tol:
+    if abs(pi.sum() - 1.0) > _DISTRIBUTION_TOL:
         raise ValueError(f"probabilities sum to {pi.sum()!r}, not 1")
     return np.clip(pi, 0.0, None)
 
@@ -341,17 +342,3 @@ def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> Limit
     """
     return _single(np.asarray(M, dtype=float), pi0, tol)
 
-
-def perturbed_stationary(
-    s1: MemoryOneStrategy, s2: MemoryOneStrategy, eps: float
-) -> LimitResult:
-    """Stationary distribution after trembling-hand regularisation.
-
-    Both strategies are mixed with uniform noise (p <- (1-eps) p + eps/2)
-    and the resulting chain, strictly positive for eps > 0, is solved
-    exactly.  This is an analysis tool: for reducible chains its eps -> 0
-    limit need not coincide with the Cesaro limit from a particular start,
-    so no such identity is asserted anywhere.
-    """
-    M = transition_matrix(s1.with_noise(eps), s2.with_noise(eps))
-    return stationary_exact(M)

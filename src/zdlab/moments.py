@@ -6,10 +6,11 @@ vectors) under a state distribution pi, and all of them go through one kernel,
 :func:`feature_averages`, which evaluates a stack of features under a stack
 of distributions.  It makes one BLAS dot per (distribution, feature) pair,
 so a value does not depend on how many others are computed with it;
-:func:`moment`, :func:`cross_moment` and :func:`mgf` are its single-value
-entry points on any 4-vector.  A payoff distribution is the (support,
+:func:`moment` and :func:`mgf` are its single-value entry points on any
+4-vector, and a cross moment is the ``(k1, k2)`` feature of
+:func:`zdlab.game.payoff_features`.  A payoff distribution is the (support,
 probabilities) pair that :func:`payoff_distributions` builds, and it has
-one outcome rule: sorted by value, a payoff within ``value_tol`` of the
+one outcome rule: sorted by value, a payoff within :data:`VALUE_TOL` of the
 first value of the current cluster joins that cluster as one outcome.  The
 rule is the same within one distribution and between two, since
 :func:`distribution_stacks_equal` compares two distributions by clustering
@@ -27,7 +28,6 @@ from .game import PayoffMatrix, check_exp_range, payoff_features
 __all__ = [
     "feature_averages",
     "moment",
-    "cross_moment",
     "mgf",
     "relation_value",
     "payoff_distributions",
@@ -78,14 +78,6 @@ def moment(v, pi, k: int) -> float:
     return float(feature_averages([np.asarray(v, dtype=float) ** k], pi)[0])
 
 
-def cross_moment(v1, v2, pi, k1: int, k2: int) -> float:
-    """Mixed moment sum_s v1[s]^k1 * v2[s]^k2 * pi[s], k1 and k2 >= 0."""
-    k1 = _check_k(k1)
-    k2 = _check_k(k2)
-    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
-    return float(feature_averages([v1 ** k1 * v2 ** k2], pi)[0])
-
-
 def mgf(v, pi, h: float) -> float:
     """Moment generating function sum_s e^{h * v[s]} * pi[s], for finite h."""
     v = np.asarray(v, dtype=float)
@@ -100,7 +92,7 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     :func:`zdlab.game.payoff_features`) to coefficients; the result is
     the dot product of the coefficients with the features' averages under
     ``pi``.  Monomial exponents above ``K_CAP`` are refused, as for
-    :func:`cross_moment`.  When ``pi`` is a long-run distribution of a
+    :func:`moment`.  When ``pi`` is a long-run distribution of a
     chain in which the decomposed player uses the corresponding strategy,
     the result is the enforced relation and vanishes.
     """
@@ -112,13 +104,13 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     return float(np.dot(list(coeffs.values()), averages))
 
 
-def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
+def payoff_distributions(v, pi):
     """Aggregate state probabilities over states sharing a payoff value.
 
     Returns the support, the distinct payoff values in ascending order
     (shape (G,)), and the probability of each under every distribution of
-    ``pi`` (shape (..., G)).  A payoff within ``value_tol`` of a support
-    value counts as that outcome; probabilities are summed in ascending
+    ``pi`` (shape (..., G)).  A payoff within :data:`VALUE_TOL` of a
+    support value counts as that outcome; probabilities are summed in ascending
     payoff order.
     """
     values = np.asarray(v, dtype=float)
@@ -126,7 +118,7 @@ def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
     support: list[float] = []
     probs: list[np.ndarray] = []
     for idx in np.argsort(values, kind="stable").tolist():
-        if support and abs(values[idx] - support[-1]) <= value_tol:
+        if support and abs(values[idx] - support[-1]) <= VALUE_TOL:
             probs[-1] = probs[-1] + pi[..., idx]
         else:
             support.append(float(values[idx]))
@@ -134,7 +126,7 @@ def payoff_distributions(v, pi, value_tol: float = VALUE_TOL):
     return np.array(support), np.stack(probs, axis=-1)
 
 
-def distribution_stacks_equal(a, b, tol: float, value_tol: float = VALUE_TOL) -> np.ndarray:
+def distribution_stacks_equal(a, b, tol: float) -> np.ndarray:
     """Compare two stacks of payoff distributions outcome by outcome.
 
     ``a`` and ``b`` are (support, probabilities) pairs as returned by
@@ -150,5 +142,5 @@ def distribution_stacks_equal(a, b, tol: float, value_tol: float = VALUE_TOL) ->
     stack = np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1])
     signed = np.concatenate([np.broadcast_to(pa, stack + pa.shape[-1:]),
                              -np.broadcast_to(pb, stack + pb.shape[-1:])], axis=-1)
-    _, gaps = payoff_distributions(np.concatenate([xa, xb]), signed, value_tol)
+    _, gaps = payoff_distributions(np.concatenate([xa, xb]), signed)
     return (np.abs(gaps) <= tol).all(axis=-1)

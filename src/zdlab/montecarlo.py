@@ -3,9 +3,8 @@
 Randomness comes from numpy's PCG64 bit generator, recorded by name in
 every report so that runs are reproducible and auditable: after the
 optional initial-state draw, round t consumes exactly two uniform values,
-player 1's first (positions 2t and 2t+1 of the stream).  Parallel sweeps
-derive per-trial seeds as base + trial index via :func:`derive_seed`;
-streams are never shared.
+player 1's first (positions 2t and 2t+1 of the stream).  Independent
+trials take distinct seeds; streams are never shared.
 
 The counting kernel is numpy only.  It draws the uniforms in fixed-size
 chunks, which reproduces the stream of a single draw, and scans each
@@ -27,7 +26,7 @@ from .game import (
     JointState,
     MemoryOneStrategy,
     PayoffMatrix,
-    cooperation_probs,
+    global_frame,
     payoff_features,
     payoff_vector,
     transition_matrix,
@@ -46,7 +45,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "ComparisonReport",
-    "derive_seed",
     "simulate",
     "empirical_vs_exact",
 ]
@@ -62,11 +60,6 @@ _CHUNK_ROUNDS = 2**18
 _MIN_BLOCK = 8
 
 _IDENTITY = np.arange(4, dtype=np.int8)
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """Seed for trial ``index`` of a sweep: base + index (mod 2^64)."""
-    return (int(base_seed) + int(index)) % _SEED_MODULUS
 
 
 @dataclass(frozen=True)
@@ -207,8 +200,8 @@ def simulate(
         state = int(np.searchsorted(cumulative, rng.random(), side="right"))
         state = min(state, 3)
 
-    p1 = cooperation_probs(s1.with_noise(cfg.noise), 1)
-    p2 = cooperation_probs(s2.with_noise(cfg.noise), 2)
+    p1 = s1.with_noise(cfg.noise).array
+    p2 = global_frame(s2.with_noise(cfg.noise).array, 2)
     counts = _count_states(rng, cfg.rounds, p1, p2, state, cfg.burn_in)
 
     counted = cfg.rounds - cfg.burn_in
@@ -256,16 +249,15 @@ def empirical_vs_exact(
     s2: MemoryOneStrategy,
     cfg: SimulationConfig,
     tol_sigma: float,
-    payoffs: PayoffMatrix = DEFAULT_PAYOFFS,
 ) -> ComparisonReport:
     """Cross-validate a simulation against the exact Cesaro limit.
 
     The exact side uses the same noise-mixed strategies and the same
     initial distribution as the simulation.
     """
-    report = simulate(s1, s2, cfg, payoffs=payoffs)
+    report = simulate(s1, s2, cfg)
     M = transition_matrix(s1.with_noise(cfg.noise), s2.with_noise(cfg.noise))
-    exact = cesaro_limit(M, cfg.initial_distribution(), tol=1e-13)
+    exact = cesaro_limit(M, cfg.initial_distribution())
     n = report.counted_rounds
     pi = exact.distribution
     deviations = tuple(abs(f - p) for f, p in zip(report.frequencies, pi))

@@ -22,7 +22,7 @@ N_OPPONENTS = 1000
 K_VALUES = tuple(range(1, 7))
 H_GRID = (-2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0)
 
-# Tighter than the module default: a k = 6 moment check multiplies
+# The module default, stated here: a k = 6 moment check multiplies
 # distribution error by T^6, so the chain solves leave headroom.
 LIMIT_TOL = 1e-13
 
@@ -200,7 +200,7 @@ def test_criterion_8_monte_carlo_cross_validation():
     within = 0
     pathwise_broken = []
     for i, opponent in enumerate(opponents):
-        cfg = z.SimulationConfig(rounds=10**6, seed=z.derive_seed(MC_BASE_SEED, i), burn_in=10**3)
+        cfg = z.SimulationConfig(rounds=10**6, seed=MC_BASE_SEED + i, burn_in=10**3)
         report = z.simulate(z.TFT, opponent, cfg)
         # exact on every TFT path: #CD - #DC counts player 2's C->D minus D->C switches
         _, cd, dc, _ = report.state_counts
@@ -219,7 +219,7 @@ def test_criterion_8_monte_carlo_cross_validation():
         if not z.classify(z.transition_matrix(s1, s2)).ergodic:
             continue
         cfg = z.SimulationConfig(
-            rounds=10**6, seed=z.derive_seed(MC_BASE_SEED, 100 + i), burn_in=10**3
+            rounds=10**6, seed=MC_BASE_SEED + 100 + i, burn_in=10**3
         )
         comparison = z.empirical_vs_exact(s1, s2, cfg, tol_sigma=5.0)
         if not comparison.passed:

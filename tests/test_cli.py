@@ -519,3 +519,19 @@ class TestEntryPoints:
     def test_non_finite_number_is_usage_error(self, argv, capsys):
         code, _, err = _run(argv, capsys)
         assert code == 2 and "expected a finite number" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", '{"p_cc": null, "p_cd": 0, "p_dc": 0, "p_dd": 0}'], "must be numbers"),
+        (["decompose", '{"p_cc": [1], "p_cd": 0, "p_dc": 0, "p_dd": 0}'], "must be numbers"),
+        (["verify-tft", "--opponent", "tft", "--tol", "-1"], "--tol must be positive"),
+        (["verify-tft", "--opponent", "tft", "--tol", "0"], "--tol must be positive"),
+        (["verify-tft", "--opponent", "tft", "--h-grid", ","], "--h-grid is empty"),
+        (["sweep", "--wsls-coeffs", "--payoff-grid", "X=1"], "unknown payoff symbol"),
+        (["sweep", "--wsls-coeffs", "--payoff-grid", "T="], "empty value list"),
+        (["sweep", "--wsls-coeffs"], "requires --payoff-grid"),
+        (["simulate", "tft", "all_d", "--burn-in", "-1"], "burn_in must be nonnegative"),
+        (["decompose", "tft", "--basis", "monomial:-1"], "max_total_degree"),
+    ])
+    def test_invalid_input_is_usage_error(self, argv, message, capsys):
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "") and message in err

@@ -33,6 +33,11 @@ class TestPayoffMatrix:
         with pytest.raises(ValueError, match="finite"):
             z.PayoffMatrix(R=3, S=0, T=float("inf"), P=1)
 
+    @pytest.mark.parametrize("value", [None, [5]])
+    def test_non_numeric_rejected(self, value):
+        with pytest.raises(ValueError, match="payoff T must be a number"):
+            z.PayoffMatrix(R=3, S=0, T=value, P=1)
+
 
 class TestPayoffVectors:
     def test_player1_reads_off_rstp(self, m):
@@ -140,6 +145,17 @@ class TestStrategies:
             z.named_strategy("random:1.5")
         with pytest.raises(ValueError):
             z.MemoryOneStrategy((0.0, 0.0, -0.1, 0.0))
+
+    @pytest.mark.parametrize("entry", [None, [1]])
+    def test_non_numeric_probability_rejected(self, entry):
+        with pytest.raises(ValueError, match="must be numbers"):
+            z.MemoryOneStrategy((entry, 0.0, 0.0, 0.0))
+
+    def test_wrong_length(self):
+        with pytest.raises(ValueError, match="exactly four"):
+            z.MemoryOneStrategy((0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="four probabilities"):
+            z.named_strategy("custom:1,2")
 
     def test_parse_json_object(self):
         s = z.parse_strategy('{"p_cc": 1, "p_cd": 0, "p_dc": 0.5, "p_dd": 0}')

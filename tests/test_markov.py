@@ -278,6 +278,8 @@ class TestCesaroLimits:
             z.cesaro_limits(np.eye(4)[None], tol=0.0)
         with pytest.raises(ValueError, match="4x4"):
             z.cesaro_limits(np.eye(4))
+        with pytest.raises(ValueError, match="4 entries"):
+            z.cesaro_limits(np.eye(4)[None], [1, 0, 0])
         with pytest.raises(ValueError, match="sum to"):
             z.cesaro_limits(np.eye(4)[None], [0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="negative"):
@@ -286,11 +288,7 @@ class TestCesaroLimits:
 
 class TestPerturbedStationary:
     def test_noise_makes_chain_ergodic(self):
-        result = z.perturbed_stationary(z.TFT, z.TFT, eps=1e-3)
+        noisy = z.TFT.with_noise(1e-3)
+        result = z.stationary_exact(z.transition_matrix(noisy, noisy))
         assert result.unique
         assert result.residual <= 1e-12
-
-    def test_zero_noise_is_plain_solve(self):
-        a = z.perturbed_stationary(z.TFT, z.ALL_C, eps=0.0)
-        b = z.stationary_exact(z.transition_matrix(z.TFT, z.ALL_C))
-        np.testing.assert_array_equal(a.distribution, b.distribution)

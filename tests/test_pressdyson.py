@@ -122,6 +122,10 @@ class TestBasisSpec:
         np.testing.assert_array_equal(basis.matrix[:, 1], [3, 0, 5, 1])
         np.testing.assert_array_equal(basis.matrix[:, 2], [3, 5, 0, 1])
 
+    def test_matrix_must_match_labels(self):
+        with pytest.raises(ValueError, match="shape does not match"):
+            z.BasisSpec("custom", ((0, 0),), np.ones((4, 2)))
+
     def test_monomial_counts_by_total_degree(self, m):
         for degree, count in [(0, 1), (1, 3), (2, 6), (3, 10)]:
             assert len(z.BasisSpec.monomial(m, degree)) == count
