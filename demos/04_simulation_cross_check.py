@@ -30,16 +30,20 @@ for state in z.JointState:
 print("within bounds:", comparison.passed)
 print()
 
+# payoff statistics of a run are the package's averages under its frequencies
 print("empirical moment equality under TFT (exact in the limit):")
-for k in (1, 2, 3):
-    diff = report.moments[1][k] - report.moments[2][k]
+orders = (1, 2, 3)
+features = z.payoff_features(z.DEFAULT_PAYOFFS, [(k, 0) for k in orders] + [(0, k) for k in orders])
+moments1, moments2 = np.split(z.feature_averages(features, report.frequencies), 2)
+for k, diff in zip(orders, (moments1 - moments2).tolist()):
     print(f"  k={k}: <s1^k> - <s2^k> = {diff:+.5f}")
 print()
 
 print("empirical payoff distributions, as (support, probabilities) tuples:")
 for player in (1, 2):
-    support, probs = report.histograms[player]
-    print(f"  player {player}:", {v: round(p, 6) for v, p in zip(support, probs)})
+    support, probs = z.payoff_distributions(z.payoff_vector(z.DEFAULT_PAYOFFS, player),
+                                            report.frequencies)
+    print(f"  player {player}:", {v: round(p, 6) for v, p in zip(support.tolist(), probs.tolist())})
 print()
 
 # every report field is a plain value, so == compares whole reports

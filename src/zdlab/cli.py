@@ -171,6 +171,13 @@ def _emit_csv(header: list[str], columns: list, out: str | None, manifest: dict)
         Path(out).with_suffix(".manifest.json").write_text(manifest_text)
 
 
+def _moment_features(m: PayoffMatrix, k_max: int, h_grid=()) -> tuple[list, np.ndarray]:
+    """The moment orders, and feature rows of player 1's moments, player 2's, then MGFs."""
+    orders = moment_orders(k_max)
+    return orders, payoff_features(m, [(k, 0) for k in orders] + [(0, k) for k in orders]
+                                   + [("exp", p, h) for p in (1, 2) for h in h_grid])
+
+
 def cmd_verify_tft(args: argparse.Namespace) -> int:
     m = _parse_payoffs(args.payoffs)
     tol = _finite(args.tol)
@@ -181,6 +188,11 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     h_grid = _parse_floats(args.h_grid)
     if not h_grid:
         raise ValueError("--h-grid is empty")
+    seen = {}
+    for h in h_grid:  # each h is one output column or key, named by its %g label
+        label = format(h, "g")
+        if seen.setdefault(label, h) != h:
+            raise ValueError(f"--h-grid values {seen[label]!r} and {h!r} share a label")
 
     if args.opponent is not None:
         opponents = np.array([parse_strategy(args.opponent).p])
@@ -192,9 +204,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
         opponents = rng.random((args.random, 4))
         prng = PRNG_ID
 
-    orders = moment_orders(args.k_max)
-    features = payoff_features(m, [(k, 0) for k in orders] + [(0, k) for k in orders]
-                               + [("exp", p, h) for p in (1, 2) for h in h_grid])
+    orders, features = _moment_features(m, args.k_max, h_grid)
     Ms = transition_matrices(named_strategy("tft").array, opponents)
     limits = cesaro_limits(Ms, pi0)
     pis = limits.distributions
@@ -327,7 +337,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         burn_in=args.burn_in,
         noise=_finite(args.epsilon),
     )
-    report = simulate(s1, s2, cfg, payoffs=m, k_max=args.k_max)
+    orders, features = _moment_features(m, args.k_max)
+    report = simulate(s1, s2, cfg)
+    freq = report.frequencies
+    moments = np.split(feature_averages(features, freq), 2)
+    histograms = [np.column_stack(payoff_distributions(payoff_vector(m, p), freq)) for p in (1, 2)]
     parameters = {
         "strategy1": args.strategy1,
         "strategy2": args.strategy2,
@@ -344,14 +358,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "report": {
             "state_counts": list(report.state_counts),
             "frequencies": list(report.frequencies),
-            "moments": {
-                f"player{p}": {str(k): v for k, v in report.moments[p].items()}
-                for p in (1, 2)
-            },
-            "histograms": {
-                f"player{p}": [[x, q] for x, q in zip(*report.histograms[p]) if q != 0.0]
-                for p in (1, 2)
-            },
+            "moments": {f"player{p}": dict(zip(map(str, orders), a.tolist()))
+                        for p, a in zip((1, 2), moments)},
+            "histograms": {f"player{p}": [[x, q] for x, q in a.tolist() if q != 0.0]
+                           for p, a in zip((1, 2), histograms)},
             "rounds": report.rounds,
             "counted_rounds": report.counted_rounds,
             "seed": report.seed,
@@ -417,7 +427,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if isinstance(point, str):
                 rows.append([None] * 11 + [point])
                 continue
-            result = wsls_coefficients(point)
+            try:
+                result = wsls_coefficients(point)
+            except (ValueError, OverflowError) as exc:
+                rows.append([point.R, point.S, point.T, point.P] + [None] * 7 + [str(exc)])
+                continue
             c = result.coefficients
             rows.append(
                 [point.R, point.S, point.T, point.P,

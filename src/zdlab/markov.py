@@ -69,7 +69,7 @@ def as_distribution(pi) -> np.ndarray:
         raise ValueError(f"a state distribution has {N_STATES} entries, got {pi.shape}")
     if np.any(pi < -_DISTRIBUTION_TOL):
         raise ValueError(f"negative probability in {pi}")
-    if abs(pi.sum() - 1.0) > _DISTRIBUTION_TOL:
+    if not abs(pi.sum() - 1.0) <= _DISTRIBUTION_TOL:  # NaN fails too
         raise ValueError(f"probabilities sum to {pi.sum()!r}, not 1")
     return np.clip(pi, 0.0, None)
 

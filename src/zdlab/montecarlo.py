@@ -6,6 +6,9 @@ optional initial-state draw, round t consumes exactly two uniform values,
 player 1's first (positions 2t and 2t+1 of the stream).  Independent
 trials take distinct seeds; streams are never shared.
 
+A report holds state counts, not payoff statistics: a run's payoff moments
+and distributions are :mod:`zdlab.moments` averages under its frequencies.
+
 The counting kernel is numpy only.  It draws the uniforms in fixed-size
 chunks, which reproduces the stream of a single draw, and scans each
 chunk in blocks: it makes the same ``u >= p`` comparisons as a
@@ -17,20 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .game import (
-    DEFAULT_PAYOFFS,
-    JointState,
-    MemoryOneStrategy,
-    PayoffMatrix,
-    global_frame,
-    payoff_features,
-    payoff_vector,
-    transition_matrix,
-)
+from .game import JointState, MemoryOneStrategy, global_frame, transition_matrix
 from .markov import (
     LimitResult,
     as_distribution,
@@ -38,7 +31,6 @@ from .markov import (
     point_mass,
     uniform_distribution,
 )
-from .moments import feature_averages, moment_orders, payoff_distributions
 
 __all__ = [
     "PRNG_ID",
@@ -55,7 +47,7 @@ PRNG_ID = "numpy.random.PCG64"
 _SEED_MODULUS = 2**64
 
 #: Rounds per chunk of uniforms; the kernel's buffers are O(chunk), not O(rounds).
-_CHUNK_ROUNDS = 2**18
+_CHUNK_ROUNDS = 2**17
 #: Shortest block of the scan; blocks are otherwise about sqrt(chunk) rounds.
 _MIN_BLOCK = 8
 
@@ -113,18 +105,16 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Outcome of one simulation, echoing everything needed to re-run it."""
+    """State counts of one run, with the seed and generator that drew it.
+
+    It holds no payoff statistics and does not echo the whole config.
+    """
 
     state_counts: tuple[int, int, int, int]
     frequencies: tuple[float, float, float, float]
-    moments: Mapping[int, Mapping[int, float]]
-    histograms: Mapping[int, tuple[tuple[float, ...], tuple[float, ...]]]
     rounds: int
     counted_rounds: int
     seed: int
-    config: SimulationConfig
-    payoffs: PayoffMatrix
-    k_max: int
     prng: str = PRNG_ID
 
 
@@ -171,59 +161,29 @@ def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.
     return tuple(int(c) for c in counts)
 
 
-def simulate(
-    s1: MemoryOneStrategy,
-    s2: MemoryOneStrategy,
-    cfg: SimulationConfig,
-    payoffs: PayoffMatrix = DEFAULT_PAYOFFS,
-    k_max: int = 6,
-) -> SimulationReport:
-    """Play ``cfg.rounds`` rounds and report empirical statistics.
-
-    The report holds each player's payoff moments of orders 1 to ``k_max``
-    (at most :data:`~zdlab.moments.K_CAP`), feature averages like every
-    other moment in the package, and each player's payoff distribution as
-    a (support, probabilities) pair of tuples, so reports compare by value.
+def simulate(s1: MemoryOneStrategy, s2: MemoryOneStrategy,
+             cfg: SimulationConfig) -> SimulationReport:
+    """Play ``cfg.rounds`` rounds and count the joint states after burn-in.
 
     Deterministic in (s1, s2, cfg): identical inputs give bit-identical
     reports.  Each round draws player 1's action, then player 2's, from
     the noise-mixed conditional cooperation probabilities given the
     previous state.
     """
-    orders = moment_orders(k_max)
-    features = payoff_features(payoffs, [(k, 0) for k in orders] + [(0, k) for k in orders])
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if isinstance(cfg.initial, JointState):
         state = int(cfg.initial)
     else:
         cumulative = np.cumsum(cfg.initial_distribution())
-        state = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        state = min(state, 3)
+        state = min(int(np.searchsorted(cumulative, rng.random(), side="right")), 3)
 
     p1 = s1.with_noise(cfg.noise).array
     p2 = global_frame(s2.with_noise(cfg.noise).array, 2)
     counts = _count_states(rng, cfg.rounds, p1, p2, state, cfg.burn_in)
 
-    counted = cfg.rounds - cfg.burn_in
-    frequencies = tuple(c / counted for c in counts)
-    averages = np.split(feature_averages(features, frequencies), 2)
-    moments = {p: dict(zip(orders, a.tolist())) for p, a in zip((1, 2), averages)}
-    histograms = {}
-    for player in (1, 2):
-        support, probs = payoff_distributions(payoff_vector(payoffs, player), frequencies)
-        histograms[player] = (tuple(support.tolist()), tuple(probs.tolist()))
-    return SimulationReport(
-        state_counts=counts,
-        frequencies=frequencies,
-        moments=moments,
-        histograms=histograms,
-        rounds=cfg.rounds,
-        counted_rounds=counted,
-        seed=cfg.seed,
-        config=cfg,
-        payoffs=payoffs,
-        k_max=k_max,
-    )
+    n = cfg.rounds - cfg.burn_in
+    return SimulationReport(state_counts=counts, frequencies=tuple(c / n for c in counts),
+                            rounds=cfg.rounds, counted_rounds=n, seed=cfg.seed)
 
 
 @dataclass(frozen=True, eq=False)

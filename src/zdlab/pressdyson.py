@@ -193,7 +193,11 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     its 2-norm is at most ``EXACT_TOL``.
     """
     target = np.asarray(pd, dtype=float)
-    scale = np.linalg.norm(basis.matrix, axis=0)
+    with np.errstate(over="ignore"):  # a sum of squares above 1e308 rescales
+        scale = np.linalg.norm(basis.matrix, axis=0)
+        for j in np.flatnonzero(np.isinf(scale)).tolist():
+            peak = np.max(np.abs(basis.matrix[:, j]))
+            scale[j] = peak * np.linalg.norm(basis.matrix[:, j] / peak)
     scale[scale == 0.0] = 1.0
     coef, _, rank, _ = np.linalg.lstsq(basis.matrix / scale, target, rcond=RANK_TOL)
     coef = coef / scale

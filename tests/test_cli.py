@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import zdlab as z
 from zdlab import cli
 from zdlab.cli import main
 
@@ -234,6 +235,15 @@ class TestDecompose:
         code, _, _ = _run(["decompose", "grim"], capsys)
         assert code == 2
 
+    def test_huge_payoffs_keep_tft_exact(self, capsys):
+        # column norms above 1e154 used to overflow, which zeroed the columns
+        code, out, _ = _run(["decompose", "tft", "--payoffs", "1e160,0,1.5e160,1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["rank"], payload["exact"]) == (3, True)
+        assert payload["coefficients"]["s1"] == pytest.approx(1 / 1.5e160)
+        assert payload["coefficients"]["s2"] == pytest.approx(-1 / 1.5e160)
+
 
 class TestSimulate:
     def test_tft_vs_alld(self, capsys):
@@ -257,13 +267,35 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
     def test_outputs_match_golden_files(self, name, tmp_path):
-        # captured from the round-by-round kernel; "long_uniform" spans two
-        # chunks of uniforms and burns in past the first
+        # captured from the round-by-round kernel; "long_uniform" spans three
+        # chunks of 2**17 uniforms and burns in past the first two
         golden = SIMULATE_GOLDEN[name]
         out = tmp_path / "run.json"
         assert main(golden["argv"] + ["--out", str(out)]) == 0
         assert out.read_bytes() == golden["json"].encode()
         assert out.with_suffix(".csv").read_bytes() == golden["csv"].encode()
+
+    def test_moments_and_histograms_derive_from_frequencies(self, capsys):
+        # the same feature averages and payoff distributions verify-tft takes
+        # of an exact long-run distribution, here of the run's frequencies
+        code, out, _ = _run(["simulate", "tft", "random:0.3", "--rounds", "2000",
+                             "--seed", "11", "--payoffs", "4,0,6,1", "--k-max", "3"], capsys)
+        assert code == 0
+        report = json.loads(out)["report"]
+        freq = report["frequencies"]
+        m = z.PayoffMatrix(R=4, S=0, T=6, P=1)
+        for p in (1, 2):
+            v = z.payoff_vector(m, p)
+            assert report["moments"][f"player{p}"] == {
+                str(k): float(np.dot(v**k, freq)) for k in (1, 2, 3)
+            }
+            support, probs = z.payoff_distributions(v, freq)
+            assert report["histograms"][f"player{p}"] == [
+                [x, q] for x, q in zip(support.tolist(), probs.tolist()) if q != 0.0
+            ]
+        assert report["histograms"]["player1"] == [
+            [x, freq[s]] for x, s in zip((0.0, 1.0, 4.0, 6.0), (1, 3, 0, 2)) if freq[s] != 0.0
+        ]
 
     def test_csv_summary_sidecar(self, capsys, tmp_path):
         out_file = tmp_path / "run.json"
@@ -334,6 +366,18 @@ class TestSweep:
         header, rows = _read_csv(out)
         assert "T != S" in rows[0][header.index("error")]
         assert rows[1][header.index("error")] == ""
+
+    def test_overflowing_grid_point_reported_in_row(self, capsys):
+        # s1*s2 overflows at T = 1e200, S = -1e200; that used to abort the sweep
+        code, out, _ = _run(
+            ["sweep", "--wsls-coeffs", "--payoff-grid", "T=5,1e200;S=-1e200,0"], capsys
+        )
+        assert code == 0
+        header, rows = _read_csv(out)
+        errors = [row[header.index("error")] for row in rows]
+        assert errors[:2] + errors[3:] == [""] * 3 and "overflows" in errors[2]
+        assert rows[2][:4] == ["3", "-9.9999999999999997e+199", "9.9999999999999997e+199", "1"]
+        assert rows[3][header.index("exact")] == "true"
 
     def test_tft_k_range(self, capsys):
         code, out, _ = _run(["sweep", "--tft-k-range", "1:10"], capsys)
@@ -531,6 +575,9 @@ class TestEntryPoints:
         (["sweep", "--wsls-coeffs"], "requires --payoff-grid"),
         (["simulate", "tft", "all_d", "--burn-in", "-1"], "burn_in must be nonnegative"),
         (["decompose", "tft", "--basis", "monomial:-1"], "max_total_degree"),
+        # one deviation used to overwrite the other under the shared label
+        (["verify-tft", "--opponent", "wsls", "--h-grid", "1.0000001,1.0000002", "--format",
+          "json"], "--h-grid values 1.0000001 and 1.0000002 share a label"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

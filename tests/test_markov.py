@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,11 @@ class TestCesaroLimits:
             z.cesaro_limits(np.eye(4)[None], [0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="negative"):
             z.cesaro_limits(np.eye(4)[None], [1.5, -0.5, 0.0, 0.0])
+
+    def test_nan_start_refused(self):
+        # a NaN sum used to pass the tolerance test and give an all-NaN row
+        with pytest.raises(ValueError, match="sum to .*nan"):
+            z.cesaro_limits(np.eye(4)[None], [math.nan, 0.0, 0.0, 1.0])
 
 
 class TestPerturbedStationary:

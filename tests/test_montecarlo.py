@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             z.SimulationConfig(initial=(0.5, 0.5, 0.5, 0.5))
 
+    def test_nan_initial_refused(self):
+        # accepted before, and simulate then started every run in CC
+        with pytest.raises(ValueError, match="sum to .*nan"):
+            z.SimulationConfig(rounds=10, burn_in=0, initial=(math.nan, 0.0, 0.0, 1.0))
+
     def test_rounds_positive(self):
         with pytest.raises(ValueError):
             z.SimulationConfig(rounds=0)
@@ -118,12 +124,9 @@ class TestSimulate:
         # uniform start and noise: every report field is a plain value
         cfg = z.SimulationConfig(rounds=3000, seed=17, initial=None, burn_in=50, noise=0.05)
         report = z.simulate(z.TFT, z.WSLS, cfg)
-        assert z.simulate(z.TFT, z.WSLS, cfg) == report
-        for player in (1, 2):
-            support, probs = report.histograms[player]
-            assert isinstance(support, tuple) and isinstance(probs, tuple)
-            hash(report.histograms[player])  # TypeError if any part is mutable
-            assert support == tuple(sorted(z.payoff_vector(z.DEFAULT_PAYOFFS, player).tolist()))
+        rerun = z.simulate(z.TFT, z.WSLS, cfg)
+        assert rerun == report
+        assert hash(rerun) == hash(report)  # TypeError if any field is mutable
 
     def test_tft_vs_alld_path(self):
         # from CC the deterministic path is CD, DD, DD, ...
@@ -144,23 +147,6 @@ class TestSimulate:
         report = z.simulate(z.WSLS, z.TFT, cfg)
         assert sum(report.state_counts) == report.counted_rounds == 3750
         assert sum(report.frequencies) == pytest.approx(1.0, abs=1e-15)
-
-    def test_moments_and_histogram_derive_from_frequencies(self, m):
-        cfg = z.SimulationConfig(rounds=2000, seed=11, burn_in=0)
-        report = z.simulate(z.TFT, z.named_strategy("random:0.3"), cfg)
-        v1 = z.payoff_vector(m, 1)
-        expected = float(np.dot(v1**2, report.frequencies))
-        assert report.moments[1][2] == expected
-        support, probs = report.histograms[1]
-        assert sum(probs) == pytest.approx(1.0)
-        assert support == (0.0, 1.0, 3.0, 5.0)
-        assert probs == tuple(report.frequencies[s] for s in (CD, DD, CC, DC))
-
-    @pytest.mark.parametrize("k_max", [0, 21])
-    def test_moment_orders_bounded(self, k_max):
-        cfg = z.SimulationConfig(rounds=100, seed=1, burn_in=0)
-        with pytest.raises(ValueError, match="moment order"):
-            z.simulate(z.TFT, z.WSLS, cfg, k_max=k_max)
 
     def test_noise_applied(self):
         # noise 0.5 turns ALL_C into state-independent cooperation at 0.75
@@ -188,7 +174,7 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMomentConsistency:
