@@ -2,13 +2,14 @@
 
 A pair of memory-one strategies induces a Markov chain on the joint states
 CC, CD, DC, DD.  Deterministic strategies make that chain reducible or
-periodic, which is exactly why this package distinguishes the one-shot
-stationary solve from the start-dependent Cesaro (time-average) limit.
+periodic, so a stationary distribution need not be unique, and the
+long-run quantity this package computes is the start-dependent Cesaro
+(time-average) limit.
 
-Both come from the same finite elimination: transient states are removed
-one at a time, their starting mass carried to the recurrent classes that
-absorb it, and each recurrent class is solved by Grassmann-Taksar-Heyman
-(GTH) elimination.  No step count, window or convergence test is involved,
+It comes from one finite elimination: transient states are removed one at
+a time, their starting mass carried to the recurrent classes that absorb
+it, and each recurrent class is solved by Grassmann-Taksar-Heyman (GTH)
+elimination.  No step count, window or convergence test is involved,
 so slowly mixing chains are solved as accurately as fast ones.
 """
 
@@ -28,8 +29,8 @@ print("communicating classes:", structure.classes)
 print("recurrent flags:      ", structure.recurrent)
 print("ergodic:              ", structure.ergodic)
 
-exact = z.stationary_exact(M)
-print("stationary solve ->", exact.distribution, f"(unique={exact.unique})")
+limit = z.cesaro_limit(M)
+print("cesaro limit from uniform ->", limit.distribution, f"(unique={limit.unique})")
 # mutual cooperation absorbs everything, whatever the start
 for start in (z.JointState.DD, z.JointState.CD):
     limit = z.cesaro_limit(M, z.point_mass(start))
@@ -41,8 +42,8 @@ M = z.transition_matrix(z.TFT, z.TFT)
 structure = z.classify(M)
 print("classes:", structure.classes, "periods:", structure.periods)
 
-exact = z.stationary_exact(M)
-print("stationary solve: unique =", exact.unique, "->", exact.distribution)
+limit = z.cesaro_limit(M)
+print("cesaro limit from uniform: unique =", limit.unique, "->", limit.distribution)
 print("(three recurrent classes each carry an invariant measure, so the")
 print(" start matters; the Cesaro limit resolves that honestly:)")
 for start in (z.JointState.CC, z.JointState.CD, z.JointState.DD):
@@ -61,7 +62,7 @@ print()
 print("=== Trembling hands regularise everything ===")
 for eps in (0.1, 0.01, 0.001):
     noisy = z.TFT.with_noise(eps)
-    result = z.stationary_exact(z.transition_matrix(noisy, noisy))
+    result = z.cesaro_limit(z.transition_matrix(noisy, noisy))
     print(f"  eps={eps:<6} stationary ->", result.distribution)
 print("(the eps -> 0 limit is a different object from the Cesaro limit of")
 print(" a fixed start; the library computes both and never conflates them)")

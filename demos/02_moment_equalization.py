@@ -26,17 +26,22 @@ print()
 m = z.DEFAULT_PAYOFFS
 s1, s2 = z.payoff_vector(m, 1), z.payoff_vector(m, 2)
 
+# every moment and MGF value is the average of a payoff feature under pi
+orders = range(1, 7)
+F1 = z.payoff_features(m, [(k, 0) for k in orders])
+F2 = z.payoff_features(m, [(0, k) for k in orders])
 print("payoff moments of the two players:")
 print(f"{'k':>3} {'<s1^k>':>14} {'<s2^k>':>14} {'difference':>12}")
-for k in range(1, 7):
-    m1, m2 = z.moment(s1, pi, k), z.moment(s2, pi, k)
+for k, m1, m2 in zip(orders, z.feature_averages(F1, pi), z.feature_averages(F2, pi)):
     print(f"{k:>3} {m1:>14.8f} {m2:>14.8f} {m1 - m2:>12.2e}")
 print()
 
+h_grid = (-2.0, -0.5, 0.5, 2.0)
+G1 = z.payoff_features(m, [("exp", 1, h) for h in h_grid])
+G2 = z.payoff_features(m, [("exp", 2, h) for h in h_grid])
 print("moment generating functions:")
 print(f"{'h':>6} {'<e^(h s1)>':>16} {'<e^(h s2)>':>16} {'difference':>12}")
-for h in (-2.0, -0.5, 0.5, 2.0):
-    g1, g2 = z.mgf(s1, pi, h), z.mgf(s2, pi, h)
+for h, g1, g2 in zip(h_grid, z.feature_averages(G1, pi), z.feature_averages(G2, pi)):
     print(f"{h:>6} {g1:>16.8f} {g2:>16.8f} {g1 - g2:>12.2e}")
 print()
 

@@ -188,11 +188,11 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     h_grid = _parse_floats(args.h_grid)
     if not h_grid:
         raise ValueError("--h-grid is empty")
-    seen = {}
-    for h in h_grid:  # each h is one output column or key, named by its %g label
-        label = format(h, "g")
-        if seen.setdefault(label, h) != h:
-            raise ValueError(f"--h-grid values {seen[label]!r} and {h!r} share a label")
+    h_labels = [format(h, "g") for h in h_grid]  # one output column or key each
+    for i, label in enumerate(h_labels):
+        if label in h_labels[:i]:
+            first = h_grid[h_labels.index(label)]
+            raise ValueError(f"--h-grid values {first!r} and {h_grid[i]!r} share a label")
 
     if args.opponent is not None:
         opponents = np.array([parse_strategy(args.opponent).p])
@@ -256,7 +256,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
                 "converged": converged,
                 "unique": unique,
                 "moment_deviations": {str(k): d for k, d in zip(orders, dk)},
-                "mgf_deviations": {format(h, "g"): d for h, d in zip(h_grid, dh)},
+                "mgf_deviations": dict(zip(h_labels, dh)),
                 "pi_cd_minus_pi_dc": gap,
                 "distributions_equal": equal,
                 "passed": ok,
@@ -278,7 +278,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
             ["opp_p_cc", "opp_p_cd", "opp_p_dc", "opp_p_dd",
              "pi_cc", "pi_cd", "pi_dc", "pi_dd", "converged", "unique"]
             + [f"dev_k{k}" for k in orders]
-            + [f"dev_h_{format(h, 'g')}" for h in h_grid]
+            + [f"dev_h_{label}" for label in h_labels]
             + ["pi_cd_minus_pi_dc", "dist_equal", "pass"]
         )
         _emit_csv(header, [*opponents.T, *pis.T, limits.converged, limits.unique, *dev_k.T,
@@ -391,6 +391,8 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
         name = name.strip().upper()
         if name not in ("R", "S", "T", "P"):
             raise ValueError(f"unknown payoff symbol {name!r} in --payoff-grid")
+        if name in dict(axes):
+            raise ValueError(f"payoff symbol {name} is named twice in --payoff-grid")
         floats = _parse_floats(values)
         if not floats:
             raise ValueError(f"empty value list for {name} in --payoff-grid")

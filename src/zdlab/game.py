@@ -118,22 +118,6 @@ def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
     return v
 
 
-def check_exp_range(h: float, max_abs: float) -> None:
-    """Refuse e^{h * x} for |x| <= max_abs when it can overflow a double.
-
-    A non-finite h is a ValueError, and |h| * max_abs > 700 an
-    OverflowError; every exponential of a payoff in this package (MGFs,
-    exponential bases and identities) is guarded by this one check.
-    """
-    if not math.isfinite(h):
-        raise ValueError(f"h must be a finite real number, got {h!r}")
-    if abs(h) * max_abs > 700.0:
-        raise OverflowError(
-            f"|h| * max|payoff| = {abs(h) * max_abs:g} exceeds the "
-            "double-precision exponential range (700)"
-        )
-
-
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
@@ -144,9 +128,9 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
     The label ``(k1, k2)`` of nonnegative integers names the pointwise
     product s1^k1 * s2^k2, so ``(0, 0)`` is the all-ones vector, and
     ``("exp", player, h)`` names e^{h * s_player} for a finite real h.
-    Any other label is a ValueError.  Exponentials are range-checked by
-    :func:`check_exp_range`; a power that is not finite in double
-    precision is an OverflowError.  Returns shape (len(labels), 4).
+    Any other label is a ValueError.  An exponential that can overflow a
+    double (|h| * max|payoff| > 700) is an OverflowError, and so is a power
+    that is not finite in double precision.  Returns shape (len(labels), 4).
     """
     s = np.array([payoff_vector(m, 1), payoff_vector(m, 2)])
     rows = np.empty((len(labels), 4))
@@ -159,7 +143,12 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
                     and _is_int(label[1]) and label[1] in (1, 2)
                     and (_is_int(label[2]) or isinstance(label[2], (float, np.floating)))
                     and math.isfinite(label[2])):
-                check_exp_range(label[2], m.max_abs())
+                exponent = abs(label[2]) * m.max_abs()
+                if exponent > 700.0:
+                    raise OverflowError(
+                        f"|h| * max|payoff| = {exponent:g} exceeds the "
+                        "double-precision exponential range (700)"
+                    )
                 rows[i] = np.exp(label[2] * s[label[1] - 1])
             else:
                 raise ValueError(f"not a payoff feature label: {label!r}")

@@ -23,7 +23,7 @@ the Numerical Solution of Markov Chains, 1994).
 The elimination works on a stack of chains at once (:func:`cesaro_limits`).
 Chains sharing a support pattern share their classification and their
 elimination order, so each pattern is classified once and eliminated as
-one vectorised group; the single-chain functions are its N=1 case.  Every
+one vectorised group; :func:`cesaro_limit` is its N=1 case.  Every
 dot product goes through numpy's stacked vector-vector ``matmul``, which
 makes one BLAS dot per pair whatever the stack size, so a chain's result
 does not depend on the batch it was solved in.
@@ -44,7 +44,6 @@ __all__ = [
     "LimitBatch",
     "point_mass",
     "classify",
-    "stationary_exact",
     "cesaro_limit",
     "cesaro_limits",
 ]
@@ -70,7 +69,7 @@ def as_distribution(pi) -> np.ndarray:
     if np.any(pi < -_DISTRIBUTION_TOL):
         raise ValueError(f"negative probability in {pi}")
     if not abs(pi.sum() - 1.0) <= _DISTRIBUTION_TOL:  # NaN fails too
-        raise ValueError(f"probabilities sum to {pi.sum()!r}, not 1")
+        raise ValueError(f"probabilities sum to {float(pi.sum())!r}, not 1")
     return np.clip(pi, 0.0, None)
 
 
@@ -268,7 +267,7 @@ def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     ``converged``.
     """
     if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+        raise ValueError(f"tolerance must be positive, got {float(tol)!r}")
     Ms = np.asarray(Ms, dtype=float)
     if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
@@ -287,32 +286,6 @@ def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
         pis, residuals, residuals <= tol,
         tuple(structures[g] for g in group.tolist()), unique,
     )
-
-
-def _single(M: np.ndarray, pi0, tol: float) -> LimitResult:
-    batch = cesaro_limits(M[None], pi0, tol)
-    return LimitResult(
-        batch.distributions[0],
-        bool(batch.unique[0]),
-        0,
-        float(batch.residuals[0]),
-        bool(batch.converged[0]),
-    )
-
-
-def stationary_exact(M) -> LimitResult:
-    """A stationary distribution of the chain, solved exactly.
-
-    When the chain has one recurrent class its stationary distribution is
-    unique and returned.  When it has several (reducible chains carrying
-    several invariant measures), the result is flagged ``unique=False`` and
-    the distribution returned is the stationary distribution of the first
-    recurrent class, which is one valid solution; callers wanting
-    start-dependent limits should use :func:`cesaro_limit`.
-    """
-    M = np.asarray(M, dtype=float)
-    first = point_mass(classify(M).recurrent_classes[0][0])
-    return _single(M, first, DEFAULT_TOL)
 
 
 def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> LimitResult:
@@ -340,5 +313,7 @@ def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> Limit
     -------
     LimitResult; ``converged`` is False when the residual exceeds ``tol``.
     """
-    return _single(np.asarray(M, dtype=float), pi0, tol)
+    batch = cesaro_limits(np.asarray(M, dtype=float)[None], pi0, tol)
+    return LimitResult(batch.distributions[0], bool(batch.unique[0]), 0,
+                       float(batch.residuals[0]), bool(batch.converged[0]))
 

@@ -5,12 +5,12 @@ Every moment, cross moment, MGF value and enforced relation is an average
 vectors) under a state distribution pi, and all of them go through one kernel,
 :func:`feature_averages`, which evaluates a stack of features under a stack
 of distributions.  It makes one BLAS dot per (distribution, feature) pair,
-so a value does not depend on how many others are computed with it;
-:func:`moment` and :func:`mgf` are its single-value entry points on any
-4-vector, and a cross moment is the ``(k1, k2)`` feature of
-:func:`zdlab.game.payoff_features`.  A payoff distribution is the (support,
-probabilities) pair that :func:`payoff_distributions` builds, and it has
-one outcome rule: sorted by value, a payoff within :data:`VALUE_TOL` of the
+so a value does not depend on how many others are computed with it.  The
+features are rows of :func:`zdlab.game.payoff_features`: player 1's k-th
+moment averages the ``(k, 0)`` row, a cross moment the ``(k1, k2)`` row
+and an MGF value the ``("exp", player, h)`` row.  A payoff distribution is
+the (support, probabilities) pair that :func:`payoff_distributions`
+builds, and it has one outcome rule: sorted by value, a payoff within :data:`VALUE_TOL` of the
 first value of the current cluster joins that cluster as one outcome.  The
 rule is the same within one distribution and between two, since
 :func:`distribution_stacks_equal` compares two distributions by clustering
@@ -23,19 +23,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .game import PayoffMatrix, check_exp_range, payoff_features
+from .game import PayoffMatrix, payoff_features
 
 __all__ = [
     "feature_averages",
-    "moment",
-    "mgf",
     "relation_value",
     "payoff_distributions",
     "distribution_stacks_equal",
 ]
 
-#: Exponents above this are refused: payoff values raised to very large
-#: powers silently lose all relative precision in double arithmetic.
+#: The largest moment order accepted: a fixed bound on the orders that
+#: ``simulate`` and ``verify-tft`` accept and that a relation may name.
 K_CAP = 20
 
 #: Absolute tolerance for treating two payoff values as the same outcome.
@@ -70,29 +68,14 @@ def feature_averages(F, pi) -> np.ndarray:
     return np.matmul(pi[..., None, None, :], F[:, :, None])[..., 0, 0]
 
 
-def moment(v, pi, k: int) -> float:
-    """k-th payoff moment sum_s v[s]^k * pi[s] for k >= 1."""
-    k = _check_k(k)
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    return float(feature_averages([np.asarray(v, dtype=float) ** k], pi)[0])
-
-
-def mgf(v, pi, h: float) -> float:
-    """Moment generating function sum_s e^{h * v[s]} * pi[s], for finite h."""
-    v = np.asarray(v, dtype=float)
-    check_exp_range(h, float(np.max(np.abs(v))))
-    return float(feature_averages([np.exp(h * v)], pi)[0])
-
-
 def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     """Evaluate a linear combination of payoff averages.
 
     ``coeffs`` maps payoff-feature labels (see
     :func:`zdlab.game.payoff_features`) to coefficients; the result is
     the dot product of the coefficients with the features' averages under
-    ``pi``.  Monomial exponents above ``K_CAP`` are refused, as for
-    :func:`moment`.  When ``pi`` is a long-run distribution of a
+    ``pi``.  Monomial exponents above ``K_CAP`` are refused, as in
+    :func:`moment_orders`.  When ``pi`` is a long-run distribution of a
     chain in which the decomposed player uses the corresponding strategy,
     the result is the enforced relation and vanishes.
     """

@@ -87,7 +87,8 @@ class SimulationConfig:
                 f"empty sample: burn_in {self.burn_in} leaves no rounds of {self.rounds}"
             )
         if not (0.0 <= self.noise <= 0.5):
-            raise ValueError(f"noise must lie in [0, 1/2], got {self.noise!r}")
+            raise ValueError(f"noise must lie in [0, 1/2], got {float(self.noise)!r}")
+        object.__setattr__(self, "noise", float(self.noise))
         if self.initial is not None and not isinstance(self.initial, JointState):
             if isinstance(self.initial, (int, np.integer)):
                 object.__setattr__(self, "initial", JointState(int(self.initial)))

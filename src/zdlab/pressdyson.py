@@ -162,21 +162,17 @@ class BasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    """Least-squares decomposition of a Press-Dyson vector over a basis."""
+    """Least-squares decomposition of a Press-Dyson vector over a basis.
+
+    ``coefficients`` maps each basis label to its coefficient, in basis
+    order; ``residual`` is the target minus the basis combination.
+    """
 
     coefficients: dict
     residual: np.ndarray
     residual_norm: float
     rank: int
     exact: bool
-    basis: BasisSpec
-
-    @property
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([self.coefficients[label] for label in self.basis.labels])
-
-    def reconstruction(self) -> np.ndarray:
-        return self.basis.matrix @ self.coefficient_vector
 
 
 def decompose(pd, basis: BasisSpec) -> DecompositionResult:
@@ -210,7 +206,6 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
         residual_norm=norm,
         rank=int(rank),
         exact=norm <= EXACT_TOL,
-        basis=basis,
     )
 
 

@@ -55,11 +55,13 @@ def tft_limits():
 
 def test_criterion_1_tft_moment_theorem():
     start = time.perf_counter()
+    F1 = z.payoff_features(M, [(k, 0) for k in K_VALUES])
+    F2 = z.payoff_features(M, [(0, k) for k in K_VALUES])
     worst = 0.0
     for opponent in _random_strategies(N_OPPONENTS, OPPONENT_SEED):
         pi = _tft_limit(opponent)
-        for k in K_VALUES:
-            worst = max(worst, abs(z.moment(S1, pi, k) - z.moment(S2, pi, k)))
+        gaps = z.feature_averages(F1, pi) - z.feature_averages(F2, pi)
+        worst = max(worst, float(np.max(np.abs(gaps))))
     elapsed = time.perf_counter() - start
     _check(
         1,
@@ -71,10 +73,12 @@ def test_criterion_1_tft_moment_theorem():
 
 
 def test_criterion_2_tft_mgf_theorem(tft_limits):
+    F1 = z.payoff_features(M, [("exp", 1, h) for h in H_GRID])
+    F2 = z.payoff_features(M, [("exp", 2, h) for h in H_GRID])
     worst = 0.0
     for _, pi in tft_limits:
-        for h in H_GRID:
-            worst = max(worst, abs(z.mgf(S1, pi, h) - z.mgf(S2, pi, h)))
+        gaps = z.feature_averages(F1, pi) - z.feature_averages(F2, pi)
+        worst = max(worst, float(np.max(np.abs(gaps))))
     _check(
         2,
         "TFT MGF theorem",
@@ -172,7 +176,7 @@ def test_criterion_6_zd_boundary():
 
 def test_criterion_7_wsls_relation():
     result = z.wsls_coefficients(M)
-    recon_err = float(np.max(np.abs(result.reconstruction() - z.press_dyson(z.WSLS, 1))))
+    recon_err = float(np.max(np.abs(result.residual)))
     worst_relation = 0.0
     for opponent in _random_strategies(100, OPPONENT_SEED + 1):
         chain = z.transition_matrix(z.WSLS, opponent)
@@ -182,7 +186,7 @@ def test_criterion_7_wsls_relation():
             worst_relation, abs(z.relation_value(result.coefficients, limit.distribution, M))
         )
     sweep = {
-        tuple(z.wsls_coefficients(z.PayoffMatrix(R=3, S=0, T=t, P=1)).coefficient_vector)
+        tuple(z.wsls_coefficients(z.PayoffMatrix(R=3, S=0, T=t, P=1)).coefficients.values())
         for t in (4.5, 5.0, 5.5)
     }
     _check(

@@ -578,6 +578,12 @@ class TestEntryPoints:
         # one deviation used to overwrite the other under the shared label
         (["verify-tft", "--opponent", "wsls", "--h-grid", "1.0000001,1.0000002", "--format",
           "json"], "--h-grid values 1.0000001 and 1.0000002 share a label"),
+        # a repeated value used to repeat a column and merge its JSON key
+        (["verify-tft", "--opponent", "wsls", "--h-grid", "1,1"],
+         "--h-grid values 1.0 and 1.0 share a label"),
+        # the second T axis used to override the first, dropping T = 4.5 and 5.5
+        (["sweep", "--wsls-coeffs", "--payoff-grid", "T=4.5,5.5;T=6"],
+         "payoff symbol T is named twice"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -92,29 +92,6 @@ class TestClassify:
         assert not s.ergodic
 
 
-class TestStationaryExact:
-    def test_tft_vs_allc_absorbs_at_cc(self):
-        result = z.stationary_exact(z.transition_matrix(z.TFT, z.ALL_C))
-        assert result.unique
-        np.testing.assert_allclose(result.distribution, [1, 0, 0, 0], atol=1e-12)
-
-    def test_rank_one_chain(self):
-        result = z.stationary_exact(np.full((4, 4), 0.25))
-        assert result.unique
-        np.testing.assert_allclose(result.distribution, np.full(4, 0.25), atol=1e-12)
-
-    def test_tft_vs_tft_not_unique(self):
-        result = z.stationary_exact(z.transition_matrix(z.TFT, z.TFT))
-        assert not result.unique
-        # one valid stationary solution is still returned
-        assert result.residual <= 1e-12
-
-    def test_identity_chain_not_unique(self):
-        result = z.stationary_exact(np.eye(4))
-        assert not result.unique
-        assert result.residual == 0.0
-
-
 class TestCesaroLimit:
     def test_tft_vs_tft_cycle_average(self):
         M = z.transition_matrix(z.TFT, z.TFT)
@@ -130,17 +107,25 @@ class TestCesaroLimit:
             assert result.converged
             np.testing.assert_allclose(result.distribution, [1, 0, 0, 0], atol=1e-12)
 
+    def test_rank_one_chain(self):
+        result = z.cesaro_limit(np.full((4, 4), 0.25))
+        assert result.unique
+        np.testing.assert_allclose(result.distribution, np.full(4, 0.25), atol=1e-12)
+
+    def test_identity_chain_not_unique(self):
+        result = z.cesaro_limit(np.eye(4))
+        assert not result.unique
+        assert result.residual == 0.0
+
     def test_ergodic_agreement_with_exact_solver(self):
         for s1, s2 in _random_pairs(1000, seed=7):
             M = z.transition_matrix(s1, s2)
             if not z.classify(M).ergodic:
                 continue
             limit = z.cesaro_limit(M, tol=1e-12)
-            exact = z.stationary_exact(M)
             oracle = _stationary_solve(M)
-            assert limit.converged and exact.converged
+            assert limit.converged
             assert np.max(np.abs(limit.distribution - oracle)) <= 1e-11
-            assert np.max(np.abs(exact.distribution - oracle)) <= 1e-11
 
     def test_matches_brute_force_running_average(self):
         for seed, (s1, s2) in enumerate(_random_pairs(5, seed=21)):
@@ -295,6 +280,6 @@ class TestCesaroLimits:
 class TestPerturbedStationary:
     def test_noise_makes_chain_ergodic(self):
         noisy = z.TFT.with_noise(1e-3)
-        result = z.stationary_exact(z.transition_matrix(noisy, noisy))
+        result = z.cesaro_limit(z.transition_matrix(noisy, noisy))
         assert result.unique
         assert result.residual <= 1e-12

@@ -27,14 +27,6 @@ class TestFeatureAverages:
         np.testing.assert_array_equal(averages, expected)
         np.testing.assert_array_equal(z.feature_averages(F, pis[0]), expected[0])
 
-    def test_moment_and_mgf_are_single_entries(self, m):
-        pi = np.array([0.1, 0.2, 0.3, 0.4])
-        s1 = z.payoff_vector(m, 1)
-        averages = z.feature_averages(z.payoff_features(m, [(k, 0) for k in range(1, 6)]), pi)
-        assert averages.tolist() == [z.moment(s1, pi, k) for k in range(1, 6)]
-        mgf_row = z.payoff_features(m, [("exp", 1, 0.7)])
-        assert z.feature_averages(mgf_row, pi)[0] == z.mgf(s1, pi, 0.7)
-
     @pytest.mark.parametrize("k_max", [0, -1, 21, 2.0, True])
     def test_moment_orders_validated(self, k_max):
         # simulate and verify-tft build their moment rows through one check;
@@ -48,29 +40,31 @@ class TestFeatureAverages:
 
 
 class TestMoment:
+    """The k-th moment of player 1's payoff is the average of the ``(k, 0)`` feature."""
+
     def test_first_moment_on_cycle(self, m):
-        assert z.moment(z.payoff_vector(m, 1), CYCLE, 1) == pytest.approx(2.5)
+        assert z.feature_averages(z.payoff_features(m, [(1, 0)]), CYCLE)[0] == pytest.approx(2.5)
 
     def test_second_moment_on_cycle(self, m):
-        assert z.moment(z.payoff_vector(m, 1), CYCLE, 2) == pytest.approx(12.5)
+        assert z.feature_averages(z.payoff_features(m, [(2, 0)]), CYCLE)[0] == pytest.approx(12.5)
 
     def test_point_mass(self, m):
         v = z.payoff_vector(m, 1)
+        F = z.payoff_features(m, [(1, 0), (2, 0), (3, 0)])
         for state in z.JointState:
-            for k in (1, 2, 3):
-                assert z.moment(v, z.point_mass(state), k) == v[state] ** k
+            averages = z.feature_averages(F, z.point_mass(state))
+            assert averages.tolist() == [v[state] ** k for k in (1, 2, 3)]
 
     def test_order_validation(self, m):
-        v = z.payoff_vector(m, 1)
-        with pytest.raises(ValueError):
-            z.moment(v, CYCLE, 0)
-        with pytest.raises(ValueError):
-            z.moment(v, CYCLE, 1.5)
+        with pytest.raises(ValueError, match="label"):
+            z.payoff_features(m, [(1.5, 0)])
+        with pytest.raises(ValueError, match="moment order"):
+            z.relation_value({(1.5, 0): 1.0}, CYCLE, m)
 
-    def test_precision_cap(self, m):
-        v = z.payoff_vector(m, 1)
-        with pytest.raises(ValueError, match="cap"):
-            z.moment(v, CYCLE, 21)
+    def test_precision_cap(self):
+        assert z.moments.moment_orders(20)[-1] == 20
+        with pytest.raises(ValueError, match="exceeds the precision cap 20"):
+            z.moments.moment_orders(21)
 
 
 class TestCrossMoment:
@@ -87,23 +81,27 @@ class TestCrossMoment:
 
 
 class TestMgf:
+    """An MGF value is the average of an ``("exp", player, h)`` feature."""
+
     def test_h_zero_is_one(self, m):
+        ones = z.payoff_features(m, [("exp", 1, 0.0)])
         for pi in (CYCLE, np.full(4, 0.25)):
-            assert z.mgf(z.payoff_vector(m, 1), pi, 0.0) == pytest.approx(1.0)
+            assert z.feature_averages(ones, pi)[0] == pytest.approx(1.0)
 
     def test_cycle_value(self, m):
         expected = (1.0 + math.e**5) / 2.0
-        assert z.mgf(z.payoff_vector(m, 1), CYCLE, 1.0) == pytest.approx(expected)
-        assert z.mgf(z.payoff_vector(m, 2), CYCLE, 1.0) == pytest.approx(expected)
+        F = z.payoff_features(m, [("exp", 1, 1.0), ("exp", 2, 1.0)])
+        np.testing.assert_allclose(z.feature_averages(F, CYCLE), [expected, expected])
 
     def test_overflow_guard(self, m):
-        with pytest.raises(OverflowError):
-            z.mgf(z.payoff_vector(m, 1), CYCLE, 150.0)
+        message = r"\|h\| \* max\|payoff\| = 750 exceeds the double-precision exponential range"
+        with pytest.raises(OverflowError, match=message):
+            z.payoff_features(m, [("exp", 1, 150.0)])
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
     def test_non_finite_h_rejected(self, m, h):
-        with pytest.raises(ValueError, match="finite"):
-            z.mgf(z.payoff_vector(m, 1), z.point_mass(0), h)
+        with pytest.raises(ValueError, match="label"):
+            z.payoff_features(m, [("exp", 1, h)])
 
 
 class TestRelationValue:

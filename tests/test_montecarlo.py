@@ -89,6 +89,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="sum to .*nan"):
             z.SimulationConfig(rounds=10, burn_in=0, initial=(math.nan, 0.0, 0.0, 1.0))
 
+    def test_messages_show_python_floats(self):
+        # numpy 2 scalars used to print as np.float64(...) in these messages
+        cases = [
+            (lambda: z.SimulationConfig(rounds=10, burn_in=0, initial=(math.nan, 0, 0, 1)),
+             "probabilities sum to nan, not 1"),
+            (lambda: z.SimulationConfig(noise=np.float64(0.7)),
+             "noise must lie in [0, 1/2], got 0.7"),
+            (lambda: z.cesaro_limits(np.eye(4)[None], tol=np.float64(-1)),
+             "tolerance must be positive, got -1.0"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+        assert type(z.SimulationConfig(noise=np.float64(0.1)).noise) is float
+
     def test_rounds_positive(self):
         with pytest.raises(ValueError):
             z.SimulationConfig(rounds=0)
@@ -230,8 +246,8 @@ class TestEmpiricalVsExact:
         eps = 1e-3
         cfg = z.SimulationConfig(rounds=10**6, seed=77, burn_in=1000, noise=eps)
         report = z.simulate(s1, s2, cfg)
-        exact = z.stationary_exact(z.transition_matrix(s1, s2))
-        deviation = np.max(np.abs(np.array(report.frequencies) - exact.distribution))
+        limit = z.cesaro_limit(z.transition_matrix(s1, s2))
+        deviation = np.max(np.abs(np.array(report.frequencies) - limit.distribution))
         assert deviation <= 10 * eps
 
     def test_flags_wrong_exact_reference(self):

@@ -214,7 +214,7 @@ class TestDecompose:
         B = basis.matrix
         x = np.linalg.solve(B.T @ B, B.T @ pd)
         result = z.decompose(z.press_dyson(z.WSLS, 1), basis)
-        np.testing.assert_allclose(result.coefficient_vector, x, atol=1e-10)
+        np.testing.assert_allclose(list(result.coefficients.values()), x, atol=1e-10)
 
     @settings(max_examples=60)
     @given(strategy_vectors)
@@ -227,9 +227,8 @@ class TestDecompose:
             z.BasisSpec.exponential(z.DEFAULT_PAYOFFS, 0.5),
         ):
             result = z.decompose(pd, basis)
-            np.testing.assert_allclose(
-                result.reconstruction() + result.residual, pd, atol=1e-12
-            )
+            reconstruction = basis.matrix @ list(result.coefficients.values())
+            np.testing.assert_allclose(reconstruction + result.residual, pd, atol=1e-12)
 
     def test_monomial_degree_three_spans(self, m, random_strategies):
         basis = z.BasisSpec.monomial(m, 3)
@@ -356,14 +355,14 @@ class TestWslsCoefficients:
         assert oracle == [expected[(1, 0)], expected[(0, 1)], expected[(1, 1)], expected[(0, 0)]]
 
     def test_reconstruction(self, m):
-        result = z.wsls_coefficients(m)
+        coefficients = list(z.wsls_coefficients(m).coefficients.values())
         np.testing.assert_allclose(
-            result.reconstruction(), [0, -1, 0, 1], atol=1e-12
+            z.BasisSpec.wsls4(m).matrix @ coefficients, [0, -1, 0, 1], atol=1e-12
         )
 
     def test_coefficients_depend_on_payoffs(self):
-        a = z.wsls_coefficients(z.DEFAULT_PAYOFFS).coefficient_vector
-        b = z.wsls_coefficients(z.PayoffMatrix(R=3, S=0, T=4.5, P=1)).coefficient_vector
+        a, b = (np.array(list(z.wsls_coefficients(pm).coefficients.values()))
+                for pm in (z.DEFAULT_PAYOFFS, z.PayoffMatrix(R=3, S=0, T=4.5, P=1)))
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_degenerate_payoffs_flagged(self):
