@@ -9,6 +9,7 @@ argument translate to the global frame with the CD<->DC swap where needed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -122,41 +123,73 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+#: Payoff tables that :func:`payoff_features` keeps, one per (payoffs,
+#: labels) pair; the least recently used goes first.
+FEATURE_CACHE_SIZE = 256
+
+
+def table_key(m: PayoffMatrix) -> tuple:
+    """A hashable key under which two payoff matrices share their tables.
+
+    ``==`` takes 0.0 for -0.0, but an odd power of a payoff keeps the sign
+    of a zero, so the key holds the payoffs' signs as well.
+    """
+    return m, tuple(math.copysign(1.0, v) for v in m.as_tuple())
+
+
 def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
     """The payoff features named by ``labels``, one row of four values each.
 
     The label ``(k1, k2)`` of nonnegative integers names the pointwise
     product s1^k1 * s2^k2, so ``(0, 0)`` is the all-ones vector, and
-    ``("exp", player, h)`` names e^{h * s_player} for a finite real h.
-    Any other label is a ValueError.  An exponential that can overflow a
-    double (|h| * max|payoff| > 700) is an OverflowError, and so is a power
-    that is not finite in double precision.  Returns shape (len(labels), 4).
+    ``("exp", player, h)`` names e^{h * s_player} for a finite real h,
+    taken as a double.  Any other label is a ValueError.  An exponential
+    that can overflow a double (|h| * max|payoff| > 700) is an
+    OverflowError, and so is a power that is not finite in double
+    precision.  Returns shape (len(labels), 4), read-only: every label is
+    checked on every call, and the rows of a recent (payoffs, labels) pair
+    are the array built for it before (see :data:`FEATURE_CACHE_SIZE`).
     """
+    canonical = []
+    for label in labels:
+        if (isinstance(label, tuple) and len(label) == 2
+                and all(_is_int(k) and k >= 0 for k in label)):
+            canonical.append((int(label[0]), int(label[1])))
+        elif (isinstance(label, tuple) and len(label) == 3 and label[0] == "exp"
+                and _is_int(label[1]) and label[1] in (1, 2)
+                and (_is_int(label[2]) or isinstance(label[2], (float, np.floating)))
+                and math.isfinite(label[2])):
+            exponent = abs(label[2]) * m.max_abs()
+            if exponent > 700.0:
+                raise OverflowError(
+                    f"|h| * max|payoff| = {exponent:g} exceeds the "
+                    "double-precision exponential range (700)"
+                )
+            canonical.append(("exp", int(label[1]), float(label[2])))
+        else:
+            raise ValueError(f"not a payoff feature label: {label!r}")
+    # one table per value: a label of another numeric type (np.int64(2) for 2)
+    # shares it, and one that failed the checks above (True, 1.0) never reaches it
+    return _feature_rows(table_key(m), tuple(canonical))
+
+
+@functools.lru_cache(maxsize=FEATURE_CACHE_SIZE)
+def _feature_rows(key: tuple, labels: tuple) -> np.ndarray:
+    m = key[0]
     s = np.array([payoff_vector(m, 1), payoff_vector(m, 2)])
     rows = np.empty((len(labels), 4))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, label in enumerate(labels):
-            if (isinstance(label, tuple) and len(label) == 2
-                    and all(_is_int(k) and k >= 0 for k in label)):
+            if len(label) == 2:
                 rows[i] = s[0] ** label[0] * s[1] ** label[1]
-            elif (isinstance(label, tuple) and len(label) == 3 and label[0] == "exp"
-                    and _is_int(label[1]) and label[1] in (1, 2)
-                    and (_is_int(label[2]) or isinstance(label[2], (float, np.floating)))
-                    and math.isfinite(label[2])):
-                exponent = abs(label[2]) * m.max_abs()
-                if exponent > 700.0:
-                    raise OverflowError(
-                        f"|h| * max|payoff| = {exponent:g} exceeds the "
-                        "double-precision exponential range (700)"
-                    )
-                rows[i] = np.exp(label[2] * s[label[1] - 1])
             else:
-                raise ValueError(f"not a payoff feature label: {label!r}")
+                rows[i] = np.exp(label[2] * s[label[1] - 1])
     if not np.isfinite(rows).all():
         k1, k2 = labels[int(np.argmin(np.isfinite(rows).all(axis=1)))]
         raise OverflowError(
             f"payoff power s1^{k1}*s2^{k2} overflows double precision at k={k1 + k2}"
         )
+    rows.flags.writeable = False
     return rows
 
 

@@ -17,8 +17,9 @@ enforced relation between averages.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .game import (
     global_frame,
     named_strategy,
     payoff_features,
+    table_key,
 )
 
 __all__ = [
@@ -49,6 +51,9 @@ __all__ = [
 RANK_TOL = 1e-9
 #: Residual 2-norm below which a decomposition counts as exact.
 EXACT_TOL = 1e-12
+#: Bases that the ``BasisSpec`` constructors keep, one per (kind, payoffs,
+#: labels); the least recently used goes first.
+BASIS_CACHE_SIZE = 64
 
 #: The cooperation-component target that both TFT identities must reproduce.
 _TFT_PD = np.array([0.0, -1.0, 1.0, 0.0])
@@ -94,11 +99,20 @@ def format_label(label) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BasisSpec:
-    """An ordered, labelled family of payoff-space basis vectors."""
+    """An ordered, labelled family of payoff-space basis vectors.
+
+    The ``zd``, ``monomial``, ``exponential`` and ``wsls4`` constructors
+    return one shared instance per payoffs and argument; every array of a
+    basis is read-only.  Building a basis also equilibrates it once for
+    :func:`decompose`: each column scaled to unit 2-norm, a zero column
+    keeping scale 1.
+    """
 
     kind: str
     labels: tuple
     matrix: np.ndarray  # shape (4, len(labels)), columns follow labels
+    _scale: np.ndarray = field(init=False, repr=False)
+    _equilibrated: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         matrix = np.array(self.matrix, dtype=float)
@@ -106,8 +120,17 @@ class BasisSpec:
             raise ValueError("basis matrix shape does not match its labels")
         if len(self.labels) == 0:
             raise ValueError("a basis must contain at least one vector")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        with np.errstate(over="ignore"):  # a sum of squares above 1e308 rescales
+            scale = np.linalg.norm(matrix, axis=0)
+            for j in np.flatnonzero(np.isinf(scale)).tolist():
+                peak = np.max(np.abs(matrix[:, j]))
+                scale[j] = peak * np.linalg.norm(matrix[:, j] / peak)
+        scale[scale == 0.0] = 1.0
+        equilibrated = matrix / scale
+        for name, array in (("matrix", matrix), ("_scale", scale),
+                            ("_equilibrated", equilibrated)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -115,8 +138,7 @@ class BasisSpec:
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
         """The classical basis {1, s1, s2}."""
-        labels = ((0, 0), (1, 0), (0, 1))
-        return cls("zd", labels, payoff_features(m, labels).T)
+        return _shared_basis(cls, "zd", table_key(m), ((0, 0), (1, 0), (0, 1)))
 
     @classmethod
     def monomial(cls, m: PayoffMatrix, max_total_degree: int = 3) -> "BasisSpec":
@@ -136,7 +158,7 @@ class BasisSpec:
             for total in range(max_total_degree + 1)
             for k1 in range(total, -1, -1)
         )
-        return cls(f"monomial:{max_total_degree}", labels, payoff_features(m, labels).T)
+        return _shared_basis(cls, f"monomial:{max_total_degree}", table_key(m), labels)
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
@@ -145,19 +167,23 @@ class BasisSpec:
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
-        return cls(f"exp:{h:g}", labels, payoff_features(m, labels).T)
+        return _shared_basis(cls, f"exp:{h:g}", table_key(m), labels)
 
     @classmethod
     def wsls4(cls, m: PayoffMatrix) -> "BasisSpec":
         """The four-vector basis (s1, s2, s1*s2, 1)."""
-        labels = ((1, 0), (0, 1), (1, 1), (0, 0))
-        return cls("wsls4", labels, payoff_features(m, labels).T)
+        return _shared_basis(cls, "wsls4", table_key(m), ((1, 0), (0, 1), (1, 1), (0, 0)))
 
     @classmethod
     def custom(cls, m: PayoffMatrix, labels: Sequence) -> "BasisSpec":
         """Any family of payoff-feature labels, as in :func:`payoff_features`."""
         labels = tuple(labels)
         return cls("custom", labels, payoff_features(m, labels).T)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _shared_basis(cls, kind: str, key: tuple, labels: tuple) -> BasisSpec:
+    return cls(kind, labels, payoff_features(key[0], labels).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +204,11 @@ class DecompositionResult:
 def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     """Decompose a Press-Dyson vector, or any 4-vector, against a basis.
 
-    Least squares over the equilibrated basis, each column scaled to unit
-    2-norm (a zero column keeps scale 1), so that columns of very different
-    magnitude (5^20 against 1) do not hide the small ones below the rank
-    threshold ``RANK_TOL``, relative to the largest singular value.  A
+    Least squares over the basis as equilibrated when it was built, each
+    column scaled to unit 2-norm (a zero column keeps scale 1), so that
+    columns of very different magnitude (5^20 against 1) do not hide the
+    small ones below the rank threshold ``RANK_TOL``, relative to the
+    largest singular value.  A
     rank-deficient or overcomplete basis is reported through ``rank``,
     never an error; its coefficients are the solution whose scaled
     coefficients (coefficient times column norm) have minimum norm.  The
@@ -189,14 +216,8 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     its 2-norm is at most ``EXACT_TOL``.
     """
     target = np.asarray(pd, dtype=float)
-    with np.errstate(over="ignore"):  # a sum of squares above 1e308 rescales
-        scale = np.linalg.norm(basis.matrix, axis=0)
-        for j in np.flatnonzero(np.isinf(scale)).tolist():
-            peak = np.max(np.abs(basis.matrix[:, j]))
-            scale[j] = peak * np.linalg.norm(basis.matrix[:, j] / peak)
-    scale[scale == 0.0] = 1.0
-    coef, _, rank, _ = np.linalg.lstsq(basis.matrix / scale, target, rcond=RANK_TOL)
-    coef = coef / scale
+    coef, _, rank, _ = np.linalg.lstsq(basis._equilibrated, target, rcond=RANK_TOL)
+    coef = coef / basis._scale
     residual = target - basis.matrix @ coef
     residual.flags.writeable = False
     norm = float(np.linalg.norm(residual))

@@ -18,3 +18,25 @@ def random_strategies():
         return [z.MemoryOneStrategy(tuple(rng.random(4))) for _ in range(n)]
 
     return make
+
+
+@pytest.fixture(params=["cold", "warm"])
+def table_caches(request, m):
+    """Empty the payoff-table and basis caches, then fill them for ``warm``.
+
+    The warm-up caches the rows of ``(0, 0)``, ``(1, 0)``, ``(0, 1)`` and
+    ``("exp", 1, 0.5)``, alone and together, and every shared basis at the
+    default payoffs, so a test that takes this fixture runs once against
+    built tables and once against tables it builds itself.
+    """
+    z.game._feature_rows.cache_clear()
+    z.pressdyson._shared_basis.cache_clear()
+    if request.param == "warm":
+        labels = [(0, 0), (1, 0), (0, 1), ("exp", 1, 0.5)]
+        for some in [labels] + [[label] for label in labels]:
+            z.payoff_features(m, some)
+        for basis in (z.BasisSpec.zd(m), z.BasisSpec.wsls4(m), z.BasisSpec.monomial(m, 3)):
+            z.decompose(z.press_dyson(z.WSLS, 1), basis)
+        for h in (0.5, 2.0, -1.0):
+            z.BasisSpec.exponential(m, h)
+    return request.param

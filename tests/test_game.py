@@ -76,6 +76,42 @@ class TestPayoffVectors:
             with pytest.raises(ValueError, match="label"):
                 z.payoff_features(m, [label])
 
+    @pytest.mark.parametrize("label", [(True, 0), (1.0, 0), (0, False), ("exp", 1.0, 0.5),
+                                       ("exp", True, 0.5)])
+    def test_labels_equal_to_cached_ones_rejected(self, m, table_caches, label):
+        # each compares equal to (1, 0), (0, 0) or ("exp", 1, 0.5), whose rows
+        # the warm cache holds
+        with pytest.raises(ValueError, match="label"):
+            z.payoff_features(m, [label])
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 20), st.integers(0, 20)),
+            st.tuples(st.just("exp"), st.sampled_from([1, 2]),
+                      st.floats(-100.0, 100.0, allow_nan=False)),
+        ),
+        min_size=1, max_size=8,
+    ))
+    def test_cached_rows_are_read_only_and_keep_their_bits(self, labels):
+        m = z.DEFAULT_PAYOFFS
+        z.game._feature_rows.cache_clear()
+        cold = z.payoff_features(m, labels)
+        warm = z.payoff_features(m, labels)
+        as_numpy = [tuple(np.int64(x) if type(x) is int else x for x in label)
+                    for label in labels]
+        for rows in (cold, warm, z.payoff_features(m, as_numpy)):
+            assert not rows.flags.writeable
+            assert rows.shape == (len(labels), 4)
+            np.testing.assert_array_equal(rows.view(np.int64), cold.view(np.int64))
+
+    def test_zero_payoffs_keep_their_sign(self, table_caches):
+        # 0.0 == -0.0, but s1 keeps the sign of a zero payoff
+        for S in (0.0, -0.0, 0.0):
+            m = z.PayoffMatrix(3.0, S, 5.0, 1.0)
+            row = z.payoff_features(m, [(1, 0)])[0]
+            assert np.signbit(row[1]) == np.signbit(S)
+            assert np.signbit(z.BasisSpec.zd(m).matrix[1, 1]) == np.signbit(S)
+
     @given(st.integers(min_value=1, max_value=10))
     def test_power_matches_repeated_multiplication(self, k):
         v = z.payoff_vector(z.DEFAULT_PAYOFFS, 1)

@@ -50,6 +50,9 @@ KERNEL_CASES = {
     "deterministic": ("wsls", "0,1,1,0", 5000, 3, None, 0.0),
     "noise one half": ("all_c", "all_d", 20_000, 10, CC, 0.5),
     "near-deterministic": ("tft", "1,1e-9,0.999999999,0", 50_000, 0, None, 0.0),
+    # equal thresholds in several states, and thresholds 0 and 1, which
+    # every uniform passes or none does
+    "tied thresholds": ("custom:0.5,0.5,0.2,0.5", "custom:0,1,0,1", 20_000, 5, None, 0.0),
 }
 
 

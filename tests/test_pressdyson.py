@@ -163,6 +163,25 @@ class TestBasisSpec:
         with pytest.raises(OverflowError, match="exponential range"):
             z.BasisSpec.exponential(m, 1000.0)  # 1000 * 5 > 700
 
+    @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2"),
+                                         (np.array(-1.0), "exp:-1"), (np.array(0.25), "exp:0.25")])
+    def test_exponential_accepts_any_real_h(self, m, table_caches, h, kind):
+        basis = z.BasisSpec.exponential(m, h)
+        assert basis.kind == kind
+        assert basis.labels == ((0, 0), ("exp", 1, float(h)), ("exp", 2, float(h)))
+        assert all(type(label[2]) is float for label in basis.labels[1:])
+        assert z.BasisSpec.exponential(m, float(h)) is basis
+
+    def test_constructors_share_read_only_instances(self, m, table_caches):
+        for build in (z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 3),
+                      lambda m: z.BasisSpec.exponential(m, 0.5)):
+            basis = build(m)
+            assert build(z.PayoffMatrix(3, 0, 5, 1)) is basis
+            assert build(z.PayoffMatrix(3, 0, 5.5, 1)) is not basis
+            for array in (basis.matrix, basis._scale, basis._equilibrated):
+                assert not array.flags.writeable
+        assert z.BasisSpec.custom(m, [(0, 0)]) is not z.BasisSpec.custom(m, [(0, 0)])
+
     def test_custom_basis(self, m):
         basis = z.BasisSpec.custom(m, [(1, 0), (0, 0)])
         assert basis.labels == ((1, 0), (0, 0))
@@ -257,6 +276,40 @@ class TestDecompose:
         result = z.decompose(z.press_dyson(z.TFT, 1), padded)
         assert result.exact and result.rank == 3
         assert result.coefficients["zero"] == 0.0
+
+    @pytest.mark.parametrize("build", [
+        None, z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 12),
+        lambda m: z.BasisSpec.exponential(m, 0.5),
+    ], ids=["direct", "zd", "wsls4", "monomial:12", "exp:0.5"])
+    def test_matches_equilibration_on_every_call(self, m, table_caches, build):
+        # the scales a basis computes once give decompose the bits of
+        # equilibrating on every call
+        def per_call(target, B):
+            with np.errstate(over="ignore"):
+                scale = np.linalg.norm(B, axis=0)
+                for j in np.flatnonzero(np.isinf(scale)).tolist():
+                    peak = np.max(np.abs(B[:, j]))
+                    scale[j] = peak * np.linalg.norm(B[:, j] / peak)
+            scale[scale == 0.0] = 1.0
+            coef, _, rank, _ = np.linalg.lstsq(B / scale, target, rcond=z.pressdyson.RANK_TOL)
+            coef = coef / scale
+            return coef, target - B @ coef, rank
+
+        if build is None:
+            # the second column's sum of squares overflows; the third is zero
+            columns = [np.ones(4), [1e160, 0.0, 1.5e160, 1.0], np.zeros(4),
+                       [3e-300, 0.0, 1e-300, 2.0]]
+            basis = z.BasisSpec("direct", ("1", "big", "zero", "tiny"), np.column_stack(columns))
+        else:
+            basis = build(m)
+        rng = np.random.default_rng(8)
+        for target in [z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1)] + list(rng.random((20, 4))):
+            result = z.decompose(target, basis)
+            coef, residual, rank = per_call(np.asarray(target, dtype=float), basis.matrix)
+            np.testing.assert_array_equal(
+                np.array(list(result.coefficients.values())).view(np.int64), coef.view(np.int64))
+            np.testing.assert_array_equal(result.residual.view(np.int64), residual.view(np.int64))
+            assert result.rank == rank
 
     def test_decompose_accepts_raw_arrays(self, m):
         for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
