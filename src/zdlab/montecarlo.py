@@ -11,8 +11,10 @@ and distributions are :mod:`zdlab.moments` averages under its frequencies.
 
 The counting kernel is numpy only.  It draws the uniforms in fixed-size
 chunks, which reproduces the stream of a single draw, and scans each
-chunk in blocks: it makes the same ``u >= p`` comparisons as a
-round-by-round loop, so the counts are exactly the loop's, with memory
+chunk once, in blocks: it composes the blocks' next-state maps keeping
+each prefix, walks the blocks' entry states, then gathers every round's
+state; nothing is replayed.  It makes the same ``u >= p`` comparisons as
+a round-by-round loop, so the counts are exactly the loop's, with memory
 bounded by the chunk size rather than the number of rounds.
 """
 
@@ -48,8 +50,6 @@ _SEED_MODULUS = 2**64
 
 #: Rounds per chunk of uniforms; the kernel's buffers are O(chunk), not O(rounds).
 _CHUNK_ROUNDS = 2**17
-#: Shortest block of the scan; blocks are otherwise about sqrt(chunk) rounds.
-_MIN_BLOCK = 8
 
 _IDENTITY = np.arange(4, dtype=np.int8)
 
@@ -90,6 +90,8 @@ class SimulationConfig:
             raise ValueError(f"noise must lie in [0, 1/2], got {float(self.noise)!r}")
         object.__setattr__(self, "noise", float(self.noise))
         if self.initial is not None and not isinstance(self.initial, JointState):
+            if isinstance(self.initial, bool):
+                raise ValueError(f"initial must be a state or distribution, not {self.initial!r}")
             if isinstance(self.initial, (int, np.integer)):
                 object.__setattr__(self, "initial", JointState(int(self.initial)))
             else:
@@ -124,41 +126,37 @@ def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.
     """Count the states of rounds ``burn_in`` to ``rounds - 1``.
 
     Round t moves state s to ``2*(u1[t] >= p1[s]) + (u2[t] >= p2[s])``.  Each
-    chunk of rounds is split into blocks; the next-state maps of every block
-    are composed, vectorised over blocks; a sequential walk through the
-    composed maps gives each block's entry state; and a replay of all blocks
-    at once from their entry states yields every round's state.
+    chunk is split into blocks of about sqrt(chunk) rounds.  The blocks'
+    next-state maps are composed round by round, vectorised over blocks, and
+    each prefix is kept: the state after that round for each entry state.  A
+    sequential walk through the full compositions gives each block's entry
+    state, and one gather by entry state reads every round's state.
     """
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, rounds, _CHUNK_ROUNDS):
         size = min(_CHUNK_ROUNDS, rounds - start)
-        block = max(_MIN_BLOCK, math.isqrt(size))
+        block = math.isqrt(size)
         blocks = -(-size // block)
         pad = blocks * block - size
         u = np.zeros((size + pad, 2))
         rng.random(out=u[:size])
-        # maps[j, 4*b + s]: the state after round b*block + j, entered from s;
-        # one pass per state, since a 4-wide inner loop per round is slower
+        # maps[j, b, s]: the state after round b*block + j from state s before it,
+        # then, composed in place, from state s on entering block b; one pass
+        # per state, since a 4-wide inner loop per round is slower
         u = u.reshape(blocks, block, 2).transpose(1, 0, 2)
         maps = np.empty((block, blocks, 4), dtype=np.int8)
         for s in range(4):
             maps[:, :, s] = (u[:, :, 0] >= p1[s]) * np.int8(2) + (u[:, :, 1] >= p2[s])
-        maps = maps.reshape(block, 4 * blocks)
-        maps[block - pad:, -4:] = _IDENTITY  # padding rounds keep the state
-        offsets = np.arange(0, 4 * blocks, 4)
-        lanes = np.repeat(offsets, 4)
+        maps[block - pad:, -1] = _IDENTITY  # padding rounds keep the state
+        lanes = np.repeat(np.arange(0, 4 * blocks, 4), 4)
         composed = np.tile(_IDENTITY, blocks)
-        for step in maps:
-            composed = step.take(lanes + composed)
+        for step in maps.reshape(block, 4 * blocks):
+            step[:] = composed = step.take(lanes + composed)
         entries = [state]
         for table in composed.reshape(blocks, 4).tolist():
             entries.append(table[entries[-1]])
         state = entries.pop()
-        path = np.empty((blocks, block), dtype=np.int8)
-        current = np.array(entries)
-        for j, step in enumerate(maps):
-            current = step.take(offsets + current)
-            path[:, j] = current
+        path = maps[:, np.arange(blocks), entries].T
         first = max(burn_in - start, 0)
         counts += np.bincount(path.reshape(-1)[first:size], minlength=4)
     return tuple(int(c) for c in counts)

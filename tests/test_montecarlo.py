@@ -42,7 +42,7 @@ MIXED = "0.9,0.2,0.6,0.35"
 # (strategy1, strategy2, rounds, burn_in, initial, noise)
 KERNEL_CASES = {
     "one round": ("tft", MIXED, 1, 0, None, 0.0),
-    "below one block": ("tft", MIXED, montecarlo._MIN_BLOCK - 1, 2, CD, 0.0),
+    "below one block": ("tft", MIXED, 7, 2, CD, 0.0),
     "one chunk": ("wsls", MIXED, CHUNK, 0, (0.1, 0.2, 0.3, 0.4), 0.0),
     "one chunk plus one": ("tft", MIXED, CHUNK + 1, 1000, None, 0.0),
     "burn-in across a block boundary": ("tft", MIXED, 10_000, 137, DC, 0.0),
@@ -107,6 +107,13 @@ class TestConfig:
                 build()
             assert str(excinfo.value) == message
         assert type(z.SimulationConfig(noise=np.float64(0.1)).noise) is float
+
+    @pytest.mark.parametrize("initial", [True, False])
+    def test_bool_initial_refused(self, initial):
+        # True used to start every run in CD and False in CC
+        message = f"initial must be a state or distribution, not {initial}"
+        with pytest.raises(ValueError, match=message):
+            z.SimulationConfig(initial=initial)
 
     def test_rounds_positive(self):
         with pytest.raises(ValueError):
@@ -182,6 +189,16 @@ class TestSimulate:
             rounds=rounds, seed=4321, initial=initial, burn_in=burn_in, noise=noise
         )
         assert z.simulate(s1, s2, cfg).state_counts == sequential_counts(s1, s2, cfg)
+
+    @pytest.mark.parametrize("initial", [None, DC], ids=["uniform", "DC"])
+    def test_short_runs_match_sequential_loop(self, initial):
+        # every block shape from one round to 70, with a padded last block
+        # wherever the rounds are not a multiple of the block length
+        s1, s2 = z.TFT, z.parse_strategy(MIXED)
+        for rounds in range(1, 71):
+            cfg = z.SimulationConfig(rounds=rounds, seed=rounds, initial=initial,
+                                     burn_in=rounds // 2)
+            assert z.simulate(s1, s2, cfg).state_counts == sequential_counts(s1, s2, cfg), rounds
 
     def test_memory_is_bounded_by_the_chunk(self):
         # the uniforms of 2e6 rounds alone take 32 MB; the kernel draws them
