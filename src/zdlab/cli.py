@@ -19,6 +19,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -124,12 +126,22 @@ def _manifest(command: str, m: PayoffMatrix | None, parameters: dict,
     }
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to stdout, or over the file ``out`` in place.
+
+    Every file the CLI writes goes through here, opened without ``O_TRUNC``
+    and cut to length after the write if it is a regular file: truncating a
+    non-empty file to zero makes ext4 (``auto_da_alloc``) start writeback on
+    close, and the next truncating open of it waits for that writeback.
+    """
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="",
+                  opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)) as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -168,7 +180,7 @@ def _emit_csv(header: list[str], columns: list, out: str | None, manifest: dict)
     if out is None:
         sys.stderr.write(manifest_text)
     else:
-        Path(out).with_suffix(".manifest.json").write_text(manifest_text)
+        _write_text(manifest_text, Path(out).with_suffix(".manifest.json"))
 
 
 def _moment_features(m: PayoffMatrix, k_max: int, h_grid=()) -> tuple[list, np.ndarray]:
@@ -372,7 +384,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
         header = ["state", "count", "frequency"]
         columns = [["cc", "cd", "dc", "dd"], report.state_counts, report.frequencies]
-        Path(args.out).with_suffix(".csv").write_text(_csv_text(header, columns), newline="")
+        _write_text(_csv_text(header, columns), Path(args.out).with_suffix(".csv"))
     return 0
 
 

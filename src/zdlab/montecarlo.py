@@ -133,18 +133,24 @@ def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.
     state, and one gather by entry state reads every round's state.
     """
     counts = np.zeros(4, dtype=np.int64)
+    # one buffer each for all chunks' draws and maps, padding (< isqrt(size)) included;
+    # stale padding draws are harmless, as padding rounds get identity maps
+    rows = min(_CHUNK_ROUNDS, rounds)
+    rows += math.isqrt(rows)
+    draws = np.empty((rows, 2))
+    cells = np.empty(4 * rows, dtype=np.int8)
     for start in range(0, rounds, _CHUNK_ROUNDS):
         size = min(_CHUNK_ROUNDS, rounds - start)
         block = math.isqrt(size)
         blocks = -(-size // block)
         pad = blocks * block - size
-        u = np.zeros((size + pad, 2))
+        u = draws[:size + pad]
         rng.random(out=u[:size])
         # maps[j, b, s]: the state after round b*block + j from state s before it,
         # then, composed in place, from state s on entering block b; one pass
         # per state, since a 4-wide inner loop per round is slower
         u = u.reshape(blocks, block, 2).transpose(1, 0, 2)
-        maps = np.empty((block, blocks, 4), dtype=np.int8)
+        maps = cells[:4 * (size + pad)].reshape(block, blocks, 4)
         for s in range(4):
             maps[:, :, s] = (u[:, :, 0] >= p1[s]) * np.int8(2) + (u[:, :, 1] >= p2[s])
         maps[block - pad:, -1] = _IDENTITY  # padding rounds keep the state

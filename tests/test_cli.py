@@ -502,6 +502,73 @@ class TestCsvOutput:
         assert cli._csv_text(header, columns) == _reference_csv(header, columns)
 
 
+#: Commands writing ``--out`` (file name, then argv) and the suffixes of the
+#: files beside it: the manifest sidecar of a CSV table, simulate's state table.
+OUT_CASES = {
+    "verify-tft csv": ("run.csv", ["verify-tft", "--random", "5", "--seed", "3"],
+                       [".manifest.json"]),
+    "sweep csv": ("run.csv", ["sweep", "--tft-k-range", "1:4"], [".manifest.json"]),
+    "decompose json": ("run.json", ["decompose", "wsls", "--basis", "wsls4"], []),
+    "simulate": ("run.json", ["simulate", "tft", "random:0.3", "--rounds", "2000",
+                              "--seed", "9"], [".csv"]),
+}
+
+
+class TestOutFiles:
+    """``--out`` and the files beside it are rewritten in place and cut to length."""
+
+    @pytest.mark.parametrize("case", sorted(OUT_CASES))
+    def test_rewrite_over_longer_junk_matches_fresh_run(self, case, tmp_path, capsys):
+        name, argv, suffixes = OUT_CASES[case]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        fresh.mkdir()
+        reused.mkdir()
+        paths = [Path(name)] + [Path(name).with_suffix(s) for s in suffixes]
+        assert _run(argv + ["--out", str(fresh / name)], capsys)[0] == 0
+        expected = {p: (fresh / p).read_bytes() for p in paths}
+        for p in paths:
+            (reused / p).write_bytes(b"junk\n" * (len(expected[p]) + 1000))
+        assert _run(argv + ["--out", str(reused / name)], capsys)[0] == 0
+        assert {p: (reused / p).read_bytes() for p in paths} == expected
+
+    def test_inode_mode_and_symlink_kept(self, tmp_path, capsys):
+        argv = ["verify-tft", "--random", "5", "--seed", "3"]
+        fresh = tmp_path / "fresh.csv"
+        assert _run(argv + ["--out", str(fresh)], capsys)[0] == 0
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"junk\n" * 10**4)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        inode = target.stat().st_ino
+        assert _run(argv + ["--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert (target.stat().st_ino, target.stat().st_mode & 0o777) == (inode, 0o640)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("argv", [
+        ["verify-tft", "--random", "5"],
+        ["decompose", "tft"],
+        ["simulate", "tft", "wsls", "--rounds", "100"],
+    ])
+    def test_directory_out_is_usage_error(self, argv, tmp_path, capsys):
+        before = os.listdir("/proc/self/fd")
+        code, stdout, err = _run(argv + ["--out", str(tmp_path)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(os.listdir("/proc/self/fd")) == len(before)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_non_regular_target(self, capsys):
+        # a device cannot be cut to length; CSV commands and simulate would
+        # also write a sidecar beside it, so only a JSON decompose goes there
+        code, stdout, err = _run(
+            ["decompose", "tft", "--format", "json", "--out", os.devnull], capsys
+        )
+        assert (code, stdout, err) == (0, "", "")
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         result = subprocess.run(

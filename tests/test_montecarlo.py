@@ -202,7 +202,7 @@ class TestSimulate:
 
     def test_memory_is_bounded_by_the_chunk(self):
         # the uniforms of 2e6 rounds alone take 32 MB; the kernel draws them
-        # chunk by chunk
+        # chunk by chunk into one buffer (peak 4.4 MB on a first call, 3.7 MB after)
         cfg = z.SimulationConfig(rounds=2 * 10**6, seed=3, burn_in=0)
         tracemalloc.start()
         try:
@@ -210,7 +210,7 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMomentConsistency:
