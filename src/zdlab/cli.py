@@ -425,14 +425,13 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
 def cmd_sweep(args: argparse.Namespace) -> int:
     modes = [args.wsls_coeffs, args.tft_k_range is not None, args.h_range is not None]
     if sum(modes) != 1:
-        raise ValueError(
-            "choose exactly one of --wsls-coeffs, --tft-k-range, --h-range"
-        )
+        raise ValueError("choose exactly one of --wsls-coeffs, --tft-k-range, --h-range")
+    if (args.payoff_grid is None) == args.wsls_coeffs:
+        raise ValueError("--wsls-coeffs requires --payoff-grid" if args.wsls_coeffs
+                         else "--payoff-grid goes with --wsls-coeffs only; use --payoffs")
     base = _parse_payoffs(args.payoffs)
 
     if args.wsls_coeffs:
-        if args.payoff_grid is None:
-            raise ValueError("--wsls-coeffs requires --payoff-grid")
         points = _parse_payoff_grid(args.payoff_grid, base)
         header = ["R", "S", "T", "P", "alpha_s1", "alpha_s2", "alpha_s1s2",
                   "gamma", "residual_norm", "rank", "exact", "error"]

@@ -24,9 +24,9 @@ The elimination works on a stack of chains at once (:func:`cesaro_limits`).
 Chains sharing a support pattern share their classification and their
 elimination order, so each pattern is classified once and eliminated as
 one vectorised group; :func:`cesaro_limit` is its N=1 case.  Every
-dot product goes through numpy's stacked vector-vector ``matmul``, which
-makes one BLAS dot per pair whatever the stack size, so a chain's result
-does not depend on the batch it was solved in.
+weighted sum over states in the package is :func:`ordered_dot`, which adds
+its terms first to last in elementwise numpy and never calls BLAS, so a
+result has the same bits on every CPU and in every batch.
 """
 
 from __future__ import annotations
@@ -210,9 +210,12 @@ class LimitBatch(NamedTuple):
     unique: np.ndarray
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (G, n) stacks, one BLAS dot per row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of ``a * b`` over the last axis, added first to last: ((t0 + t1) + t2) + t3."""
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, max(a.shape[-1], b.shape[-1])):  # unequal lengths: IndexError
+        total += a[..., j] * b[..., j]
+    return total
 
 
 def _gth_stack(P: np.ndarray) -> np.ndarray:
@@ -229,7 +232,7 @@ def _gth_stack(P: np.ndarray) -> np.ndarray:
         P[:, :k, :k] += P[:, :k, k, None] * P[:, k, None, :k]
     x = np.ones((len(P), n))
     for k in range(1, n):
-        x[:, k] = _dot(x[:, :k], P[:, :k, k])
+        x[:, k] = ordered_dot(x[:, :k], P[:, :k, k])
     return x / x.sum(axis=1, keepdims=True)
 
 
@@ -279,7 +282,7 @@ def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
         members = np.flatnonzero(group == index)
         pis[members] = _solve_group(Ms[members], pi0, structure)
     pis.flags.writeable = False
-    residuals = np.abs(np.matmul(Ms, pis[:, :, None])[:, :, 0] - pis).max(axis=1)
+    residuals = np.abs(ordered_dot(Ms, pis[:, None, :]) - pis).max(axis=1)
     unique = np.array([structure.unique for structure in structures])[group]
     unique.flags.writeable = False
     return LimitBatch(

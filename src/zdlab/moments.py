@@ -4,11 +4,11 @@ Every moment, cross moment, MGF value and enforced relation is an average
 <f, pi> of a payoff feature f (a power, product or exponential of payoff
 vectors) under a state distribution pi, and all of them go through one kernel,
 :func:`feature_averages`, which evaluates a stack of features under a stack
-of distributions.  It makes one BLAS dot per (distribution, feature) pair,
-so a value does not depend on how many others are computed with it.  The
-features are rows of :func:`zdlab.game.payoff_features`: player 1's k-th
-moment averages the ``(k, 0)`` row, a cross moment the ``(k1, k2)`` row
-and an MGF value the ``("exp", player, h)`` row.  A payoff distribution is
+of distributions.  Each average adds its four terms first to last, with no
+BLAS call, so a value has the same bits on every CPU and whatever else is
+computed with it.  The features are rows of :func:`zdlab.game.payoff_features`:
+player 1's k-th moment averages the ``(k, 0)`` row, a cross moment the
+``(k1, k2)`` row and an MGF value the ``("exp", player, h)`` row.  A payoff distribution is
 the (support, probabilities) pair that :func:`payoff_distributions`
 builds, and it has one outcome rule: sorted by value, a payoff within :data:`VALUE_TOL` of the
 first value of the current cluster joins that cluster as one outcome.  The
@@ -24,6 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .game import PayoffMatrix, payoff_features
+from .markov import ordered_dot
 
 __all__ = [
     "feature_averages",
@@ -59,13 +60,12 @@ def feature_averages(F, pi) -> np.ndarray:
     """Averages <f, pi> of every feature row f of ``F`` under every ``pi``.
 
     ``F`` has shape (m, 4) and ``pi`` (..., 4); the result has shape
-    (..., m).  Each entry is one BLAS dot, as ``np.dot(f, pi)`` would
-    compute it; a matrix product would switch BLAS kernels with the stack
-    size and round differently.
+    (..., m).  Each entry is ((f0*p0 + f1*p1) + f2*p2) + f3*p3, added in
+    that order whatever the CPU and the stack size.
     """
     F = np.asarray(F, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    return np.matmul(pi[..., None, None, :], F[:, :, None])[..., 0, 0]
+    return ordered_dot(pi[..., None, :], F)
 
 
 def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
@@ -79,12 +79,14 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     chain in which the decomposed player uses the corresponding strategy,
     the result is the enforced relation and vanishes.
     """
+    if not coeffs:
+        return 0.0  # the empty sum
     for label in coeffs:
         if isinstance(label, tuple) and len(label) == 2:
             for k in label:
                 _check_k(k)
     averages = feature_averages(payoff_features(m, list(coeffs)), pi)
-    return float(np.dot(list(coeffs.values()), averages))
+    return float(ordered_dot(np.array(list(coeffs.values()), dtype=float), averages))
 
 
 def payoff_distributions(v, pi):

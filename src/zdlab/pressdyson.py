@@ -33,6 +33,7 @@ from .game import (
     payoff_features,
     table_key,
 )
+from .markov import ordered_dot
 
 __all__ = [
     "BasisSpec",
@@ -83,7 +84,7 @@ def akin_residual(pd, pi) -> float:
     of a chain in which the vector's owner plays the decomposed strategy;
     a visibly nonzero value therefore flags an inconsistent ``pi``.
     """
-    return float(np.dot(pd, np.asarray(pi, dtype=float)))
+    return float(ordered_dot(np.asarray(pd, dtype=float), np.asarray(pi, dtype=float)))
 
 
 def format_label(label) -> str:

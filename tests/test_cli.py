@@ -16,6 +16,14 @@ import zdlab as z
 from zdlab import cli
 from zdlab.cli import main
 
+# Provenance.  Five cases were re-captured when every average over states
+# became a first-to-last sum: the dev_* cells of verify-tft's random_300,
+# random_40_options and verify_random_10000, and the moments of simulate's
+# epsilon and long_uniform.  Their bytes are what the BLAS-dot code printed on
+# OpenBLAS's Haswell kernels, and every kernel now prints them.  Only
+# decompose_monomial_csv and sweep_wsls_grid still go through LAPACK, and
+# they hold the bits of the SkylakeX (AVX-512) kernels.
+
 #: Seeded ``simulate --out`` invocations and the JSON and CSV bytes they wrote.
 SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_cli.json").read_text())
 #: Seeded ``verify-tft --out`` invocations with their exit code, stderr and
@@ -640,6 +648,11 @@ class TestEntryPoints:
         (["sweep", "--wsls-coeffs", "--payoff-grid", "X=1"], "unknown payoff symbol"),
         (["sweep", "--wsls-coeffs", "--payoff-grid", "T="], "empty value list"),
         (["sweep", "--wsls-coeffs"], "requires --payoff-grid"),
+        # the identity sweeps used to ignore the grid and print T = 5's values
+        (["sweep", "--tft-k-range", "1:2", "--payoff-grid", "T=9"],
+         "--payoff-grid goes with --wsls-coeffs only"),
+        (["sweep", "--h-range", "0.5", "--payoff-grid", "T=9"],
+         "--payoff-grid goes with --wsls-coeffs only"),
         (["simulate", "tft", "all_d", "--burn-in", "-1"], "burn_in must be nonnegative"),
         (["decompose", "tft", "--basis", "monomial:-1"], "max_total_degree"),
         # one deviation used to overwrite the other under the shared label

@@ -254,6 +254,16 @@ class TestCesaroLimits:
         pi = z.cesaro_limits(periodic[None], z.point_mass(CD)).distributions[0]
         np.testing.assert_allclose(pi, _cesaro_brute(periodic, z.point_mass(CD), 20000), atol=1e-3)
 
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_residuals_are_in_order_sums(self, n):
+        # bit for bit max_i |(M pi)_i - pi_i|, each (M pi)_i added first to
+        # last, whatever the stack size and the CPU
+        Ms = np.array([z.transition_matrix(s1, s2) for s1, s2 in _random_pairs(n, seed=13)])
+        batch = z.cesaro_limits(Ms)
+        for M, pi, residual in zip(Ms.tolist(), batch.distributions.tolist(), batch.residuals):
+            Mpi = [((r[0] * pi[0] + r[1] * pi[1]) + r[2] * pi[2]) + r[3] * pi[3] for r in M]
+            assert residual == max(abs(x - p) for x, p in zip(Mpi, pi))
+
     def test_distributions_read_only(self):
         batch = z.cesaro_limits(BATCH_CHAINS[:3])
         with pytest.raises(ValueError):

@@ -9,11 +9,19 @@ import zdlab as z
 CYCLE = np.array([0.0, 0.5, 0.5, 0.0])  # TFT-vs-TFT average over the CD/DC cycle
 
 
+def _in_order(xs, ys) -> float:
+    """sum x*y in Python floats, added first to last (``sum`` compensates since 3.12)."""
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total = total + x * y
+    return total
+
+
 class TestFeatureAverages:
     @pytest.mark.parametrize("n", [1, 2, 200])
     def test_every_entry_is_the_plain_dot(self, n):
-        # bit for bit whatever the stack size: a matrix product would switch
-        # BLAS kernels with n and round differently
+        # bit for bit whatever the stack size and the CPU: a BLAS dot's
+        # rounding follows the kernel it loads and the stack size
         rng = np.random.Generator(np.random.PCG64(n))
         pis = rng.dirichlet(np.ones(4), size=n)
         F = np.concatenate([
@@ -23,9 +31,16 @@ class TestFeatureAverages:
         ])
         averages = z.feature_averages(F, pis)
         assert averages.shape == (n, len(F))
-        expected = np.array([[np.dot(f, pi) for f in F] for pi in pis])
+        expected = np.array([[_in_order(f, pi) for f in F.tolist()] for pi in pis.tolist()])
         np.testing.assert_array_equal(averages, expected)
         np.testing.assert_array_equal(z.feature_averages(F, pis[0]), expected[0])
+
+    def test_length_mismatch_is_an_error(self, m):
+        # never an average over the shorter row's states alone
+        F = z.payoff_features(m, [(1, 0), (2, 0)])
+        for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
+            with pytest.raises((ValueError, IndexError)):
+                z.feature_averages(F, pi)
 
     @pytest.mark.parametrize("k_max", [0, -1, 21, 2.0, True])
     def test_moment_orders_validated(self, k_max):
@@ -123,6 +138,19 @@ class TestRelationValue:
         c = 1.0 / (math.exp(h * m.T) - math.exp(h * m.S))
         coeffs = {("exp", 1, h): c, ("exp", 2, h): -c}
         assert z.relation_value(coeffs, CYCLE, m) == pytest.approx(0.0, abs=1e-15)
+
+    def test_every_value_is_an_in_order_sum(self, m):
+        # bit for bit: each average, then the coefficients against them
+        rng = np.random.Generator(np.random.PCG64(11))
+        labels = [(0, 0), (1, 0), (0, 1), (1, 1), (3, 2), ("exp", 1, 0.4), ("exp", 2, -1.5)]
+        F = z.payoff_features(m, labels).tolist()
+        for pi in rng.dirichlet(np.ones(4), size=200).tolist():
+            coeffs = dict(zip(labels, rng.normal(size=len(labels)).tolist()))
+            averages = [_in_order(f, pi) for f in F]
+            assert z.relation_value(coeffs, pi, m) == _in_order(list(coeffs.values()), averages)
+
+    def test_empty_relation_is_zero(self, m):
+        assert z.relation_value({}, CYCLE, m) == 0.0
 
     def test_all_zero_coefficients(self, m):
         assert z.relation_value({(1, 0): 0.0, (0, 1): 0.0}, CYCLE, m) == 0.0

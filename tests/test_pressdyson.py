@@ -89,6 +89,22 @@ class TestAkinResidual:
         pd = z.press_dyson(z.TFT, 1)
         assert z.akin_residual(pd, z.point_mass(z.JointState.CD)) == -1.0
 
+    def test_is_an_in_order_sum(self, random_strategies):
+        # bit for bit ((d0*p0 + d1*p1) + d2*p2) + d3*p3, whatever the CPU
+        rng = np.random.Generator(np.random.PCG64(12))
+        for strategy in random_strategies(200, seed=12):
+            pd = z.press_dyson(strategy, 2).tolist()
+            pi = rng.dirichlet(np.ones(4)).tolist()
+            expected = ((pd[0] * pi[0] + pd[1] * pi[1]) + pd[2] * pi[2]) + pd[3] * pi[3]
+            assert z.akin_residual(pd, pi) == expected
+
+    def test_length_mismatch_is_an_error(self):
+        # never a sum over the shorter vector's states alone
+        pd = z.press_dyson(z.TFT, 1)
+        for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
+            with pytest.raises((ValueError, IndexError)):
+                z.akin_residual(pd, pi)
+
     def test_vanishes_on_cesaro_limits(self, random_strategies):
         focals = [z.TFT, z.WSLS, z.ALL_C, z.ALL_D]
         for opponent in random_strategies(1000, seed=11):
