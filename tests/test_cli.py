@@ -648,11 +648,6 @@ class TestEntryPoints:
         (["sweep", "--wsls-coeffs", "--payoff-grid", "X=1"], "unknown payoff symbol"),
         (["sweep", "--wsls-coeffs", "--payoff-grid", "T="], "empty value list"),
         (["sweep", "--wsls-coeffs"], "requires --payoff-grid"),
-        # the identity sweeps used to ignore the grid and print T = 5's values
-        (["sweep", "--tft-k-range", "1:2", "--payoff-grid", "T=9"],
-         "--payoff-grid goes with --wsls-coeffs only"),
-        (["sweep", "--h-range", "0.5", "--payoff-grid", "T=9"],
-         "--payoff-grid goes with --wsls-coeffs only"),
         (["simulate", "tft", "all_d", "--burn-in", "-1"], "burn_in must be nonnegative"),
         (["decompose", "tft", "--basis", "monomial:-1"], "max_total_degree"),
         # one deviation used to overwrite the other under the shared label
@@ -664,6 +659,11 @@ class TestEntryPoints:
         # the second T axis used to override the first, dropping T = 4.5 and 5.5
         (["sweep", "--wsls-coeffs", "--payoff-grid", "T=4.5,5.5;T=6"],
          "payoff symbol T is named twice"),
+        # the identity sweeps used to ignore the grid and print T = 5's values
+        (["sweep", "--tft-k-range", "1:2", "--payoff-grid", "T=9"],
+         "--payoff-grid goes with --wsls-coeffs only"),
+        (["sweep", "--h-range", "0.5", "--payoff-grid", "T=9"],
+         "--payoff-grid goes with --wsls-coeffs only"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)
