@@ -24,9 +24,10 @@ The elimination works on a stack of chains at once (:func:`cesaro_limits`).
 Chains sharing a support pattern share their classification and their
 elimination order, so each pattern is classified once and eliminated as
 one vectorised group; :func:`cesaro_limit` is its N=1 case.  Every
-weighted sum over states in the package is :func:`ordered_dot`, which adds
-its terms first to last in elementwise numpy and never calls BLAS, so a
-result has the same bits on every CPU and in every batch.
+weighted sum over states in the package adds its terms first to last in
+elementwise numpy and never calls BLAS: :func:`ordered_dot`, or the GTH
+back-substitution's forward accumulation.  So a result has the same bits
+on every CPU and in every batch.
 """
 
 from __future__ import annotations
@@ -230,10 +231,13 @@ def _gth_stack(P: np.ndarray) -> np.ndarray:
     for k in range(n - 1, 0, -1):
         P[:, :k, k] /= P[:, k, :k].sum(axis=1, keepdims=True)  # a sum, never 1 - P[k, k]
         P[:, :k, :k] += P[:, :k, k, None] * P[:, k, None, :k]
-    x = np.ones((len(P), n))
-    for k in range(1, n):
-        x[:, k] = ordered_dot(x[:, :k], P[:, :k, k])
-    return x / x.sum(axis=1, keepdims=True)
+    # x[k]: state k's weight in every block, so each step runs along the stack;
+    # x_k gets x_i P[i, k] once x_i is final, adding its terms first to last
+    x = np.zeros((n, len(P)))
+    x[0] = 1.0
+    for i in range(n - 1):
+        x[i + 1:] += x[i] * P[:, i, i + 1:].T
+    return (x / x.sum(axis=0)).T
 
 
 def _solve_group(Ms: np.ndarray, pi0: np.ndarray, structure: ChainStructure) -> np.ndarray:

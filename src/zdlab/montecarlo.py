@@ -10,16 +10,22 @@ A report holds state counts, not payoff statistics: a run's payoff moments
 and distributions are :mod:`zdlab.moments` averages under its frequencies.
 
 The counting kernel is numpy only.  It draws the uniforms in fixed-size
-chunks, which reproduces the stream of a single draw, and scans each
-chunk once, in blocks: it composes the blocks' next-state maps keeping
-each prefix, walks the blocks' entry states, then gathers every round's
-state; nothing is replayed.  It makes the same ``u >= p`` comparisons as
-a round-by-round loop, so the counts are exactly the loop's, with memory
-bounded by the chunk size rather than the number of rounds.
+pieces, which reproduces the stream of a single draw.  Each round's next
+state depends only on the ranks of its two uniforms among the players'
+distinct thresholds, so the kernel ranks each uniform once, with the same
+``u >= p`` comparisons as a round-by-round loop, and the pair of ranks is
+the round's code: one of at most 25 next-state maps, each a byte holding
+state s's image in bits 2s and 2s+1.  It then scans each chunk of codes
+once, in blocks: it composes the blocks' maps through a 256 x 256 table
+of compositions, built once per process, keeping each prefix; walks the
+blocks' entry states; and reads every round's state from its prefix by
+one shift.  Nothing is replayed, so the counts are exactly the loop's,
+with memory bounded by the chunk size rather than the number of rounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +57,11 @@ _SEED_MODULUS = 2**64
 #: Rounds per chunk of uniforms; the kernel's buffers are O(chunk), not O(rounds).
 _CHUNK_ROUNDS = 2**17
 
-_IDENTITY = np.arange(4, dtype=np.int8)
+#: Rounds drawn and ranked at a time, in whole blocks, so the float buffers stay small.
+_PIECE_ROUNDS = 2**14
+
+#: The one-byte code of the identity map: state s's image sits in bits 2s and 2s+1.
+_IDENTITY = 0b11100100
 
 
 @dataclass(frozen=True)
@@ -121,51 +131,113 @@ class SimulationReport:
     prng: str = PRNG_ID
 
 
+def _half_codes(p: np.ndarray, bit: int) -> tuple[list[float], list[int]]:
+    """A player's distinct thresholds strictly inside (0, 1), and each rank's half map code.
+
+    A uniform u of rank ``r = #{q : u >= q}`` passes ``p[s]`` exactly when
+    r exceeds the number of thresholds below ``p[s]``; bit ``2s + bit`` of
+    rank r's half code says whether it does.  u lies in [0, 1), so it
+    passes threshold 0 and fails threshold 1 without a comparison.
+    """
+    q = sorted({x for x in p.tolist() if 0 < x < 1})
+    cuts = [sum(x < v for x in q) - (v == 0) for v in p.tolist()]
+    return q, [sum((r > cut) << 2 * s + bit for s, cut in enumerate(cuts))
+               for r in range(len(q) + 1)]
+
+
+@functools.cache
+def _composition_table() -> np.ndarray:
+    """``after[m, c]``: the code of map ``m`` applied after map ``c``, for all 256 x 256.
+
+    A map of the four states is one byte whose bits 2s and 2s+1 hold the
+    image of s.  Built on first use, then kept, read-only, for the process.
+    """
+    c = np.arange(256, dtype=np.uint16)
+    m = c[:, None]
+    after = np.zeros((256, 256), dtype=np.uint16)
+    for s in range(4):
+        after |= (m >> 2 * (c >> 2 * s & 3) & 3) << 2 * s
+    after.flags.writeable = False
+    return after
+
+
 def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.ndarray,
                   state: int, burn_in: int) -> tuple[int, int, int, int]:
     """Count the states of rounds ``burn_in`` to ``rounds - 1``.
 
-    Round t moves state s to ``2*(u1[t] >= p1[s]) + (u2[t] >= p2[s])``.  Each
-    chunk is split into blocks of about sqrt(chunk) rounds.  The blocks'
-    next-state maps are composed round by round, vectorised over blocks, and
-    each prefix is kept: the state after that round for each entry state.  A
-    sequential walk through the full compositions gives each block's entry
-    state, and one gather by entry state reads every round's state.
+    Round t moves state s to ``2*(u1[t] >= p1[s]) + (u2[t] >= p2[s])``.  The
+    ranks r1, r2 of its uniforms among the players' k1, k2 distinct
+    thresholds in (0, 1) settle those comparisons, so the round's code
+    ``r1*(k2+1) + r2`` picks its next-state map.  Each chunk is split into
+    blocks of about sqrt(chunk/16) rounds, drawn and ranked a piece of whole
+    blocks at a time.  The blocks' maps are composed round by round through
+    the composition table's rows for this call's maps, vectorised over
+    blocks, and each prefix is kept: the code of the state after that round
+    for each entry state.  A sequential walk through the full compositions
+    gives each block's entry state, and one shift and mask by it reads
+    every round's state.
     """
-    counts = np.zeros(4, dtype=np.int64)
-    # one buffer each for all chunks' draws and maps, padding (< isqrt(size)) included;
-    # stale padding draws are harmless, as padding rounds get identity maps
+    q1, half1 = _half_codes(p1, 1)
+    q2, half2 = _half_codes(p2, 0)
+    maps = [a + b for a in half1 for b in half2] + [_IDENTITY]
+    pad_code = (len(maps) - 1) << 8
+    # row k, column c: round map k applied after composed map c
+    table = _composition_table()[maps].ravel()
+
+    counts = [0, 0, 0, 0]
+    # one buffer each for all chunks' codes (padding, < isqrt(size), included)
+    # and for one piece's draws and column
     rows = min(_CHUNK_ROUNDS, rounds)
     rows += math.isqrt(rows)
-    draws = np.empty((rows, 2))
-    cells = np.empty(4 * rows, dtype=np.int8)
+    cells = np.empty(rows, dtype=np.uint16)
+    draws = np.empty((min(_PIECE_ROUNDS, rows), 2))
+    column = np.empty(len(draws))
     for start in range(0, rounds, _CHUNK_ROUNDS):
         size = min(_CHUNK_ROUNDS, rounds - start)
-        block = math.isqrt(size)
+        block = max(math.isqrt(size // 16), 1)
         blocks = -(-size // block)
         pad = blocks * block - size
-        u = draws[:size + pad]
-        rng.random(out=u[:size])
-        # maps[j, b, s]: the state after round b*block + j from state s before it,
-        # then, composed in place, from state s on entering block b; one pass
-        # per state, since a 4-wide inner loop per round is slower
-        u = u.reshape(blocks, block, 2).transpose(1, 0, 2)
-        maps = cells[:4 * (size + pad)].reshape(block, blocks, 4)
-        for s in range(4):
-            maps[:, :, s] = (u[:, :, 0] >= p1[s]) * np.int8(2) + (u[:, :, 1] >= p2[s])
-        maps[block - pad:, -1] = _IDENTITY  # padding rounds keep the state
-        lanes = np.repeat(np.arange(0, 4 * blocks, 4), 4)
-        composed = np.tile(_IDENTITY, blocks)
-        for step in maps.reshape(block, 4 * blocks):
-            step[:] = composed = step.take(lanes + composed)
+        # codes[j, b]: 256 times round b*block + j's code, then the code of the
+        # map from block b's entry state to the state after that round, then
+        # the state itself
+        codes = cells[:block * blocks].reshape(block, blocks)
+        per = len(draws) // block
+        for b in range(0, blocks, per):
+            nb = min(per, blocks - b)
+            u = draws[:nb * block]
+            rng.random(out=u[:size - b * block])  # stale padding draws get the identity
+            u = u.reshape(nb, block, 2)
+            col = column[:nb * block].reshape(block, nb)
+            rank = codes[:, b:b + nb]
+            rank[...] = 0
+            for player, q in enumerate((q1, q2)):
+                if q:
+                    rank *= len(q) + 1  # Horner's rule: r1*(k2+1) + r2
+                    # one strided copy: a strided compare is ten times slower
+                    np.copyto(col, u[:, :, player].T)
+                    for x in q:
+                        rank += col >= x
+        codes <<= 8
+        codes[block - pad:, -1] = pad_code
+        composed = np.full(blocks, _IDENTITY, dtype=np.uint16)
+        for step in codes:
+            composed = table.take(step + composed, out=step)
         entries = [state]
-        for table in composed.reshape(blocks, 4).tolist():
-            entries.append(table[entries[-1]])
+        for code in composed.tolist():
+            entries.append(code >> 2 * entries[-1] & 3)
         state = entries.pop()
-        path = maps[:, np.arange(blocks), entries].T
         first = max(burn_in - start, 0)
-        counts += np.bincount(path.reshape(-1)[first:size], minlength=4)
-    return tuple(int(c) for c in counts)
+        if first < size:
+            codes >>= 2 * np.array(entries, dtype=np.uint16)
+            codes &= 3
+            # burnt-in and padding rounds get state 4, which is not counted
+            skipped, partial = divmod(first, block)
+            codes[:, :skipped] = 4
+            codes[:partial, skipped] = 4
+            codes[block - pad:, -1] = 4
+            for s in range(4):
+                counts[s] += int(np.count_nonzero(codes == s))
+    return tuple(counts)
 
 
 def simulate(s1: MemoryOneStrategy, s2: MemoryOneStrategy,

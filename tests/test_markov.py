@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zdlab as z
+from zdlab import markov
 
 CC, CD, DC, DD = z.JointState
 
@@ -263,6 +264,27 @@ class TestCesaroLimits:
         for M, pi, residual in zip(Ms.tolist(), batch.distributions.tolist(), batch.residuals):
             Mpi = [((r[0] * pi[0] + r[1] * pi[1]) + r[2] * pi[2]) + r[3] * pi[3] for r in M]
             assert residual == max(abs(x - p) for x, p in zip(Mpi, pi))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("stack", [1, 7, 200])
+    def test_gth_accumulates_in_order(self, stack, n):
+        # the back-substitution adds x_i P[i, k] forward as each x_i is
+        # final; bit for bit the in-order sum over i < k for each state k
+        def reference(P):
+            for k in range(n - 1, 0, -1):
+                P[:, :k, k] /= P[:, k, :k].sum(axis=1, keepdims=True)
+                P[:, :k, :k] += P[:, :k, k, None] * P[:, k, None, :k]
+            x = np.ones((len(P), n))
+            for k in range(1, n):
+                x[:, k] = markov.ordered_dot(x[:, :k], P[:, :k, k])
+            return x / x.sum(axis=1, keepdims=True)
+
+        rng = np.random.Generator(np.random.PCG64(100 * stack + n))
+        for _ in range(10):
+            # rates over many decades, rows scaled to sum to one
+            P = 10.0 ** -rng.uniform(0, 12, size=(stack, n, n))
+            P /= P.sum(axis=2, keepdims=True)
+            assert np.array_equal(markov._gth_stack(P.copy()), reference(P.copy()))
 
     def test_distributions_read_only(self):
         batch = z.cesaro_limits(BATCH_CHAINS[:3])

@@ -200,9 +200,53 @@ class TestSimulate:
                                      burn_in=rounds // 2)
             assert z.simulate(s1, s2, cfg).state_counts == sequential_counts(s1, s2, cfg), rounds
 
+    @pytest.mark.parametrize("ends", [False, True], ids=["interior", "with 0 and 1"])
+    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
+    def test_every_count_of_distinct_thresholds(self, k1, k2, ends):
+        # each player's rank runs over its distinct thresholds, so every
+        # count of them, 1 to 4, gives a different set of round codes
+        rng = np.random.Generator(np.random.PCG64(10 * k1 + k2 + 100 * ends))
+        strategies = []
+        for k in (k1, k2):
+            values = rng.random(k).tolist()
+            if ends:  # 0 and 1 are passed by every uniform or by none
+                values[:2] = [0.0, 1.0][:k]
+            p = values + rng.choice(values, 4 - k).tolist()
+            rng.shuffle(p)
+            assert len(set(p)) == k
+            strategies.append(z.MemoryOneStrategy(tuple(p)))
+        cfg = z.SimulationConfig(rounds=5000, seed=k1 * k2, burn_in=11)
+        assert z.simulate(*strategies, cfg).state_counts == sequential_counts(*strategies, cfg)
+
+    @pytest.mark.parametrize("t", [0, CHUNK + 777], ids=["first round", "second chunk"])
+    def test_threshold_equal_to_a_drawn_uniform(self, t):
+        # u >= p holds when u == p: set a threshold to a uniform the stream
+        # draws at round t, in the state the path is in just before it
+        seed = 99
+        u = np.random.Generator(np.random.PCG64(seed)).random((t + 1, 2))[t]
+        if t == 0:  # round 0 leaves the initial state CC
+            s1 = z.MemoryOneStrategy((u[0], 0.2, 0.6, 0.35))
+            s2 = z.parse_strategy(MIXED)
+        else:  # one threshold per player, so the state does not matter
+            s1 = z.MemoryOneStrategy((u[0],) * 4)
+            s2 = z.MemoryOneStrategy((u[1],) * 4)
+        cfg = z.SimulationConfig(rounds=t + 2000, seed=seed, initial=CC, burn_in=0)
+        assert z.simulate(s1, s2, cfg).state_counts == sequential_counts(s1, s2, cfg)
+
+    def test_composition_table(self):
+        # after[m, c] is map m applied after map c; a map's code holds the
+        # image of state s in bits 2s and 2s+1
+        decode = [[code >> 2 * s & 3 for s in range(4)] for code in range(256)]
+        expected = [[sum(m[c[s]] << 2 * s for s in range(4)) for c in decode] for m in decode]
+        assert montecarlo._composition_table().tolist() == expected
+        assert decode[montecarlo._IDENTITY] == [0, 1, 2, 3]
+
     def test_memory_is_bounded_by_the_chunk(self):
         # the uniforms of 2e6 rounds alone take 32 MB; the kernel draws them
-        # chunk by chunk into one buffer (peak 4.4 MB on a first call, 3.7 MB after)
+        # 2^14 rounds at a time and keeps two bytes per round of a 2^17-round
+        # chunk (peak 1.6 MB on a first call, which builds the composition
+        # table, 0.8 MB after)
         cfg = z.SimulationConfig(rounds=2 * 10**6, seed=3, burn_in=0)
         tracemalloc.start()
         try:
@@ -210,7 +254,7 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMomentConsistency:
