@@ -259,27 +259,43 @@ def named_strategy(name: str) -> MemoryOneStrategy:
     raise ValueError(f"unknown strategy name {name!r}")
 
 
+_STRATEGY_KEYS = ("p_cc", "p_cd", "p_dc", "p_dd")
+
+
+def _strategy_object(pairs) -> MemoryOneStrategy:
+    """The strategy of an object's (key, value) pairs: each key once, each value a number."""
+    values = {}
+    for key, value in pairs:
+        if key not in _STRATEGY_KEYS:
+            raise ValueError(f"unknown strategy key {key!r}")
+        if key in values:
+            raise ValueError(f"strategy key {key!r} is named twice")
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"strategy values must be numbers: {key} is {value!r}")
+        values[key] = value
+    for key in _STRATEGY_KEYS:
+        if key not in values:
+            raise ValueError(f"strategy object missing key {key!r}")
+    return MemoryOneStrategy(tuple(values[key] for key in _STRATEGY_KEYS))
+
+
 def parse_strategy(spec: str | Mapping[str, float]) -> MemoryOneStrategy:
     """Parse a strategy literal.
 
-    Accepts a mapping (or JSON object string) with keys p_cc, p_cd, p_dc,
-    p_dd; a named string as in :func:`named_strategy`; or an inline
-    comma-separated list "p_cc,p_cd,p_dc,p_dd".
+    Accepts a mapping (or JSON object string) that gives each of the keys
+    p_cc, p_cd, p_dc, p_dd once, with a number, and no other key; a named
+    string as in :func:`named_strategy`; or an inline comma-separated list
+    "p_cc,p_cd,p_dc,p_dd".
     """
     if isinstance(spec, Mapping):
-        try:
-            return MemoryOneStrategy(
-                (spec["p_cc"], spec["p_cd"], spec["p_dc"], spec["p_dd"])
-            )
-        except KeyError as exc:
-            raise ValueError(f"strategy object missing key {exc}") from None
+        return _strategy_object(spec.items())
     text = spec.strip()
     if text.startswith("{"):
         try:
-            obj = json.loads(text)
+            pairs = json.loads(text, object_pairs_hook=list)  # keeps repeated keys
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad strategy JSON: {exc}") from None
-        return parse_strategy(obj)
+        return _strategy_object(pairs)
     if "," in text and ":" not in text:
         parts = text.split(",")
         if len(parts) != 4:

@@ -74,10 +74,6 @@ def as_distribution(pi) -> np.ndarray:
     return np.clip(pi, 0.0, None)
 
 
-def uniform_distribution() -> np.ndarray:
-    return np.full(N_STATES, 1.0 / N_STATES)
-
-
 def point_mass(state: int) -> np.ndarray:
     pi = np.zeros(N_STATES)
     pi[int(state)] = 1.0
@@ -278,7 +274,7 @@ def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     Ms = np.asarray(Ms, dtype=float)
     if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
-    pi0 = uniform_distribution() if pi0 is None else as_distribution(pi0)
+    pi0 = np.full(N_STATES, 1.0 / N_STATES) if pi0 is None else as_distribution(pi0)
     masks, group = np.unique(_support_masks(Ms), return_inverse=True)
     structures = [_classify_mask(mask) for mask in masks.tolist()]
     pis = np.empty((len(Ms), N_STATES))

@@ -1,10 +1,9 @@
 """Seeded round-by-round simulation of a memory-one strategy pair.
 
 Randomness comes from numpy's PCG64 bit generator, recorded by name in
-every report so that runs are reproducible and auditable: after the
-optional initial-state draw, round t consumes exactly two uniform values,
-player 1's first (positions 2t and 2t+1 of the stream).  Independent
-trials take distinct seeds; streams are never shared.
+every report so that runs are reproducible and auditable: a uniform start
+takes one uniform value, then round t consumes exactly two, player 1's
+first.  Independent trials take distinct seeds; streams are never shared.
 
 A report holds state counts, not payoff statistics: a run's payoff moments
 and distributions are :mod:`zdlab.moments` averages under its frequencies.
@@ -32,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import JointState, MemoryOneStrategy, global_frame, transition_matrix
-from .markov import (
-    LimitResult,
-    as_distribution,
-    cesaro_limit,
-    point_mass,
-    uniform_distribution,
-)
+from .markov import LimitResult, cesaro_limit, point_mass
 
 __all__ = [
     "PRNG_ID",
@@ -68,15 +61,14 @@ _IDENTITY = 0b11100100
 class SimulationConfig:
     """Immutable simulation parameters.
 
-    ``initial`` may be a JointState, a 4-entry distribution, or None for
-    the uniform distribution; drawing from a distribution consumes one
-    uniform value before the round draws begin.  ``burn_in`` simulated
-    rounds are discarded from all statistics.
+    ``initial`` is the start: a JointState, or None for a state drawn
+    uniformly, which consumes one uniform value before the round draws
+    begin.  ``burn_in`` simulated rounds are discarded from all statistics.
     """
 
     rounds: int = 10**6
     seed: int = 0
-    initial: JointState | tuple[float, float, float, float] | None = None
+    initial: JointState | None = None
     burn_in: int = 10**3
     noise: float = 0.0
 
@@ -100,20 +92,7 @@ class SimulationConfig:
             raise ValueError(f"noise must lie in [0, 1/2], got {float(self.noise)!r}")
         object.__setattr__(self, "noise", float(self.noise))
         if self.initial is not None and not isinstance(self.initial, JointState):
-            if isinstance(self.initial, bool):
-                raise ValueError(f"initial must be a state or distribution, not {self.initial!r}")
-            if isinstance(self.initial, (int, np.integer)):
-                object.__setattr__(self, "initial", JointState(int(self.initial)))
-            else:
-                dist = as_distribution(self.initial)
-                object.__setattr__(self, "initial", tuple(float(x) for x in dist))
-
-    def initial_distribution(self) -> np.ndarray:
-        if self.initial is None:
-            return uniform_distribution()
-        if isinstance(self.initial, JointState):
-            return point_mass(self.initial)
-        return as_distribution(self.initial)
+            raise ValueError(f"initial must be a JointState or None, got {self.initial!r}")
 
 
 @dataclass(frozen=True)
@@ -250,11 +229,8 @@ def simulate(s1: MemoryOneStrategy, s2: MemoryOneStrategy,
     previous state.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    if isinstance(cfg.initial, JointState):
-        state = int(cfg.initial)
-    else:
-        cumulative = np.cumsum(cfg.initial_distribution())
-        state = min(int(np.searchsorted(cumulative, rng.random(), side="right")), 3)
+    # k/4 and 4u are exact in binary, so this is the state whose quarter of [0, 1) holds u
+    state = int(4 * rng.random()) if cfg.initial is None else int(cfg.initial)
 
     p1 = s1.with_noise(cfg.noise).array
     p2 = global_frame(s2.with_noise(cfg.noise).array, 2)
@@ -267,7 +243,7 @@ def simulate(s1: MemoryOneStrategy, s2: MemoryOneStrategy,
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Empirical state frequencies versus the exact long-run distribution.
+    """Empirical state frequencies versus the exact long-run limit from the same start.
 
     A state is flagged when its deviation exceeds
     tol_sigma * sqrt(pi (1 - pi) / n) + 1/n; the 1/n term is the counting
@@ -292,11 +268,11 @@ def empirical_vs_exact(
     """Cross-validate a simulation against the exact Cesaro limit.
 
     The exact side uses the same noise-mixed strategies and the same
-    initial distribution as the simulation.
+    start as the simulation.
     """
     report = simulate(s1, s2, cfg)
     M = transition_matrix(s1.with_noise(cfg.noise), s2.with_noise(cfg.noise))
-    exact = cesaro_limit(M, cfg.initial_distribution())
+    exact = cesaro_limit(M, None if cfg.initial is None else point_mass(cfg.initial))
     n = report.counted_rounds
     pi = exact.distribution
     deviations = tuple(abs(f - p) for f, p in zip(report.frequencies, pi))

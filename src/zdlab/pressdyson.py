@@ -149,14 +149,13 @@ class BasisSpec:
         try:
             m.max_abs() ** int(max_total_degree)
         except OverflowError:  # a float power raises wherever numpy's is inf
+            # rows of degree k are bounded by max|payoff|^k, reached by (k, 0)
             big = np.float64(m.max_abs())
+            k = max(int(math.log(np.finfo(float).max) / math.log(big)) - 1, 0)
             with np.errstate(over="ignore"):
-                if np.isinf(big ** max_total_degree):
-                    # rows of degree k are bounded by max|payoff|^k, reached by (k, 0)
-                    k = max(int(math.log(np.finfo(float).max) / math.log(big)) - 1, 0)
-                    while np.isfinite(big ** k):
-                        k += 1
-                    payoff_features(m, [(k, 0)])
+                while np.isfinite(big ** k):
+                    k += 1
+            payoff_features(m, [(k, 0)])
         labels = tuple(
             (k1, total - k1)
             for total in range(max_total_degree + 1)

@@ -664,6 +664,16 @@ class TestEntryPoints:
          "--payoff-grid goes with --wsls-coeffs only"),
         (["sweep", "--h-range", "0.5", "--payoff-grid", "T=9"],
          "--payoff-grid goes with --wsls-coeffs only"),
+        # each of these four used to decompose as TFT
+        (["decompose", '{"p_cc": true, "p_cd": false, "p_dc": true, "p_dd": false}'],
+         "strategy values must be numbers: p_cc is True"),
+        (["decompose", '{"p_cc": "1", "p_cd": "0", "p_dc": "1", "p_dd": "0"}'],
+         "strategy values must be numbers: p_cc is '1'"),
+        (["decompose", '{"p_cc": 1, "p_cd": 0, "p_dc": 1, "p_dd": 0, "p_typo": 5}'],
+         "unknown strategy key 'p_typo'"),
+        # the last p_cc used to win, giving [0.0, 0.0, 1.0, 0.0]
+        (["decompose", '{"p_cc": 1, "p_cd": 0, "p_dc": 1, "p_dd": 0, "p_cc": 0}'],
+         "strategy key 'p_cc' is named twice"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ class TestStrategies:
             z.parse_strategy('{"p_cc": 1}')
         with pytest.raises(ValueError):
             z.parse_strategy("{not json")
+
+    def test_strategy_object_keys_and_values(self):
+        tft = {"p_cc": 1, "p_cd": 0, "p_dc": 1, "p_dd": 0}
+        numpy_tft = {"p_cc": np.int64(1), "p_cd": np.float64(0.0), "p_dc": 1.0, "p_dd": 0}
+        assert z.parse_strategy(numpy_tft) == z.TFT
+        # each of these used to parse as TFT
+        refused = {
+            "p_cc is True": {**tft, "p_cc": True},
+            "p_cd is '0'": {**tft, "p_cd": "0"},
+            "p_dd is np.True_": {**tft, "p_dd": np.True_},
+            "unknown strategy key 'p_typo'": {**tft, "p_typo": 5},
+        }
+        for message, spec in refused.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                z.parse_strategy(spec)
+        with pytest.raises(ValueError, match="strategy key 'p_dc' is named twice"):
+            z.parse_strategy('{"p_cc": 1, "p_cd": 0, "p_dc": 1, "p_dd": 0, "p_dc": 1}')
 
     def test_with_noise(self):
         s = z.TFT.with_noise(0.1)

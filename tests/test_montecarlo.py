@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -14,9 +13,9 @@ CC, CD, DC, DD = z.JointState
 def sequential_counts(s1, s2, cfg):
     """State counts from a plain round-by-round loop over simulate's stream.
 
-    The stream layout: one uniform for the initial-state draw unless the
-    initial state is a JointState, then two uniforms per round, player 1's
-    first.
+    The stream layout: one uniform for the uniform start unless the start
+    is a JointState, then two uniforms per round, player 1's first.  The
+    start is drawn by the cumulative rule, not by simulate's ``int(4 * u)``.
     """
     p1 = list(s1.with_noise(cfg.noise).p)
     cc, cd, dc, dd = s2.with_noise(cfg.noise).p
@@ -26,8 +25,7 @@ def sequential_counts(s1, s2, cfg):
         state = int(cfg.initial)
     else:
         first = stream.random()
-        cumulative = itertools.accumulate(cfg.initial_distribution().tolist())
-        state = min(sum(c <= first for c in cumulative), 3)
+        state = min(sum(c <= first for c in (0.25, 0.5, 0.75, 1.0)), 3)
     counts = [0, 0, 0, 0]
     for t, (a, b) in enumerate(stream.random((cfg.rounds, 2)).tolist()):
         state = 2 * (a >= p1[state]) + (b >= p2[state])
@@ -43,7 +41,7 @@ MIXED = "0.9,0.2,0.6,0.35"
 KERNEL_CASES = {
     "one round": ("tft", MIXED, 1, 0, None, 0.0),
     "below one block": ("tft", MIXED, 7, 2, CD, 0.0),
-    "one chunk": ("wsls", MIXED, CHUNK, 0, (0.1, 0.2, 0.3, 0.4), 0.0),
+    "one chunk": ("wsls", MIXED, CHUNK, 0, None, 0.0),
     "one chunk plus one": ("tft", MIXED, CHUNK + 1, 1000, None, 0.0),
     "burn-in across a block boundary": ("tft", MIXED, 10_000, 137, DC, 0.0),
     "burn-in across a chunk boundary": (MIXED, "tft", CHUNK + 3000, CHUNK + 1234, None, 0.01),
@@ -61,6 +59,7 @@ class TestConfig:
         cfg = z.SimulationConfig()
         assert cfg.rounds == 10**6 and cfg.burn_in == 10**3
         assert cfg.noise == 0.0 and cfg.initial is None
+        assert z.SimulationConfig(initial=CD).initial is CD
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
@@ -79,24 +78,20 @@ class TestConfig:
             z.SimulationConfig(seed=2**64)
         z.SimulationConfig(seed=2**64 - 1)  # largest valid seed
 
-    def test_initial_forms(self):
-        assert z.SimulationConfig(initial=CD).initial is CD
-        assert z.SimulationConfig(initial=2).initial is DC
-        cfg = z.SimulationConfig(initial=(0.25, 0.25, 0.25, 0.25))
-        np.testing.assert_array_equal(cfg.initial_distribution(), np.full(4, 0.25))
-        with pytest.raises(ValueError):
-            z.SimulationConfig(initial=(0.5, 0.5, 0.5, 0.5))
-
-    def test_nan_initial_refused(self):
-        # accepted before, and simulate then started every run in CC
-        with pytest.raises(ValueError, match="sum to .*nan"):
-            z.SimulationConfig(rounds=10, burn_in=0, initial=(math.nan, 0.0, 0.0, 1.0))
+    @pytest.mark.parametrize("initial", [
+        2, np.int64(2), (0.25,) * 4, (math.nan, 0.0, 0.0, 1.0), True, False,
+    ], ids=["int", "numpy-int", "distribution", "nan-distribution", "True", "False"])
+    def test_start_is_a_state_or_uniform(self, initial):
+        # a start is a JointState, or None for the uniform draw; True used to
+        # start every run in CD, False and a NaN distribution in CC
+        message = f"initial must be a JointState or None, got {initial!r}"
+        with pytest.raises(ValueError) as excinfo:
+            z.SimulationConfig(initial=initial)
+        assert str(excinfo.value) == message
 
     def test_messages_show_python_floats(self):
         # numpy 2 scalars used to print as np.float64(...) in these messages
         cases = [
-            (lambda: z.SimulationConfig(rounds=10, burn_in=0, initial=(math.nan, 0, 0, 1)),
-             "probabilities sum to nan, not 1"),
             (lambda: z.SimulationConfig(noise=np.float64(0.7)),
              "noise must lie in [0, 1/2], got 0.7"),
             (lambda: z.cesaro_limits(np.eye(4)[None], tol=np.float64(-1)),
@@ -107,13 +102,6 @@ class TestConfig:
                 build()
             assert str(excinfo.value) == message
         assert type(z.SimulationConfig(noise=np.float64(0.1)).noise) is float
-
-    @pytest.mark.parametrize("initial", [True, False])
-    def test_bool_initial_refused(self, initial):
-        # True used to start every run in CD and False in CC
-        message = f"initial must be a state or distribution, not {initial}"
-        with pytest.raises(ValueError, match=message):
-            z.SimulationConfig(initial=initial)
 
     def test_rounds_positive(self):
         with pytest.raises(ValueError):
