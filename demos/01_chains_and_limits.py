@@ -33,7 +33,7 @@ limit = z.cesaro_limit(M)
 print("cesaro limit from uniform ->", limit.distribution, f"(unique={limit.unique})")
 # mutual cooperation absorbs everything, whatever the start
 for start in (z.JointState.DD, z.JointState.CD):
-    limit = z.cesaro_limit(M, z.point_mass(start))
+    limit = z.cesaro_limit(M, start)
     print(f"cesaro limit from {start.name}:", limit.distribution)
 
 print()
@@ -47,7 +47,7 @@ print("cesaro limit from uniform: unique =", limit.unique, "->", limit.distribut
 print("(three recurrent classes each carry an invariant measure, so the")
 print(" start matters; the Cesaro limit resolves that honestly:)")
 for start in (z.JointState.CC, z.JointState.CD, z.JointState.DD):
-    limit = z.cesaro_limit(M, z.point_mass(start))
+    limit = z.cesaro_limit(M, start)
     print(f"  from {start.name}: {limit.distribution}   residual={limit.residual:.1e}")
 
 print()

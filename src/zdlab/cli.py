@@ -36,7 +36,7 @@ from .game import (
     payoff_vector,
     transition_matrices,
 )
-from .markov import cesaro_limits, point_mass
+from .markov import cesaro_limits
 from .moments import (
     distribution_stacks_equal,
     feature_averages,
@@ -196,7 +196,6 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     if tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol!r}")
     initial = _parse_initial(args.initial)
-    pi0 = None if initial is None else point_mass(initial)
     h_grid = _parse_floats(args.h_grid)
     if not h_grid:
         raise ValueError("--h-grid is empty")
@@ -218,7 +217,7 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
 
     orders, features = _moment_features(m, args.k_max, h_grid)
     Ms = transition_matrices(named_strategy("tft").array, opponents)
-    limits = cesaro_limits(Ms, pi0)
+    limits = cesaro_limits(Ms, initial)
     pis = limits.distributions
     averages = feature_averages(features, pis)
     splits = np.cumsum([len(orders), len(orders), len(h_grid)])

@@ -3,10 +3,11 @@
 Deterministic strategies such as Tit-for-Tat create reducible and periodic
 chains, so "the stationary distribution" is not always a single well-defined
 object.  The canonical long-run quantity used throughout this package is the
-Cesaro limit of the time-averaged state distribution from a declared initial
-distribution (uniform unless stated otherwise): it exists for every finite
-chain, it is a fixed point of the transition matrix, and it is the average
-against which Press-Dyson vectors vanish.
+Cesaro limit of the time-averaged state distribution from a declared start,
+a joint state or the uniform start: it exists for every finite chain, it is a
+fixed point of the transition matrix, and it is the average against which
+Press-Dyson vectors vanish.  The limit is linear in the start, so a mixed
+start's limit is the same mixture of the four point-start limits.
 
 Every long-run distribution here comes from one finite, subtraction-free
 elimination.  :func:`classify` splits the states into transient states and
@@ -39,11 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .game import JointState
+
 __all__ = [
     "ChainStructure",
     "LimitResult",
     "LimitBatch",
-    "point_mass",
     "classify",
     "cesaro_limit",
     "cesaro_limits",
@@ -55,29 +57,14 @@ N_STATES = 4
 #: k-th moment checks amplify distribution error by T^k.
 DEFAULT_TOL = 1e-13
 
-#: Slack allowed in a given distribution's signs and sum.
-_DISTRIBUTION_TOL = 1e-12
-
 #: Bit 4*to + frm of a chain's support mask is set when M[to, frm] > 0.
 _MASK_BITS = 1 << np.arange(N_STATES * N_STATES)
 
 
-def as_distribution(pi) -> np.ndarray:
-    """Validate and return a probability vector over the four states."""
-    pi = np.asarray(pi, dtype=float).reshape(-1)
-    if pi.shape != (N_STATES,):
-        raise ValueError(f"a state distribution has {N_STATES} entries, got {pi.shape}")
-    if np.any(pi < -_DISTRIBUTION_TOL):
-        raise ValueError(f"negative probability in {pi}")
-    if not abs(pi.sum() - 1.0) <= _DISTRIBUTION_TOL:  # NaN fails too
-        raise ValueError(f"probabilities sum to {float(pi.sum())!r}, not 1")
-    return np.clip(pi, 0.0, None)
-
-
-def point_mass(state: int) -> np.ndarray:
-    pi = np.zeros(N_STATES)
-    pi[int(state)] = 1.0
-    return pi
+def check_start(initial) -> None:
+    """Refuse a start that is neither a JointState nor None (the uniform start)."""
+    if initial is not None and not isinstance(initial, JointState):
+        raise ValueError(f"initial must be a JointState or None, got {initial!r}")
 
 
 @dataclass(frozen=True)
@@ -259,22 +246,23 @@ def _solve_group(Ms: np.ndarray, pi0: np.ndarray, structure: ChainStructure) -> 
     return pi / pi.sum(axis=1, keepdims=True)
 
 
-def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
-    """Cesaro limits of a stack of chains from one starting distribution.
+def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
+    """Cesaro limits of a stack of chains from one start.
 
     ``Ms`` (N, 4, 4) stacks column-stochastic transition matrices.  Each
     distinct support pattern is classified once, and its chains are solved
     together by state reduction and GTH (see the module docstring); chain
-    ``n``'s result is bit-identical to ``cesaro_limit(Ms[n], pi0, tol)``.
-    ``pi0`` is uniform when None; ``tol`` bounds the residual for
-    ``converged``.
+    ``n``'s result is bit-identical to ``cesaro_limit(Ms[n], initial, tol)``.
+    ``initial`` is a JointState, or None for the uniform start; anything
+    else is a ValueError.  ``tol`` bounds the residual for ``converged``.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {float(tol)!r}")
     Ms = np.asarray(Ms, dtype=float)
     if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
-    pi0 = np.full(N_STATES, 1.0 / N_STATES) if pi0 is None else as_distribution(pi0)
+    check_start(initial)
+    pi0 = np.full(N_STATES, 1.0 / N_STATES) if initial is None else np.eye(N_STATES)[initial]
     masks, group = np.unique(_support_masks(Ms), return_inverse=True)
     structures = [_classify_mask(mask) for mask in masks.tolist()]
     pis = np.empty((len(Ms), N_STATES))
@@ -291,10 +279,10 @@ def cesaro_limits(Ms, pi0=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     )
 
 
-def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> LimitResult:
-    """Cesaro (time-average) limit of the chain from a starting distribution.
+def cesaro_limit(M, initial=None, tol: float = DEFAULT_TOL, max_steps=None) -> LimitResult:
+    """Cesaro (time-average) limit of the chain from a start.
 
-    Computes lim_n (1/n) sum_{t<n} pi_t exactly: the mass ``pi0`` puts on
+    Computes lim_n (1/n) sum_{t<n} pi_t exactly: the mass the start puts on
     transient states is carried to the recurrent classes it is absorbed
     by, and each class contributes its stationary distribution weighted by
     the mass it holds (see the module docstring).  This is
@@ -304,8 +292,8 @@ def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> Limit
     ----------
     M : array_like, shape (4, 4)
         Column-stochastic transition matrix.
-    pi0 : array_like or None
-        Initial distribution; uniform when None.
+    initial : JointState or None
+        The start: all mass on one joint state, or uniform when None.
     tol : float
         Bound on the fixed-point residual max|M pi - pi| for ``converged``.
     max_steps : ignored
@@ -316,7 +304,7 @@ def cesaro_limit(M, pi0=None, tol: float = DEFAULT_TOL, max_steps=None) -> Limit
     -------
     LimitResult; ``converged`` is False when the residual exceeds ``tol``.
     """
-    batch = cesaro_limits(np.asarray(M, dtype=float)[None], pi0, tol)
+    batch = cesaro_limits(np.asarray(M, dtype=float)[None], initial, tol)
     return LimitResult(batch.distributions[0], bool(batch.unique[0]), 0,
                        float(batch.residuals[0]), bool(batch.converged[0]))
 

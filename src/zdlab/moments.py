@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 #: The largest moment order accepted: a fixed bound on the orders that
-#: ``simulate`` and ``verify-tft`` accept and that a relation may name.
+#: ``simulate`` and ``verify-tft`` accept, that a relation may name and
+#: that a monomial basis may reach.
 K_CAP = 20
 
 #: Absolute tolerance for treating two payoff values as the same outcome.

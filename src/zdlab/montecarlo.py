@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import JointState, MemoryOneStrategy, global_frame, transition_matrix
-from .markov import LimitResult, cesaro_limit, point_mass
+from .markov import LimitResult, cesaro_limit, check_start
 
 __all__ = [
     "PRNG_ID",
@@ -91,8 +91,7 @@ class SimulationConfig:
         if not (0.0 <= self.noise <= 0.5):
             raise ValueError(f"noise must lie in [0, 1/2], got {float(self.noise)!r}")
         object.__setattr__(self, "noise", float(self.noise))
-        if self.initial is not None and not isinstance(self.initial, JointState):
-            raise ValueError(f"initial must be a JointState or None, got {self.initial!r}")
+        check_start(self.initial)
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,7 @@ def empirical_vs_exact(
     """
     report = simulate(s1, s2, cfg)
     M = transition_matrix(s1.with_noise(cfg.noise), s2.with_noise(cfg.noise))
-    exact = cesaro_limit(M, None if cfg.initial is None else point_mass(cfg.initial))
+    exact = cesaro_limit(M, cfg.initial)
     n = report.counted_rounds
     pi = exact.distribution
     deviations = tuple(abs(f - p) for f, p in zip(report.frequencies, pi))

@@ -34,6 +34,7 @@ from .game import (
     table_key,
 )
 from .markov import ordered_dot
+from .moments import K_CAP
 
 __all__ = [
     "BasisSpec",
@@ -143,19 +144,16 @@ class BasisSpec:
 
     @classmethod
     def monomial(cls, m: PayoffMatrix, max_total_degree: int = 3) -> "BasisSpec":
-        """All payoff monomials s1^k1 * s2^k2 with k1 + k2 <= the bound."""
-        if max_total_degree < 0:
-            raise ValueError("max_total_degree must be >= 0")
-        try:
-            m.max_abs() ** int(max_total_degree)
-        except OverflowError:  # a float power raises wherever numpy's is inf
-            # rows of degree k are bounded by max|payoff|^k, reached by (k, 0)
-            big = np.float64(m.max_abs())
-            k = max(int(math.log(np.finfo(float).max) / math.log(big)) - 1, 0)
-            with np.errstate(over="ignore"):
-                while np.isfinite(big ** k):
-                    k += 1
-            payoff_features(m, [(k, 0)])
+        """All payoff monomials s1^k1 * s2^k2 with k1 + k2 <= the bound.
+
+        The bound lies in 0 ... :data:`zdlab.moments.K_CAP`; degree 2
+        already spans every 4-vector at strict payoffs.
+        """
+        if not 0 <= max_total_degree <= K_CAP:
+            raise ValueError(
+                f"max_total_degree must lie in [0, {K_CAP}] (the precision cap K_CAP), "
+                f"got {max_total_degree}"
+            )
         labels = tuple(
             (k1, total - k1)
             for total in range(max_total_degree + 1)
@@ -216,7 +214,10 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     never an error; its coefficients are the solution whose scaled
     coefficients (coefficient times column norm) have minimum norm.  The
     residual is taken against the unscaled basis, and ``exact`` is True iff
-    its 2-norm is at most ``EXACT_TOL``.
+    its 2-norm is at most ``EXACT_TOL``.  A basis that spans R^4, as
+    ``wsls4`` and ``monomial:D`` for D >= 2 do at every strict payoff
+    matrix, is exact for every target, so there ``exact`` says nothing
+    about the strategy; the coefficients carry the content.
     """
     target = np.asarray(pd, dtype=float)
     coef, _, rank, _ = np.linalg.lstsq(basis._equilibrated, target, rcond=RANK_TOL)
@@ -292,9 +293,11 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
 def wsls_coefficients(m: PayoffMatrix) -> DecompositionResult:
     """Coefficients of Win-Stay Lose-Shift over the basis (s1, s2, s1*s2, 1).
 
-    For generic payoffs the four vectors are linearly independent and the
-    solve is exact; degenerate payoff sets (for example R = P, which makes
-    the CC and DD rows coincide) are reported through ``rank`` < 4 with the
+    At every strict payoff matrix the four vectors span R^4, since
+    |det| = |(S-T)(P-R)[(S-P)(R-T) + (T-P)(R-S)]| > 0, so the solve is
+    exact for any strategy and the claim lies in the coefficient values.
+    Degenerate permissive payoffs (for example R = P, which makes the CC
+    and DD rows coincide) are reported through ``rank`` < 4 with the
     minimum-norm coefficients of :func:`decompose`.  The coefficients depend on the payoff
     values, unlike the payoff-independent TFT identities.
     """

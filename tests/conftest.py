@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,14 @@ def random_strategies():
         return [z.MemoryOneStrategy(tuple(rng.random(4))) for _ in range(n)]
 
     return make
+
+
+@pytest.fixture(params=[
+    2, np.int64(2), (0.25,) * 4, (math.nan, 0.0, 0.0, 1.0), True, False,
+], ids=["int", "numpy-int", "distribution", "nan-distribution", "True", "False"])
+def bad_start(request):
+    """A start that is neither a JointState nor None, refused wherever a start is taken."""
+    return request.param
 
 
 @pytest.fixture(params=["cold", "warm"])

@@ -5,6 +5,8 @@ Every random draw is seeded, so the whole suite is deterministic.
 """
 
 import time
+from decimal import Context, Decimal, Inexact
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,39 @@ def _random_strict_payoffs(n: int, seed: int) -> list[z.PayoffMatrix]:
     return out
 
 
+#: A TFT identity's coefficient must lie within C4 * kappa * u of its exact
+#: value, u = 2^-53 and kappa the condition number of its denominator:
+#: (|T|^k + |S|^k) / |T^k - S^k| for the power identity, and for the
+#: exponential one (e^{hT} + e^{hS}) / |e^{hT} - e^{hS}| * (1 + |h| max(|T|, |S|)).
+#: At the 101 payoff sets the worst was 2.1 kappa u (4.5u) for the power
+#: identity and 0.71 kappa u (6.3u) for the exponential one.
+C4 = 4.0
+_EXACT = Context(prec=1000, traps=[Inexact])  # h * T and h * S without rounding
+_DIGITS60 = Context(prec=60)
+
+
+def _coefficient_errors(matrices, scale=1.0):
+    """Worst |coefficient * scale / exact - 1| / (kappa u), power identity then exponential."""
+    worst_power = worst_exp = 0.0
+    for pm in matrices:
+        T, S = Fraction(pm.T), Fraction(pm.S)
+        for k in range(1, 11):
+            exact = 1 / (T**k - S**k)
+            kappa = (abs(T) ** k + abs(S) ** k) * abs(exact)
+            error = abs(Fraction(z.tft_power_identity(pm, k).coefficient * scale) / exact - 1)
+            worst_power = max(worst_power, float(error / kappa) * 2**53)
+        widest = Decimal(max(abs(pm.T), abs(pm.S)))
+        for h in H_GRID:
+            e_t, e_s = (_DIGITS60.exp(_EXACT.multiply(Decimal(h), Decimal(x)))
+                        for x in (pm.T, pm.S))
+            exact = _DIGITS60.divide(1, e_t - e_s)
+            kappa = (e_t + e_s) * abs(exact) * (1 + abs(Decimal(h)) * widest)
+            coefficient = Decimal(z.tft_exponential_identity(pm, h).coefficient * scale)
+            error = abs(_DIGITS60.subtract(_DIGITS60.divide(coefficient, exact), 1))
+            worst_exp = max(worst_exp, float(error / kappa) * 2**53)
+    return worst_power, worst_exp
+
+
 def test_criterion_4_press_dyson_identities():
     matrices = [M] + _random_strict_payoffs(100, PAYOFF_SEED)
     worst_power = max(
@@ -121,13 +156,21 @@ def test_criterion_4_press_dyson_identities():
     worst_exp = max(
         z.tft_exponential_identity(pm, h).max_abs_error for pm in matrices for h in H_GRID
     )
+    coef_power, coef_exp = _coefficient_errors(matrices)
     _check(
         4,
         "Press-Dyson identities",
-        worst_power <= 1e-12 and worst_exp <= 1e-10,
+        worst_power <= 1e-12 and worst_exp <= 1e-10 and max(coef_power, coef_exp) <= C4,
         f"power error {worst_power:.3e} (k=1..10), exponential error {worst_exp:.3e}, "
+        f"coefficients within {coef_power:.2f} and {coef_exp:.2f} kappa u (bound {C4:g}), "
         f"{len(matrices)} payoff sets",
     )
+
+
+def test_criterion_4_sees_a_coefficient_off_by_1e_10():
+    # the coefficient check can fail: a relative error of 1e-10 breaks both bounds
+    matrices = [M] + _random_strict_payoffs(100, PAYOFF_SEED)
+    assert min(_coefficient_errors(matrices, scale=1 + 1e-10)) > C4
 
 
 def test_criterion_5_akin_identity():

@@ -232,7 +232,7 @@ class TestDecompose:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "error: payoff power s1^442*s2^0 overflows double precision at k=442\n"
+            "error: max_total_degree must lie in [0, 20] (the precision cap K_CAP), got 500\n"
         )
 
     def test_unknown_basis(self, capsys):

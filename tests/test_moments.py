@@ -67,7 +67,7 @@ class TestMoment:
         v = z.payoff_vector(m, 1)
         F = z.payoff_features(m, [(1, 0), (2, 0), (3, 0)])
         for state in z.JointState:
-            averages = z.feature_averages(F, z.point_mass(state))
+            averages = z.feature_averages(F, np.eye(4)[state])
             assert averages.tolist() == [v[state] ** k for k in (1, 2, 3)]
 
     def test_order_validation(self, m):
@@ -87,7 +87,7 @@ class TestCrossMoment:
 
     def test_zero_orders_give_normalisation(self, m):
         ones = z.payoff_features(m, [(0, 0)])
-        for pi in (CYCLE, np.full(4, 0.25), z.point_mass(0)):
+        for pi in (CYCLE, np.full(4, 0.25), np.eye(4)[0]):
             assert z.feature_averages(ones, pi)[0] == pytest.approx(1.0)
 
     def test_product_average_on_cycle(self, m):
@@ -179,7 +179,7 @@ class TestPayoffDistribution:
         assert probs1.tolist() == probs2.tolist()
 
     def test_point_mass(self, m):
-        support, probs = z.payoff_distributions(z.payoff_vector(m, 1), z.point_mass(0))
+        support, probs = z.payoff_distributions(z.payoff_vector(m, 1), np.eye(4)[0])
         assert support.tolist() == [0.0, 1.0, 3.0, 5.0]
         assert probs.tolist() == [0.0, 0.0, 1.0, 0.0]
 
@@ -222,8 +222,8 @@ class TestDistributionsEqual:
         assert z.distribution_stacks_equal(d, d, tol=0.0)
 
     def test_distinct_point_masses(self, m):
-        d_r = z.payoff_distributions(z.payoff_vector(m, 1), z.point_mass(0))
-        d_p = z.payoff_distributions(z.payoff_vector(m, 1), z.point_mass(3))
+        d_r = z.payoff_distributions(z.payoff_vector(m, 1), np.eye(4)[0])
+        d_p = z.payoff_distributions(z.payoff_vector(m, 1), np.eye(4)[3])
         assert not z.distribution_stacks_equal(d_r, d_p, tol=1e-6)
 
     def test_probability_tolerance(self):
@@ -296,7 +296,7 @@ class TestDistributionStacksEqual:
         pis = rng.dirichlet(np.ones(4), size=50)
         pis[:10, 1] = pis[:10, 2]  # some pairs where TFT-like symmetry holds
         pis[:10] /= pis[:10].sum(axis=1, keepdims=True)
-        pis[10:12] = [z.point_mass(0), z.point_mass(3)]
+        pis[10:12] = [np.eye(4)[0], np.eye(4)[3]]
         s1, s2 = z.payoff_vector(m, 1), z.payoff_vector(m, 2)
         stacked = z.distribution_stacks_equal(
             z.payoff_distributions(s1, pis), z.payoff_distributions(s2, pis), tol=1e-8

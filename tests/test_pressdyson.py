@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import zdlab as z
 from zdlab import pressdyson
 from zdlab.game import SWAP
+from zdlab.moments import K_CAP
 
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 strategy_vectors = st.tuples(probability, probability, probability, probability)
@@ -87,7 +88,7 @@ class TestAkinResidual:
 
     def test_detects_non_stationary_distribution(self):
         pd = z.press_dyson(z.TFT, 1)
-        assert z.akin_residual(pd, z.point_mass(z.JointState.CD)) == -1.0
+        assert z.akin_residual(pd, np.eye(4)[z.JointState.CD]) == -1.0
 
     def test_is_an_in_order_sum(self, random_strategies):
         # bit for bit ((d0*p0 + d1*p1) + d2*p2) + d3*p3, whatever the CPU
@@ -155,8 +156,12 @@ class TestBasisSpec:
 
     @pytest.mark.filterwarnings("error")
     def test_monomial_overflow_is_a_range_error(self, m):
-        with pytest.raises(OverflowError, match="overflows double precision at k=442"):
+        # a degree above the precision cap is refused, however small the payoffs
+        message = r"max_total_degree must lie in \[0, 20\] \(the precision cap K_CAP\), got 500"
+        with pytest.raises(ValueError, match=message):
             z.BasisSpec.monomial(m, 500)
+        with pytest.raises(ValueError, match="precision cap"):
+            z.BasisSpec.monomial(z.PayoffMatrix(R=0.3, S=0, T=0.5, P=0.1), K_CAP + 1)
 
     def test_monomial_overflow_builds_no_row_beyond_it(self, m, monkeypatch):
         requested = []
@@ -166,9 +171,16 @@ class TestBasisSpec:
             return z.payoff_features(payoffs, labels)
 
         monkeypatch.setattr(pressdyson, "payoff_features", recording)
-        with pytest.raises(OverflowError, match=r"s1\^442\*s2\^0 overflows .* at k=442"):
-            z.BasisSpec.monomial(m, 500)
-        assert requested and max(k1 + k2 for k1, k2 in requested) <= 442
+        with pytest.raises(ValueError, match="precision cap"):
+            z.BasisSpec.monomial(m, K_CAP + 1)
+        assert requested == []
+
+    def test_monomial_overflow_under_the_cap_is_a_range_error(self):
+        # below the cap a power beyond double precision is payoff_features' OverflowError
+        huge = z.PayoffMatrix(R=3e19, S=0, T=5e19, P=1e19)
+        with pytest.raises(OverflowError, match=r"s1\^16\*s2\^0 overflows double precision at k=16"):
+            z.BasisSpec.monomial(huge, K_CAP)
+        assert len(z.BasisSpec.monomial(huge, 15)) == 136
 
     def test_exponential_basis(self, m):
         basis = z.BasisSpec.exponential(m, 0.5)
@@ -272,16 +284,16 @@ class TestDecompose:
             assert result.rank == 4
             assert result.residual_norm <= 1e-10
 
-    @pytest.mark.parametrize("degree", [8, 12, 20, 30])
+    @pytest.mark.parametrize("degree", [8, 12, 20])
     def test_high_degree_monomial_bases_stay_exact(self, m, degree):
-        # every monomial basis of degree >= 3 spans R^4; unequilibrated
-        # columns (5^30 against 1) used to hide that from the rank test
+        # every monomial basis of degree >= 2 spans R^4; unequilibrated
+        # columns (5^20 against 1) used to hide that from the rank test
         basis = z.BasisSpec.monomial(m, degree)
         result = z.decompose(z.press_dyson(z.WSLS, 1), basis)
         assert result.rank == 4
         assert result.exact
         assert result.residual_norm <= z.pressdyson.EXACT_TOL
-        if degree == 30:
+        if degree == 20:
             assert z.decompose(z.press_dyson(z.TFT, 1), basis).rank == 4
 
     def test_zero_column_keeps_its_place(self, m):
@@ -330,6 +342,16 @@ class TestDecompose:
     def test_decompose_accepts_raw_arrays(self, m):
         for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
             assert z.decompose(target, z.BasisSpec.zd(m)).exact
+
+    @pytest.mark.parametrize("eps, exact", [(1e-11, False), (1e-13, True)])
+    def test_exact_tol_decides_a_residual_off_the_span(self, m, eps, exact):
+        # (-3, 2, 2, -1) is orthogonal to 1, s1 = (3, 0, 5, 1) and s2 = (3, 5, 0, 1),
+        # so TFT's vector plus eps times that unit normal leaves a residual of eps
+        assert not (z.BasisSpec.zd(m).matrix.T @ [-3, 2, 2, -1]).any()
+        normal = np.array([-3.0, 2.0, 2.0, -1.0]) / np.sqrt(18.0)
+        result = z.decompose(z.press_dyson(z.TFT, 1) + eps * normal, z.BasisSpec.zd(m))
+        assert result.residual_norm == pytest.approx(eps, rel=1e-2)
+        assert result.exact is exact
 
     def test_exactness_has_one_threshold(self, m):
         result = z.decompose(z.press_dyson(z.WSLS, 1), z.BasisSpec.zd(m))
