@@ -114,13 +114,12 @@ def _payoff_dict(m: PayoffMatrix) -> dict:
     return {"R": m.R, "S": m.S, "T": m.T, "P": m.P}
 
 
-def _manifest(command: str, m: PayoffMatrix | None, parameters: dict,
-              prng: str | None) -> dict:
+def _manifest(command: str, m: PayoffMatrix, parameters: dict, prng: str | None) -> dict:
     return {
         "tool": "zdlab",
         "version": __version__,
         "command": command,
-        "payoffs": _payoff_dict(m) if m is not None else None,
+        "payoffs": _payoff_dict(m),
         "parameters": parameters,
         "prng": prng,
     }
@@ -412,8 +411,7 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
         raise ValueError("empty --payoff-grid")
     points: list[PayoffMatrix | str] = []
     for combo in itertools.product(*(values for _, values in axes)):
-        values = {"R": base.R, "S": base.S, "T": base.T, "P": base.P}
-        values.update({name: v for (name, _), v in zip(axes, combo)})
+        values = _payoff_dict(base) | {name: v for (name, _), v in zip(axes, combo)}
         try:
             points.append(PayoffMatrix(permissive=True, **values))
         except ValueError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
@@ -60,6 +61,15 @@ def global_frame(own: np.ndarray, player: int) -> np.ndarray:
     raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 
+def _is_real(x) -> bool:
+    """A real number other than a bool: an int, a float, a Fraction, a numpy int or float."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PayoffMatrix:
     """The four one-shot payoffs (R, S, T, P).
@@ -81,10 +91,9 @@ class PayoffMatrix:
     def __post_init__(self) -> None:
         for name in ("R", "S", "T", "P"):
             raw = getattr(self, name)
-            try:
-                value = float(raw)
-            except TypeError:
-                raise ValueError(f"payoff {name} must be a number, got {raw!r}") from None
+            if not _is_real(raw):
+                raise ValueError(f"payoff {name} must be a number, got {raw!r}")
+            value = float(raw)
             if not np.isfinite(value):
                 raise ValueError(f"payoff {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -117,10 +126,6 @@ def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
     v = global_frame(np.array([m.R, m.S, m.T, m.P]), player)
     v.flags.writeable = False
     return v
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 #: Payoff tables that :func:`payoff_features` keeps, one per (payoffs,
@@ -207,9 +212,11 @@ class MemoryOneStrategy:
 
     def __post_init__(self) -> None:
         try:
-            p = tuple(float(x) for x in self.p)
-        except TypeError:
-            raise ValueError(f"cooperation probabilities must be numbers: {self.p!r}") from None
+            p = tuple(float(x) if _is_real(x) else None for x in self.p)
+        except TypeError:  # not iterable
+            p = (None,)
+        if None in p:
+            raise ValueError(f"cooperation probabilities must be numbers: {self.p!r}")
         if len(p) != 4:
             raise ValueError("a memory-one strategy has exactly four probabilities")
         for x in p:
@@ -270,7 +277,7 @@ def _strategy_object(pairs) -> MemoryOneStrategy:
             raise ValueError(f"unknown strategy key {key!r}")
         if key in values:
             raise ValueError(f"strategy key {key!r} is named twice")
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        if not _is_real(value):
             raise ValueError(f"strategy values must be numbers: {key} is {value!r}")
         values[key] = value
     for key in _STRATEGY_KEYS:

@@ -119,44 +119,29 @@ def classify(M) -> ChainStructure:
 
 @lru_cache(maxsize=4096)
 def _classify_mask(mask: int) -> ChainStructure:
-    support = (mask >> np.arange(N_STATES * N_STATES)) & 1
-    edge = support.reshape(N_STATES, N_STATES).T.astype(np.int8)  # edge[i, j]: i -> j
-    reach = (edge | np.eye(N_STATES, dtype=np.int8)).astype(np.int8)
-    for _ in range(2):  # path lengths double per squaring; 4 covers n=4
-        reach = ((reach @ reach) > 0).astype(np.int8)
-    mutual = (reach & reach.T) > 0
+    states = range(N_STATES)
+    succ = [{to for to in states if (mask >> (N_STATES * to + frm)) & 1} for frm in states]
 
-    seen = [False] * N_STATES
-    classes: list[tuple[int, ...]] = []
-    for i in range(N_STATES):
-        if not seen[i]:
-            members = tuple(j for j in range(N_STATES) if mutual[i, j])
-            for j in members:
-                seen[j] = True
-            classes.append(members)
+    def step(frontier: set[int]) -> set[int]:  # the states one move from the frontier
+        return set().union(*(succ[j] for j in frontier))
 
-    recurrent: list[bool] = []
+    reach = [{i} for i in states]
+    for _ in range(N_STATES - 1):  # a shortest path on four states has at most three steps
+        reach = [r | step(r) for r in reach]
+    classes = tuple(dict.fromkeys(
+        tuple(j for j in states if j in reach[i] and i in reach[j]) for i in states
+    ))
+    recurrent = tuple(reach[members[0]] <= set(members) for members in classes)
     periods: list[int | None] = []
-    for members in classes:
-        closed = all(
-            all(j in members for j in np.nonzero(reach[i])[0]) for i in members
-        )
-        recurrent.append(closed)
-        if not closed:
-            periods.append(None)
-            continue
-        sub = edge[np.ix_(members, members)]
-        walk = np.eye(len(members), dtype=np.int8)
-        period = 0
+    for members, closed in zip(classes, recurrent):
+        walks, period = [{i} for i in members], 0  # walks[k]: where t steps from members[k] end
         for t in range(1, len(members) + 1):
-            walk = ((walk @ sub) > 0).astype(np.int8)
-            if walk.diagonal().any():
+            walks = [step(w) for w in walks]
+            if any(i in w for i, w in zip(members, walks)):
                 period = gcd(period, t)
-        periods.append(period)
-
-    n_recurrent = sum(recurrent)
-    ergodic = n_recurrent == 1 and all(p in (None, 1) for p in periods)
-    return ChainStructure(tuple(classes), tuple(recurrent), tuple(periods), ergodic)
+        periods.append(period if closed else None)
+    ergodic = sum(recurrent) == 1 and all(p in (None, 1) for p in periods)
+    return ChainStructure(classes, recurrent, tuple(periods), ergodic)
 
 
 @dataclass(frozen=True, eq=False)

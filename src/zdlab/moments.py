@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .game import PayoffMatrix, payoff_features
+from .game import PayoffMatrix, _is_int, payoff_features
 from .markov import ordered_dot
 
 __all__ = [
@@ -43,7 +43,7 @@ VALUE_TOL = 1e-12
 
 
 def _check_k(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {k!r}")
     if k > K_CAP:
         raise ValueError(f"moment order {k} exceeds the precision cap {K_CAP}")
@@ -52,7 +52,7 @@ def _check_k(k: int) -> int:
 
 def moment_orders(k_max: int) -> list[int]:
     """The moment orders 1 ... ``k_max``, each at most :data:`K_CAP`."""
-    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
+    if not _is_int(k_max) or k_max < 1:
         raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
     return [_check_k(k) for k in range(1, k_max + 1)]
 

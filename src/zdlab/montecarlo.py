@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import JointState, MemoryOneStrategy, global_frame, transition_matrix
+from .game import JointState, MemoryOneStrategy, _is_int, global_frame, transition_matrix
 from .markov import LimitResult, cesaro_limit, check_start
 
 __all__ = [
@@ -75,7 +75,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         for name in ("rounds", "seed", "burn_in"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.rounds < 1:

@@ -19,6 +19,7 @@ OPPONENT_SEED = 20260810
 PAIR_SEED = 777
 PAYOFF_SEED = 4242
 MC_BASE_SEED = 1234
+FOCAL_SEED = 2468
 
 N_OPPONENTS = 1000
 K_VALUES = tuple(range(1, 7))
@@ -27,6 +28,12 @@ H_GRID = (-2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0)
 # The module default, stated here: a k = 6 moment check multiplies
 # distribution error by T^6, so the chain solves leave headroom.
 LIMIT_TOL = 1e-13
+
+# Criteria 1 and 2 bound the moment and MGF gaps, criterion 3 |pi_CD - pi_DC|
+# and each outcome's probability gap between the two payoff distributions.
+MOMENT_TOL = 1e-8
+GAP_TOL = 1e-10
+DISTRIBUTION_TOL = 1e-8
 
 M = z.DEFAULT_PAYOFFS
 S1 = z.payoff_vector(M, 1)
@@ -52,57 +59,85 @@ def _tft_limit(opponent: z.MemoryOneStrategy) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def tft_limits():
-    return [(opp, _tft_limit(opp)) for opp in _random_strategies(N_OPPONENTS, OPPONENT_SEED)]
+    return np.array([_tft_limit(opp) for opp in _random_strategies(N_OPPONENTS, OPPONENT_SEED)])
+
+
+def _moment_gaps(pis) -> np.ndarray:
+    """Criterion 1's measure under each distribution: max over k of |<s1^k> - <s2^k>|."""
+    F1 = z.payoff_features(M, [(k, 0) for k in K_VALUES])
+    F2 = z.payoff_features(M, [(0, k) for k in K_VALUES])
+    return np.abs(z.feature_averages(F1, pis) - z.feature_averages(F2, pis)).max(axis=-1)
+
+
+def _mgf_gaps(pis) -> np.ndarray:
+    """Criterion 2's measure under each distribution: max over h of |<e^(h s1)> - <e^(h s2)>|."""
+    F1 = z.payoff_features(M, [("exp", 1, h) for h in H_GRID])
+    F2 = z.payoff_features(M, [("exp", 2, h) for h in H_GRID])
+    return np.abs(z.feature_averages(F1, pis) - z.feature_averages(F2, pis)).max(axis=-1)
+
+
+def _structural_gaps(pis) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion 3's measures: |pi_CD - pi_DC|, and whether the payoff distributions agree."""
+    gaps = np.abs(pis[..., z.JointState.CD] - pis[..., z.JointState.DC])
+    d1 = z.payoff_distributions(S1, pis)
+    d2 = z.payoff_distributions(S2, pis)
+    return gaps, z.distribution_stacks_equal(d1, d2, tol=DISTRIBUTION_TOL)
 
 
 def test_criterion_1_tft_moment_theorem():
     start = time.perf_counter()
-    F1 = z.payoff_features(M, [(k, 0) for k in K_VALUES])
-    F2 = z.payoff_features(M, [(0, k) for k in K_VALUES])
     worst = 0.0
     for opponent in _random_strategies(N_OPPONENTS, OPPONENT_SEED):
-        pi = _tft_limit(opponent)
-        gaps = z.feature_averages(F1, pi) - z.feature_averages(F2, pi)
-        worst = max(worst, float(np.max(np.abs(gaps))))
+        worst = max(worst, float(_moment_gaps(_tft_limit(opponent))))
     elapsed = time.perf_counter() - start
     _check(
         1,
         "TFT moment theorem",
-        worst <= 1e-8 and elapsed < 10.0,
+        worst <= MOMENT_TOL and elapsed < 10.0,
         f"max |<s1^k> - <s2^k>| = {worst:.3e} over {N_OPPONENTS} opponents, "
         f"k=1..6, in {elapsed:.2f}s",
     )
 
 
 def test_criterion_2_tft_mgf_theorem(tft_limits):
-    F1 = z.payoff_features(M, [("exp", 1, h) for h in H_GRID])
-    F2 = z.payoff_features(M, [("exp", 2, h) for h in H_GRID])
-    worst = 0.0
-    for _, pi in tft_limits:
-        gaps = z.feature_averages(F1, pi) - z.feature_averages(F2, pi)
-        worst = max(worst, float(np.max(np.abs(gaps))))
+    worst = float(_mgf_gaps(tft_limits).max())
     _check(
         2,
         "TFT MGF theorem",
-        worst <= 1e-8,
+        worst <= MOMENT_TOL,
         f"max |<e^(h s1)> - <e^(h s2)>| = {worst:.3e} over the h grid",
     )
 
 
 def test_criterion_3_structural_core(tft_limits):
-    worst_gap = 0.0
-    all_equal = True
-    for _, pi in tft_limits:
-        worst_gap = max(worst_gap, abs(pi[z.JointState.CD] - pi[z.JointState.DC]))
-        d1 = z.payoff_distributions(S1, pi)
-        d2 = z.payoff_distributions(S2, pi)
-        all_equal = all_equal and bool(z.distribution_stacks_equal(d1, d2, tol=1e-8))
+    gaps, equal = _structural_gaps(tft_limits)
+    worst_gap, all_equal = float(gaps.max()), bool(equal.all())
     _check(
         3,
         "structural core",
-        worst_gap <= 1e-10 and all_equal,
+        worst_gap <= GAP_TOL and all_equal,
         f"max |pi_cd - pi_dc| = {worst_gap:.3e}; payoff distributions equal: {all_equal}",
     )
+
+
+def test_criteria_1_to_3_fail_without_tft():
+    # negative controls: with WSLS or a seeded random player in TFT's place,
+    # every opponent breaks every tolerance of criteria 1 to 3
+    focals = {"WSLS": z.WSLS, "random": _random_strategies(1, FOCAL_SEED)[0]}
+    players = np.array([s.p for s in focals.values()])
+    opponents = np.array([s.p for s in _random_strategies(N_OPPONENTS, OPPONENT_SEED)])
+    chains = z.transition_matrices(players[:, None], opponents).reshape(-1, 4, 4)
+    limits = z.cesaro_limits(chains, tol=LIMIT_TOL)
+    assert limits.converged.all()
+    pis = limits.distributions.reshape(len(focals), N_OPPONENTS, 4)
+    gaps, equal = _structural_gaps(pis)
+    for name, moment, mgf, gap, same in zip(focals, _moment_gaps(pis), _mgf_gaps(pis),
+                                            gaps, equal):
+        print(f"CONTROL 1-3 {name} focal player: smallest moment gap {moment.min():.3e}, "
+              f"MGF gap {mgf.min():.3e}, |pi_cd - pi_dc| {gap.min():.3e}; "
+              f"payoff distributions equal for {int(same.sum())} of {N_OPPONENTS}")
+        assert (moment > MOMENT_TOL).all() and (mgf > MOMENT_TOL).all(), name
+        assert (gap > GAP_TOL).all() and not same.any(), name
 
 
 def _random_strict_payoffs(n: int, seed: int) -> list[z.PayoffMatrix]:
@@ -217,6 +252,66 @@ def test_criterion_6_zd_boundary():
     )
 
 
+#: Criterion 7: each of WSLS's ``wsls4`` coefficients must lie within
+#: C7 * kappa * u of its exact value, u = 2^-53 and kappa the infinity-norm
+#: condition number of the exact basis matrix (33.5 to 38 on the T sweep).
+#: The worst measured was 4.43 kappa u (157u, on the s1*s2 coefficient 3/28
+#: at the default payoffs), with OpenBLAS's default, Haswell and Prescott
+#: kernels and with numpy's baseline loops; lstsq's bits follow the kernel.
+C7 = 8.0
+T_SWEEP = (4.5, 5.0, 5.5)  # R, S, P as in the default payoffs
+
+
+def _det(A):
+    """Determinant of a square list of Fractions by cofactor expansion along row 0."""
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * _det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)) if A[0][j])
+
+
+def _cramer(A, b):
+    """The exact solution x of A x = b by Cramer's rule."""
+    d = _det(A)
+    return [_det([row[:j] + [bj] + row[j + 1:] for row, bj in zip(A, b)]) / d
+            for j in range(len(A))]
+
+
+def _wsls_exact(pm):
+    """WSLS's exact coefficients over (s1, s2, s1*s2, 1), the basis's det and kappa."""
+    R, S, T, P = (Fraction(v) for v in pm.as_tuple())
+    basis = [[x, y, x * y, Fraction(1)] for x, y in ((R, R), (S, T), (T, S), (P, P))]
+    unit = [[Fraction(i == j) for i in range(4)] for j in range(4)]
+    inverse_columns = [_cramer(basis, e) for e in unit]
+    kappa = (max(sum(abs(v) for v in row) for row in basis)
+             * max(sum(abs(col[i]) for col in inverse_columns) for i in range(4)))
+    # WSLS cooperates after CC and DD: (1, 0, 0, 1) minus (1, 1, 0, 0) for a previous C
+    return _cramer(basis, [Fraction(v) for v in (0, -1, 0, 1)]), _det(basis), kappa
+
+
+def _wsls_coefficient_errors(scale=1.0):
+    """Per payoff set of the T sweep: worst |coefficient * scale / exact - 1| / (kappa u)."""
+    worst = []
+    for t in T_SWEEP:
+        pm = z.PayoffMatrix(R=3, S=0, T=t, P=1)
+        exact, _, kappa = _wsls_exact(pm)
+        result = z.wsls_coefficients(pm)
+        assert tuple(result.coefficients) == ((1, 0), (0, 1), (1, 1), (0, 0))
+        errors = [abs(Fraction(c * scale) / e - 1)
+                  for c, e in zip(result.coefficients.values(), exact)]
+        worst.append(float(max(errors) / kappa) * 2**53)
+    return worst
+
+
+def test_criterion_7_exact_reference():
+    exact, det, kappa = _wsls_exact(M)
+    R, S, T, P = (Fraction(v) for v in M.as_tuple())
+    # columns (s1, s2, s1*s2, 1) are an odd permutation of (1, s1, s2, s1*s2)
+    assert det == -(S - T) * (P - R) * ((S - P) * (R - T) + (T - P) * (R - S)) == -140
+    assert exact == [Fraction(-51, 140), Fraction(-79, 140), Fraction(3, 28), Fraction(51, 28)]
+    assert 35 < kappa < 36
+
+
 def test_criterion_7_wsls_relation():
     result = z.wsls_coefficients(M)
     recon_err = float(np.max(np.abs(result.residual)))
@@ -230,15 +325,25 @@ def test_criterion_7_wsls_relation():
         )
     sweep = {
         tuple(z.wsls_coefficients(z.PayoffMatrix(R=3, S=0, T=t, P=1)).coefficients.values())
-        for t in (4.5, 5.0, 5.5)
+        for t in T_SWEEP
     }
+    coefficient_error = max(_wsls_coefficient_errors())
     _check(
         7,
-        "WSLS relation",
-        recon_err <= 1e-12 and worst_relation <= 1e-8 and len(sweep) == 3,
-        f"reconstruction error {recon_err:.3e}; max relation value {worst_relation:.3e} "
-        f"over 100 opponents; {len(sweep)} distinct coefficient vectors in the T sweep",
+        "WSLS coefficients",
+        coefficient_error <= C7 and recon_err <= 1e-12 and worst_relation <= 1e-8
+        and len(sweep) == 3,
+        f"coefficients within {coefficient_error:.2f} kappa u of Cramer's rule at "
+        f"T = {', '.join(map(str, T_SWEEP))} (bound {C7:g}); max relation value "
+        f"{worst_relation:.3e} over 100 opponents; {len(sweep)} distinct coefficient "
+        f"vectors in the T sweep; reconstruction error {recon_err:.3e}, "
+        f"as for any strategy, since wsls4 spans R^4",
     )
+
+
+def test_criterion_7_sees_a_coefficient_off_by_1e_10():
+    # the coefficient check can fail: a relative error of 1e-10 breaks the bound at every T
+    assert min(_wsls_coefficient_errors(scale=1 + 1e-10)) > C7
 
 
 def test_criterion_8_monte_carlo_cross_validation():

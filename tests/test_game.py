@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ class TestPayoffMatrix:
     def test_non_numeric_rejected(self, value):
         with pytest.raises(ValueError, match="payoff T must be a number"):
             z.PayoffMatrix(R=3, S=0, T=value, P=1)
+
+    @pytest.mark.parametrize("name, value", [("R", "3"), ("S", False), ("P", True),
+                                             ("T", np.True_)])
+    def test_strings_and_bools_are_not_payoffs(self, name, value):
+        # float() reads all four as numbers
+        payoffs = {"R": 3, "S": 0, "T": 5, "P": 1} | {name: value}
+        with pytest.raises(ValueError, match=re.escape(f"payoff {name} must be a number, "
+                                                       f"got {value!r}")):
+            z.PayoffMatrix(**payoffs)
+
+    def test_any_real_number_is_a_payoff(self):
+        m = z.PayoffMatrix(R=Fraction(3), S=np.int8(0), T=np.float32(5.0), P=1)
+        assert m.as_tuple() == (3.0, 0.0, 5.0, 1.0)
+        assert all(type(v) is float for v in m.as_tuple())
 
 
 class TestPayoffVectors:
@@ -187,6 +202,19 @@ class TestStrategies:
     def test_non_numeric_probability_rejected(self, entry):
         with pytest.raises(ValueError, match="must be numbers"):
             z.MemoryOneStrategy((entry, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("p", [("1", 0, True, 0), (1, 0, True, 0), ("1", 0, 0, 0),
+                                   (np.False_, 0, 0, 0), "1000"])
+    def test_strings_and_bools_are_not_probabilities(self, p):
+        # float() reads each entry as a number, and "1000" as four of them
+        with pytest.raises(ValueError, match=re.escape(
+                f"cooperation probabilities must be numbers: {p!r}")):
+            z.MemoryOneStrategy(p)
+
+    def test_any_real_number_is_a_probability(self):
+        s = z.MemoryOneStrategy((Fraction(1, 2), np.int64(1), np.float32(0.25), 0))
+        assert s.p == (0.5, 1.0, 0.25, 0.0)
+        assert all(type(x) is float for x in s.p)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="exactly four"):

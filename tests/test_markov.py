@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,33 @@ class TestClassify:
         s = z.classify(np.eye(4))
         assert len(s.recurrent_classes) == 4
         assert not s.ergodic
+
+    def test_matches_matrix_oracle_on_every_pair_pattern(self):
+        # p1, p2 in {0, 1/2, 1}^4: each pair has its own support pattern
+        grid = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=4)))
+        Ms = z.transition_matrices(grid[:, None], grid[None, :]).reshape(-1, 4, 4)
+        assert len(np.unique(markov._support_masks(Ms))) == len(Ms) == 6561
+        A = (Ms.transpose(0, 2, 1) > 0).astype(np.int64)  # A[n, i, j]: an edge i -> j
+        step = A + np.eye(4, dtype=np.int64)
+        reach = (step @ step @ step) > 0  # every path on four states has at most three steps
+        returns = np.empty((len(A), 16, 4), dtype=bool)  # returns[n, t - 1, i]: (A^t)[i, i] > 0
+        walk = np.broadcast_to(np.eye(4, dtype=np.int64), A.shape)
+        for t in range(16):
+            walk = ((walk @ A) > 0).astype(np.int64)
+            returns[:, t] = walk.diagonal(axis1=1, axis2=2) > 0
+        for M, edge, path, back in zip(Ms, A.tolist(), reach.tolist(), returns.tolist()):
+            classes = tuple(sorted(
+                {tuple(j for j in range(4) if path[i][j] and path[j][i]) for i in range(4)}
+            ))
+            recurrent = tuple(
+                not any(edge[i][j] for i in c for j in range(4) if j not in c) for c in classes
+            )
+            periods = tuple(
+                math.gcd(*(t + 1 for t in range(16) if back[t][c[0]])) if r else None
+                for c, r in zip(classes, recurrent)
+            )
+            ergodic = sum(recurrent) == 1 and all(p in (None, 1) for p in periods)
+            assert z.classify(M) == markov.ChainStructure(classes, recurrent, periods, ergodic)
 
 
 class TestCesaroLimit:
