@@ -78,6 +78,14 @@ def _finite(text) -> float:
     return value
 
 
+def _integer(text: str, usage: str) -> int:
+    """One integer from the command line; anything else is the usage error ``usage``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(usage) from None
+
+
 def _parse_payoffs(text: str) -> PayoffMatrix:
     parts = text.split(",")
     if len(parts) != 4:
@@ -102,7 +110,8 @@ def _parse_basis(text: str, m: PayoffMatrix) -> BasisSpec:
     if key == "wsls4":
         return BasisSpec.wsls4(m)
     if key.startswith("monomial:"):
-        return BasisSpec.monomial(m, int(key.split(":", 1)[1]))
+        usage = f"--basis monomial:D needs an integer D, got {text!r}"
+        return BasisSpec.monomial(m, _integer(key.split(":", 1)[1], usage))
     if key.startswith("exp:"):
         return BasisSpec.exponential(m, _finite(key.split(":", 1)[1]))
     raise ValueError(
@@ -162,8 +171,8 @@ def _csv_text(header: list[str], columns: list) -> str:
         kind = values.dtype.kind if isinstance(values, np.ndarray) else None
         if kind == "b":
             spec, values = "%s", np.where(values, "true", "false").tolist()
-        elif kind == "f" or all(isinstance(v, float) for v in values):
-            spec, values = "%.17g", values.tolist() if kind else values
+        elif kind == "f":
+            spec, values = "%.17g", values.tolist()
         else:
             spec, values = "%s", [_quote(_fmt(v), empty) for v in values]
         specs.append(spec)
@@ -452,7 +461,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if args.tft_k_range is not None:
             lo, _, hi = args.tft_k_range.partition(":")
-            k_lo, k_hi = int(lo), int(hi or lo)
+            usage = f"--tft-k-range A:B needs integers A and B, got {args.tft_k_range!r}"
+            k_lo, k_hi = _integer(lo, usage), _integer(hi or lo, usage)
             if k_hi < k_lo or k_lo < 1:
                 raise ValueError(f"empty or invalid k range {args.tft_k_range!r}")
             values, identity, column = range(k_lo, k_hi + 1), tft_power_identity, "k"

@@ -66,6 +66,24 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _to_float(x) -> float:
+    """A real number as a double; one beyond the double range is an infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:  # an int or a Fraction past 1.8e308
+        return math.inf if x > 0 else -math.inf
+
+
+def check_noise(eps) -> float:
+    """A trembling-hand noise level: a real number in [0, 1/2], as a float."""
+    if not _is_real(eps):
+        raise ValueError(f"noise must be a number, got {eps!r}")
+    eps = _to_float(eps)
+    if not (0.0 <= eps <= 0.5):
+        raise ValueError(f"noise must lie in [0, 1/2], got {eps!r}")
+    return eps
+
+
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
@@ -93,7 +111,7 @@ class PayoffMatrix:
             raw = getattr(self, name)
             if not _is_real(raw):
                 raise ValueError(f"payoff {name} must be a number, got {raw!r}")
-            value = float(raw)
+            value = _to_float(raw)
             if not np.isfinite(value):
                 raise ValueError(f"payoff {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -112,9 +130,6 @@ class PayoffMatrix:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.R, self.S, self.T, self.P)
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.as_tuple())
 
 
 #: Conventional Axelrod payoffs, used whenever no payoffs are given.
@@ -164,7 +179,7 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
                 and _is_int(label[1]) and label[1] in (1, 2)
                 and (_is_int(label[2]) or isinstance(label[2], (float, np.floating)))
                 and math.isfinite(label[2])):
-            exponent = abs(label[2]) * m.max_abs()
+            exponent = abs(label[2]) * max(abs(v) for v in m.as_tuple())
             if exponent > 700.0:
                 raise OverflowError(
                     f"|h| * max|payoff| = {exponent:g} exceeds the "
@@ -212,7 +227,7 @@ class MemoryOneStrategy:
 
     def __post_init__(self) -> None:
         try:
-            p = tuple(float(x) if _is_real(x) else None for x in self.p)
+            p = tuple(_to_float(x) if _is_real(x) else None for x in self.p)
         except TypeError:  # not iterable
             p = (None,)
         if None in p:
@@ -230,9 +245,7 @@ class MemoryOneStrategy:
 
     def with_noise(self, eps: float) -> "MemoryOneStrategy":
         """Trembling-hand mixture: p <- (1 - eps) * p + eps / 2."""
-        eps = float(eps)
-        if not (0.0 <= eps <= 0.5):
-            raise ValueError(f"noise level {eps!r} outside [0, 1/2]")
+        eps = check_noise(eps)
         if eps == 0.0:
             return self
         return MemoryOneStrategy(tuple((1.0 - eps) * x + eps / 2.0 for x in self.p))

@@ -43,9 +43,6 @@ import numpy as np
 from .game import JointState
 
 __all__ = [
-    "ChainStructure",
-    "LimitResult",
-    "LimitBatch",
     "classify",
     "cesaro_limit",
     "cesaro_limits",

@@ -30,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import JointState, MemoryOneStrategy, _is_int, global_frame, transition_matrix
+from .game import (JointState, MemoryOneStrategy, _is_int, check_noise, global_frame,
+                   transition_matrix)
 from .markov import LimitResult, cesaro_limit, check_start
 
 __all__ = [
     "PRNG_ID",
     "SimulationConfig",
-    "SimulationReport",
-    "ComparisonReport",
     "simulate",
     "empirical_vs_exact",
 ]
@@ -88,9 +87,7 @@ class SimulationConfig:
             raise ValueError(
                 f"empty sample: burn_in {self.burn_in} leaves no rounds of {self.rounds}"
             )
-        if not (0.0 <= self.noise <= 0.5):
-            raise ValueError(f"noise must lie in [0, 1/2], got {float(self.noise)!r}")
-        object.__setattr__(self, "noise", float(self.noise))
+        object.__setattr__(self, "noise", check_noise(self.noise))
         check_start(self.initial)
 
 

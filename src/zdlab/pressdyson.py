@@ -38,8 +38,6 @@ from .moments import K_CAP
 
 __all__ = [
     "BasisSpec",
-    "DecompositionResult",
-    "IdentityCheck",
     "press_dyson",
     "akin_residual",
     "format_label",
@@ -133,9 +131,6 @@ class BasisSpec:
                             ("_equilibrated", equilibrated)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":

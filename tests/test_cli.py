@@ -674,6 +674,14 @@ class TestEntryPoints:
         # the last p_cc used to win, giving [0.0, 0.0, 1.0, 0.0]
         (["decompose", '{"p_cc": 1, "p_cd": 0, "p_dc": 1, "p_dd": 0, "p_cc": 0}'],
          "strategy key 'p_cc' is named twice"),
+        # a 400-digit integer used to end in "int too large to convert to float"
+        (["decompose", '{"p_cc": 1' + "0" * 400 + ', "p_cd": 0, "p_dc": 1, "p_dd": 0}'],
+         "cooperation probability inf outside [0, 1]"),
+        # these two used to print int()'s "invalid literal for int() with base 10"
+        (["decompose", "tft", "--basis", "monomial:x"],
+         "--basis monomial:D needs an integer D, got 'monomial:x'"),
+        (["sweep", "--tft-k-range", "a:3"],
+         "--tft-k-range A:B needs integers A and B, got 'a:3'"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -9,6 +9,9 @@ from hypothesis import given, strategies as st
 import zdlab as z
 from zdlab.game import SWAP
 
+#: Test ids of 10**400, Fraction(10**400) and -10**400, real numbers past the double range.
+BEYOND_DOUBLE = ["int", "fraction", "negative_int"]
+
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 strategy_vectors = st.tuples(probability, probability, probability, probability)
 
@@ -53,6 +56,14 @@ class TestPayoffMatrix:
         m = z.PayoffMatrix(R=Fraction(3), S=np.int8(0), T=np.float32(5.0), P=1)
         assert m.as_tuple() == (3.0, 0.0, 5.0, 1.0)
         assert all(type(v) is float for v in m.as_tuple())
+
+    @pytest.mark.parametrize("value, shown", [(10**400, "inf"), (Fraction(10**400), "inf"),
+                                              (-10**400, "-inf")], ids=BEYOND_DOUBLE)
+    def test_numbers_beyond_double_range_are_not_finite(self, value, shown):
+        # each used to raise OverflowError("... too large ...") from float()
+        with pytest.raises(ValueError) as excinfo:
+            z.PayoffMatrix(R=value, S=0, T=5, P=1)
+        assert str(excinfo.value) == f"payoff R must be finite, got {shown}"
 
 
 class TestPayoffVectors:
@@ -216,6 +227,14 @@ class TestStrategies:
         assert s.p == (0.5, 1.0, 0.25, 0.0)
         assert all(type(x) is float for x in s.p)
 
+    @pytest.mark.parametrize("entry, shown", [(10**400, "inf"), (Fraction(10**400), "inf"),
+                                              (-10**400, "-inf")], ids=BEYOND_DOUBLE)
+    def test_probability_beyond_double_range_is_out_of_range(self, entry, shown):
+        # each used to raise OverflowError from float()
+        with pytest.raises(ValueError) as excinfo:
+            z.MemoryOneStrategy((0.5, entry, 0, 0))
+        assert str(excinfo.value) == f"cooperation probability {shown} outside [0, 1]"
+
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="exactly four"):
             z.MemoryOneStrategy((0.5, 0.5, 0.5))
@@ -262,6 +281,18 @@ class TestStrategies:
         assert z.TFT.with_noise(0.0) is z.TFT
         with pytest.raises(ValueError):
             z.TFT.with_noise(0.6)
+
+    @pytest.mark.parametrize("eps, message", [
+        (10**400, "noise must lie in [0, 1/2], got inf"),  # was an OverflowError
+        (Fraction(-10**400), "noise must lie in [0, 1/2], got -inf"),
+        ("0.1", "noise must be a number, got '0.1'"),  # used to return a noisy TFT
+        (True, "noise must be a number, got True"),
+        (None, "noise must be a number, got None"),  # was a TypeError
+    ], ids=["int", "fraction", "str", "bool", "none"])
+    def test_noise_is_a_real_number_in_range(self, eps, message):
+        with pytest.raises(ValueError) as excinfo:
+            z.TFT.with_noise(eps)
+        assert str(excinfo.value) == message
 
 
 class TestJointState:

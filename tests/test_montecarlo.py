@@ -70,6 +70,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             z.SimulationConfig(noise=-0.1)
 
+    @pytest.mark.parametrize("noise, message", [
+        (10**400, "noise must lie in [0, 1/2], got inf"),  # was an OverflowError
+        ("0.1", "noise must be a number, got '0.1'"),  # was a TypeError
+        (False, "noise must be a number, got False"),  # used to run noiseless
+    ], ids=["int", "str", "bool"])
+    def test_noise_is_a_real_number(self, noise, message):
+        with pytest.raises(ValueError) as excinfo:
+            z.SimulationConfig(noise=noise)
+        assert str(excinfo.value) == message
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             z.SimulationConfig(seed=-1)
