@@ -18,7 +18,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import stat
 import sys
@@ -34,6 +33,7 @@ from .game import (
     parse_strategy,
     payoff_features,
     payoff_vector,
+    read_number,
     transition_matrices,
 )
 from .markov import cesaro_limits
@@ -70,14 +70,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _finite(text) -> float:
-    """One number from the command line; nan and inf are usage errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _integer(text: str, usage: str) -> int:
     """One integer from the command line; anything else is the usage error ``usage``."""
     try:
@@ -90,7 +82,7 @@ def _parse_payoffs(text: str) -> PayoffMatrix:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--payoffs expects R,S,T,P, got {text!r}")
-    r, s, t, p = (_finite(x) for x in parts)
+    r, s, t, p = (read_number(x, "--payoffs") for x in parts)
     return PayoffMatrix(R=r, S=s, T=t, P=p)
 
 
@@ -98,9 +90,8 @@ def _parse_initial(text: str):
     return None if text == "uniform" else JointState[text.upper()]
 
 
-def _parse_floats(text: str) -> list[float]:
-    items = [x for x in text.split(",") if x.strip() != ""]
-    return [_finite(x) for x in items]
+def _parse_floats(text: str, option: str) -> list[float]:
+    return [read_number(x, option) for x in text.split(",") if x.strip() != ""]
 
 
 def _parse_basis(text: str, m: PayoffMatrix) -> BasisSpec:
@@ -113,7 +104,7 @@ def _parse_basis(text: str, m: PayoffMatrix) -> BasisSpec:
         usage = f"--basis monomial:D needs an integer D, got {text!r}"
         return BasisSpec.monomial(m, _integer(key.split(":", 1)[1], usage))
     if key.startswith("exp:"):
-        return BasisSpec.exponential(m, _finite(key.split(":", 1)[1]))
+        return BasisSpec.exponential(m, read_number(key.split(":", 1)[1], "--basis exp:h"))
     raise ValueError(
         f"--basis must be zd, monomial:D, exp:h or wsls4; got {text!r}"
     )
@@ -200,11 +191,11 @@ def _moment_features(m: PayoffMatrix, k_max: int, h_grid=()) -> tuple[list, np.n
 
 def cmd_verify_tft(args: argparse.Namespace) -> int:
     m = _parse_payoffs(args.payoffs)
-    tol = _finite(args.tol)
+    tol = read_number(args.tol, "--tol")
     if tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol!r}")
+        raise ValueError(f"--tol must be positive, got {tol!r}")
     initial = _parse_initial(args.initial)
-    h_grid = _parse_floats(args.h_grid)
+    h_grid = _parse_floats(args.h_grid, "--h-grid")
     if not h_grid:
         raise ValueError("--h-grid is empty")
     h_labels = [format(h, "g") for h in h_grid]  # one output column or key each
@@ -354,7 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         initial=_parse_initial(args.initial),
         burn_in=args.burn_in,
-        noise=_finite(args.epsilon),
+        noise=read_number(args.epsilon, "--epsilon"),
     )
     orders, features = _moment_features(m, args.k_max)
     report = simulate(s1, s2, cfg)
@@ -366,7 +357,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "strategy2": args.strategy2,
         "rounds": args.rounds,
         "seed": args.seed,
-        "epsilon": args.epsilon,
+        "epsilon": cfg.noise,
         "initial": args.initial,
         "burn_in": args.burn_in,
         "k_max": args.k_max,
@@ -412,7 +403,7 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
             raise ValueError(f"unknown payoff symbol {name!r} in --payoff-grid")
         if name in dict(axes):
             raise ValueError(f"payoff symbol {name} is named twice in --payoff-grid")
-        floats = _parse_floats(values)
+        floats = _parse_floats(values, "--payoff-grid")
         if not floats:
             raise ValueError(f"empty value list for {name} in --payoff-grid")
         axes.append((name, floats))
@@ -468,7 +459,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             values, identity, column = range(k_lo, k_hi + 1), tft_power_identity, "k"
             parameters = {"mode": "tft-k-range", "k_range": args.tft_k_range}
         else:
-            values = _parse_floats(args.h_range)
+            values = _parse_floats(args.h_range, "--h-range")
             if not values:
                 raise ValueError("empty --h-range")
             identity, column = tft_exponential_identity, "h"
@@ -521,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
     p.add_argument("--k-max", type=int, default=6, dest="k_max")
     p.add_argument("--h-grid", default=DEFAULT_H_GRID, dest="h_grid")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", default="1e-8")
     p.add_argument("--initial", default="uniform",
                    choices=("cc", "cd", "dc", "dd", "uniform"))
     add_common(p, "csv")
@@ -540,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("strategy2", metavar="STRATEGY2")
     p.add_argument("--rounds", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.0,
+    p.add_argument("--epsilon", default="0",
                    help="trembling-hand noise mixed into both strategies")
     p.add_argument("--initial", default="uniform",
                    choices=("cc", "cd", "dc", "dd", "uniform"))

@@ -74,11 +74,27 @@ def _to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def real_number(x, what: str) -> float:
+    """A real number other than a bool as a double (see :func:`_to_float`); else a ValueError."""
+    if not _is_real(x):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return _to_float(x)
+
+
+def read_number(text: str, what: str) -> float:
+    """A finite number typed as ``text``; anything else is a ValueError naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{what} expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: expected a finite number, got {text!r}")
+    return value
+
+
 def check_noise(eps) -> float:
     """A trembling-hand noise level: a real number in [0, 1/2], as a float."""
-    if not _is_real(eps):
-        raise ValueError(f"noise must be a number, got {eps!r}")
-    eps = _to_float(eps)
+    eps = real_number(eps, "noise")
     if not (0.0 <= eps <= 0.5):
         raise ValueError(f"noise must lie in [0, 1/2], got {eps!r}")
     return eps
@@ -108,10 +124,7 @@ class PayoffMatrix:
 
     def __post_init__(self) -> None:
         for name in ("R", "S", "T", "P"):
-            raw = getattr(self, name)
-            if not _is_real(raw):
-                raise ValueError(f"payoff {name} must be a number, got {raw!r}")
-            value = _to_float(raw)
+            value = real_number(getattr(self, name), f"payoff {name}")
             if not np.isfinite(value):
                 raise ValueError(f"payoff {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -177,15 +190,14 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
             canonical.append((int(label[0]), int(label[1])))
         elif (isinstance(label, tuple) and len(label) == 3 and label[0] == "exp"
                 and _is_int(label[1]) and label[1] in (1, 2)
-                and (_is_int(label[2]) or isinstance(label[2], (float, np.floating)))
-                and math.isfinite(label[2])):
-            exponent = abs(label[2]) * max(abs(v) for v in m.as_tuple())
+                and _is_real(label[2]) and math.isfinite(h := _to_float(label[2]))):
+            exponent = abs(h) * max(abs(v) for v in m.as_tuple())
             if exponent > 700.0:
                 raise OverflowError(
                     f"|h| * max|payoff| = {exponent:g} exceeds the "
                     "double-precision exponential range (700)"
                 )
-            canonical.append(("exp", int(label[1]), float(label[2])))
+            canonical.append(("exp", int(label[1]), h))
         else:
             raise ValueError(f"not a payoff feature label: {label!r}")
     # one table per value: a label of another numeric type (np.int64(2) for 2)
@@ -269,13 +281,11 @@ def named_strategy(name: str) -> MemoryOneStrategy:
     if key in _NAMED:
         return MemoryOneStrategy(_NAMED[key])
     if key.startswith("random:"):
-        q = float(key.split(":", 1)[1])
+        q = read_number(name.split(":", 1)[1], f"strategy {name!r}")
         return MemoryOneStrategy((q, q, q, q))
     if key.startswith("custom:"):
-        parts = key.split(":", 1)[1].split(",")
-        if len(parts) != 4:
-            raise ValueError(f"custom strategy needs four probabilities: {name!r}")
-        return MemoryOneStrategy(tuple(float(x) for x in parts))
+        items = name.split(":", 1)[1].split(",")
+        return MemoryOneStrategy(tuple(read_number(x, f"strategy {name!r}") for x in items))
     raise ValueError(f"unknown strategy name {name!r}")
 
 
@@ -317,10 +327,7 @@ def parse_strategy(spec: str | Mapping[str, float]) -> MemoryOneStrategy:
             raise ValueError(f"bad strategy JSON: {exc}") from None
         return _strategy_object(pairs)
     if "," in text and ":" not in text:
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"inline strategy needs four probabilities: {spec!r}")
-        return MemoryOneStrategy(tuple(float(x) for x in parts))
+        text = "custom:" + text  # the inline list is custom: without its prefix
     return named_strategy(text)
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import JointState
+from .game import JointState, real_number
 
 __all__ = [
     "classify",
@@ -238,8 +238,9 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     ``initial`` is a JointState, or None for the uniform start; anything
     else is a ValueError.  ``tol`` bounds the residual for ``converged``.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {float(tol)!r}")
+    tol = real_number(tol, "tolerance")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     Ms = np.asarray(Ms, dtype=float)
     if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")

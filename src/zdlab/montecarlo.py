@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (JointState, MemoryOneStrategy, _is_int, check_noise, global_frame,
-                   transition_matrix)
+                   real_number, transition_matrix)
 from .markov import LimitResult, cesaro_limit, check_start
 
 __all__ = [
@@ -264,8 +264,11 @@ def empirical_vs_exact(
     """Cross-validate a simulation against the exact Cesaro limit.
 
     The exact side uses the same noise-mixed strategies and the same
-    start as the simulation.
+    start as the simulation.  ``tol_sigma`` must be a positive finite number.
     """
+    tol_sigma = real_number(tol_sigma, "tol_sigma")
+    if not 0 < tol_sigma < math.inf:
+        raise ValueError(f"tol_sigma must be positive and finite, got {tol_sigma!r}")
     report = simulate(s1, s2, cfg)
     M = transition_matrix(s1.with_noise(cfg.noise), s2.with_noise(cfg.noise))
     exact = cesaro_limit(M, cfg.initial)

@@ -28,9 +28,11 @@ from .game import (
     JointState,
     MemoryOneStrategy,
     PayoffMatrix,
+    _is_int,
     global_frame,
     named_strategy,
     payoff_features,
+    real_number,
     table_key,
 )
 from .markov import ordered_dot
@@ -84,6 +86,11 @@ def akin_residual(pd, pi) -> float:
     a visibly nonzero value therefore flags an inconsistent ``pi``.
     """
     return float(ordered_dot(np.asarray(pd, dtype=float), np.asarray(pi, dtype=float)))
+
+
+def _exponent(h) -> float:
+    """An exponential parameter h as a double: a real number, or a 0-d array of one."""
+    return real_number(h[()] if isinstance(h, np.ndarray) else h, "h")
 
 
 def format_label(label) -> str:
@@ -141,10 +148,10 @@ class BasisSpec:
     def monomial(cls, m: PayoffMatrix, max_total_degree: int = 3) -> "BasisSpec":
         """All payoff monomials s1^k1 * s2^k2 with k1 + k2 <= the bound.
 
-        The bound lies in 0 ... :data:`zdlab.moments.K_CAP`; degree 2
+        The bound is an integer in 0 ... :data:`zdlab.moments.K_CAP`; degree 2
         already spans every 4-vector at strict payoffs.
         """
-        if not 0 <= max_total_degree <= K_CAP:
+        if not (_is_int(max_total_degree) and 0 <= max_total_degree <= K_CAP):
             raise ValueError(
                 f"max_total_degree must lie in [0, {K_CAP}] (the precision cap K_CAP), "
                 f"got {max_total_degree}"
@@ -159,7 +166,7 @@ class BasisSpec:
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
         """The basis {1, e^{h s1}, e^{h s2}} for h != 0 within exponential range."""
-        h = float(h)
+        h = _exponent(h)
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
@@ -279,7 +286,7 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     ValueError.  Arguments with |h| * max|payoff| > 700 would overflow
     double precision and are rejected as a range error.
     """
-    h = float(h)
+    h = _exponent(h)
     if h == 0.0:
         raise ValueError("h = 0 is excluded (the identity degenerates)")
     return _tft_identity(m, [("exp", 1, h), ("exp", 2, h)], "e^{hT} - e^{hS}", f"h={h}")

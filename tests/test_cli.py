@@ -682,6 +682,19 @@ class TestEntryPoints:
          "--basis monomial:D needs an integer D, got 'monomial:x'"),
         (["sweep", "--tft-k-range", "a:3"],
          "--tft-k-range A:B needs integers A and B, got 'a:3'"),
+        # these seven used to print float()'s "could not convert string to float"
+        (["decompose", "tft", "--payoffs", "3,0,x,1"], "--payoffs expects a number, got 'x'"),
+        (["decompose", "tft", "--basis", "exp:x"], "--basis exp:h expects a number, got 'x'"),
+        (["verify-tft", "--opponent", "tft", "--h-grid", "a"],
+         "--h-grid expects a number, got 'a'"),
+        (["sweep", "--h-range", "a"], "--h-range expects a number, got 'a'"),
+        (["sweep", "--wsls-coeffs", "--payoff-grid", "T=x"],
+         "--payoff-grid expects a number, got 'x'"),
+        (["decompose", "random:x"], "strategy 'random:x' expects a number, got 'x'"),
+        (["decompose", "1,0,1,x"], "strategy 'custom:1,0,1,x' expects a number, got 'x'"),
+        # argparse named these two as "argument --tol: invalid float value: 'x'"
+        (["verify-tft", "--opponent", "tft", "--tol", "x"], "--tol expects a number, got 'x'"),
+        (["simulate", "tft", "all_d", "--epsilon", "x"], "--epsilon expects a number, got 'x'"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -99,7 +99,7 @@ class TestPayoffVectors:
 
     def test_malformed_labels_rejected(self, m):
         for label in [(1.5, 0), (-1, 0), (0, -2), (True, 0), (1, 2, 3), ("exp", 3, 1.0),
-                      ("exp", 1, math.nan), ("exp", 1, "h"), "s1", 1]:
+                      ("exp", 1, math.nan), ("exp", 1, "h"), "s1", 1, ("exp", 1, 10**400)]:
             with pytest.raises(ValueError, match="label"):
                 z.payoff_features(m, [label])
 

@@ -216,6 +216,12 @@ class TestCesaroLimit:
         with pytest.raises(ValueError):
             z.cesaro_limit(np.eye(4), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -math.inf, "1e-8", None, True])
+    def test_tolerance_is_a_positive_number(self, tol):
+        # nan used to pass the guard and leave the chain unconverged; "1e-8" raised TypeError
+        with pytest.raises(ValueError, match="tolerance must be"):
+            z.cesaro_limit(np.eye(4), tol=tol)
+
     def test_iterations_reported(self):
         # the solve is finite: no iterations to report
         M = z.transition_matrix(z.TFT, z.ALL_C)

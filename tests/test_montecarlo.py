@@ -297,6 +297,14 @@ class TestEmpiricalVsExact:
         np.testing.assert_allclose(comparison.exact.distribution, [0, 0.5, 0.5, 0], atol=1e-13)
         assert comparison.passed  # the 1/n counting-resolution term absorbs parity
 
+    @pytest.mark.parametrize("tol_sigma", [np.nan, -5.0, 0.0, np.inf, "5", True])
+    def test_tol_sigma_is_a_positive_finite_number(self, tol_sigma):
+        # at nan every bound was nan, nothing was flagged and the gate passed;
+        # at -5 every bound was negative
+        cfg = z.SimulationConfig(rounds=5000, seed=0, burn_in=0)
+        with pytest.raises(ValueError, match="tol_sigma must be"):
+            z.empirical_vs_exact(z.TFT, z.TFT, cfg, tol_sigma)
+
     def test_noise_continuity(self, random_strategies):
         # empirical frequencies at eps = 1e-3 stay within 10*eps of the
         # noiseless exact stationary distribution

@@ -182,6 +182,13 @@ class TestBasisSpec:
             z.BasisSpec.monomial(huge, K_CAP)
         assert len(z.BasisSpec.monomial(huge, 15).labels) == 136
 
+    @pytest.mark.parametrize("degree", [True, 2.0, np.float64(2), "2"],
+                             ids=["bool", "float", "float64", "str"])
+    def test_monomial_degree_is_an_integer(self, m, degree):
+        # True used to build a degree-1 basis "monomial:True"; the others raised TypeError
+        with pytest.raises(ValueError, match=r"max_total_degree must lie in \[0, 20\]"):
+            z.BasisSpec.monomial(m, degree)
+
     def test_exponential_basis(self, m):
         basis = z.BasisSpec.exponential(m, 0.5)
         assert basis.labels == ((0, 0), ("exp", 1, 0.5), ("exp", 2, 0.5))
@@ -199,6 +206,15 @@ class TestBasisSpec:
         assert basis.labels == ((0, 0), ("exp", 1, float(h)), ("exp", 2, float(h)))
         assert all(type(label[2]) is float for label in basis.labels[1:])
         assert z.BasisSpec.exponential(m, float(h)) is basis
+
+    @pytest.mark.parametrize("h", [10**400, -10**400, "0.5", b"0.5", True, np.array(True)],
+                             ids=["1e400", "-1e400", "str", "bytes", "bool", "bool_array"])
+    def test_exponential_refuses_h_that_is_not_a_finite_real(self, m, h):
+        # 10**400 used to raise OverflowError; text and bools used to build a basis
+        with pytest.raises(ValueError):
+            z.BasisSpec.exponential(m, h)
+        with pytest.raises(ValueError):
+            z.tft_exponential_identity(m, h)
 
     def test_constructors_share_read_only_instances(self, m, table_caches):
         for build in (z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 3),
