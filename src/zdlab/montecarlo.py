@@ -11,15 +11,16 @@ and distributions are :mod:`zdlab.moments` averages under its frequencies.
 The counting kernel is numpy only.  It draws the uniforms in fixed-size
 pieces, which reproduces the stream of a single draw.  Each round's next
 state depends only on the ranks of its two uniforms among the players'
-distinct thresholds, so the kernel ranks each uniform once, with the same
-``u >= p`` comparisons as a round-by-round loop, and the pair of ranks is
-the round's code: one of at most 25 next-state maps, each a byte holding
-state s's image in bits 2s and 2s+1.  It then scans each chunk of codes
-once, in blocks: it composes the blocks' maps through a 256 x 256 table
-of compositions, built once per process, keeping each prefix; walks the
-blocks' entry states; and reads every round's state from its prefix by
-one shift.  Nothing is replayed, so the counts are exactly the loop's,
-with memory bounded by the chunk size rather than the number of rounds.
+distinct thresholds, so the kernel ranks each uniform once into a byte
+row, with the same ``u >= p`` comparisons as a round-by-round loop, and
+the pair of ranks is the round's code: one of at most 25 next-state maps,
+each a byte holding state s's image in bits 2s and 2s+1.  It then scans
+each chunk of codes once, in blocks: it composes the blocks' maps through
+a 256 x 256 table of compositions, built once per process, keeping each
+prefix; finds the blocks' entry states by a prefix scan of their full
+maps; and reads every round's state from its prefix by one shift.
+Nothing is replayed, so the counts are exactly the loop's, with memory
+bounded by the chunk size rather than the number of rounds.
 """
 
 from __future__ import annotations
@@ -144,29 +145,31 @@ def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.
     ranks r1, r2 of its uniforms among the players' k1, k2 distinct
     thresholds in (0, 1) settle those comparisons, so the round's code
     ``r1*(k2+1) + r2`` picks its next-state map.  Each chunk is split into
-    blocks of about sqrt(chunk/16) rounds, drawn and ranked a piece of whole
-    blocks at a time.  The blocks' maps are composed round by round through
-    the composition table's rows for this call's maps, vectorised over
-    blocks, and each prefix is kept: the code of the state after that round
-    for each entry state.  A sequential walk through the full compositions
-    gives each block's entry state, and one shift and mask by it reads
-    every round's state.
+    blocks of about sqrt(chunk/16) rounds, drawn and ranked into a byte row
+    a piece of whole blocks at a time.  The blocks' maps are composed round
+    by round through the composition table's rows for this call's maps,
+    vectorised over blocks, and each prefix is kept: the code of the state
+    after that round for each entry state.  A log-step prefix scan of the
+    full compositions gives each block's entry state, and one shift and
+    mask by it reads every round's state.
     """
     q1, half1 = _half_codes(p1, 1)
     q2, half2 = _half_codes(p2, 0)
     maps = [a + b for a in half1 for b in half2] + [_IDENTITY]
     pad_code = (len(maps) - 1) << 8
+    after = _composition_table()
     # row k, column c: round map k applied after composed map c
-    table = _composition_table()[maps].ravel()
+    table = after[maps].ravel()
 
     counts = [0, 0, 0, 0]
     # one buffer each for all chunks' codes (padding, < isqrt(size), included)
-    # and for one piece's draws and column
+    # and for one piece's draws, column, ranks and compares
     rows = min(_CHUNK_ROUNDS, rounds)
     rows += math.isqrt(rows)
     cells = np.empty(rows, dtype=np.uint16)
     draws = np.empty((min(_PIECE_ROUNDS, rows), 2))
     column = np.empty(len(draws))
+    ranks = np.empty(2 * len(draws), dtype=np.uint8)
     for start in range(0, rounds, _CHUNK_ROUNDS):
         size = min(_CHUNK_ROUNDS, rounds - start)
         block = max(math.isqrt(size // 16), 1)
@@ -183,27 +186,38 @@ def _count_states(rng: np.random.Generator, rounds: int, p1: np.ndarray, p2: np.
             rng.random(out=u[:size - b * block])  # stale padding draws get the identity
             u = u.reshape(nb, block, 2)
             col = column[:nb * block].reshape(block, nb)
-            rank = codes[:, b:b + nb]
-            rank[...] = 0
+            rank, hit = ranks[:2 * nb * block].reshape(2, block, nb)
+            ranked = False
             for player, q in enumerate((q1, q2)):
                 if q:
-                    rank *= len(q) + 1  # Horner's rule: r1*(k2+1) + r2
                     # one strided copy: a strided compare is ten times slower
                     np.copyto(col, u[:, :, player].T)
-                    for x in q:
-                        rank += col >= x
+                    if ranked:
+                        rank *= len(q) + 1  # Horner's rule: r1*(k2+1) + r2
+                    for x in q:  # the first compare writes the rank, later ones add to it
+                        np.greater_equal(col, x, out=(hit if ranked else rank).view(np.bool_))
+                        if ranked:
+                            rank += hit
+                        ranked = True
+            codes[:, b:b + nb] = rank if ranked else 0
         codes <<= 8
         codes[block - pad:, -1] = pad_code
-        composed = np.full(blocks, _IDENTITY, dtype=np.uint16)
+        composed = _IDENTITY
         for step in codes:
-            composed = table.take(step + composed, out=step)
-        entries = [state]
-        for code in composed.tolist():
-            entries.append(code >> 2 * entries[-1] & 3)
-        state = entries.pop()
+            step += composed
+            composed = table.take(step, out=step)
+        # entry[b]: blocks 0 to b - 1 composed, by a log-step scan (Hillis and Steele)
+        entry = np.empty(blocks + 1, dtype=np.uint16)
+        entry[0] = _IDENTITY
+        entry[1:] = composed
+        for shift in (1 << k for k in range(blocks.bit_length())):
+            entry[shift:] = after.take(entry[shift:] << 8 | entry[:-shift])
+        entry >>= 2 * state  # then the state block b enters; the next chunk's is last
+        entry &= 3
+        state = int(entry[-1])
         first = max(burn_in - start, 0)
         if first < size:
-            codes >>= 2 * np.array(entries, dtype=np.uint16)
+            codes >>= 2 * entry[:-1]
             codes &= 3
             # burnt-in and padding rounds get state 4, which is not counted
             skipped, partial = divmod(first, block)

@@ -50,6 +50,12 @@ KERNEL_CASES = {
     # equal thresholds in several states, and thresholds 0 and 1, which
     # every uniform passes or none does
     "tied thresholds": ("custom:0.5,0.5,0.2,0.5", "custom:0,1,0,1", 20_000, 5, None, 0.0),
+    # the entry states' prefix scan doubles its shift up to the block count:
+    # exactly 2^9 blocks of 32, then 2^9 + 1 with a padded last block, then a
+    # fourth chunk of one round, a scan of a single block
+    "512 blocks": ("tft", MIXED, 16_384, 3, None, 0.0),
+    "513 blocks": (MIXED, "wsls", 16_385, 40, DD, 0.0),
+    "one-round fourth chunk": ("tft", MIXED, 3 * CHUNK + 1, 2 * CHUNK + 5, None, 0.0),
 }
 
 
