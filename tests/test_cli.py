@@ -28,7 +28,9 @@ from zdlab.cli import main
 SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_cli.json").read_text())
 #: Seeded ``verify-tft --out`` invocations with their exit code, stderr and
 #: output bytes (plus the manifest sidecar of CSV runs), captured from the
-#: per-opponent solver that preceded the batched one.
+#: per-opponent solver that preceded the batched one; ``random_25_json``, the
+#: one JSON run of random opponents and of their ``random[i]`` labels, was
+#: captured later, from the batched solver.
 VERIFY_GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_tft_cli.json").read_text())
 #: CSV tables of every command, captured from the row-by-row ``csv.writer``
 #: that preceded the one-template writer: exit code, stdout and stderr of runs
