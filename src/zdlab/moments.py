@@ -75,17 +75,16 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     ``coeffs`` maps payoff-feature labels (see
     :func:`zdlab.game.payoff_features`) to coefficients; the result is
     the dot product of the coefficients with the features' averages under
-    ``pi``.  Monomial exponents above ``K_CAP`` are refused, as in
-    :func:`moment_orders`.  When ``pi`` is a long-run distribution of a
-    chain in which the decomposed player uses the corresponding strategy,
-    the result is the enforced relation and vanishes.
+    ``pi``.  A monomial whose order k1 + k2 exceeds ``K_CAP`` is refused,
+    as in :func:`moment_orders`.  When ``pi`` is a long-run distribution
+    of a chain in which the decomposed player uses the corresponding
+    strategy, the result is the enforced relation and vanishes.
     """
     if not coeffs:
         return 0.0  # the empty sum
     for label in coeffs:
         if isinstance(label, tuple) and len(label) == 2:
-            for k in label:
-                _check_k(k)
+            _check_k(_check_k(label[0]) + _check_k(label[1]))
     averages = feature_averages(payoff_features(m, list(coeffs)), pi)
     return float(ordered_dot(np.array(list(coeffs.values()), dtype=float), averages))
 

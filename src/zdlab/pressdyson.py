@@ -108,41 +108,22 @@ def format_label(label) -> str:
 class BasisSpec:
     """An ordered, labelled family of payoff-space basis vectors.
 
-    The ``zd``, ``monomial``, ``exponential`` and ``wsls4`` constructors
-    return one shared instance per payoffs and argument; every array of a
-    basis is read-only.  Building a basis also equilibrates it once for
-    :func:`decompose`: each column scaled to unit 2-norm, a zero column
-    keeping scale 1.
+    One builder makes every basis, equilibrated once for :func:`decompose`
+    (each column scaled to unit 2-norm, a zero column keeping scale 1).  The
+    ``zd``, ``monomial``, ``exponential`` and ``wsls4`` constructors share one
+    instance per payoffs and argument; every array of a basis is read-only.
     """
 
     kind: str
     labels: tuple
     matrix: np.ndarray  # shape (4, len(labels)), columns follow labels
-    _scale: np.ndarray = field(init=False, repr=False)
-    _equilibrated: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=float)
-        if matrix.shape != (4, len(self.labels)):
-            raise ValueError("basis matrix shape does not match its labels")
-        if len(self.labels) == 0:
-            raise ValueError("a basis must contain at least one vector")
-        with np.errstate(over="ignore"):  # a sum of squares above 1e308 rescales
-            scale = np.linalg.norm(matrix, axis=0)
-            for j in np.flatnonzero(np.isinf(scale)).tolist():
-                peak = np.max(np.abs(matrix[:, j]))
-                scale[j] = peak * np.linalg.norm(matrix[:, j] / peak)
-        scale[scale == 0.0] = 1.0
-        equilibrated = matrix / scale
-        for name, array in (("matrix", matrix), ("_scale", scale),
-                            ("_equilibrated", equilibrated)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+    _scale: np.ndarray = field(repr=False)
+    _equilibrated: np.ndarray = field(repr=False)
 
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
         """The classical basis {1, s1, s2}."""
-        return _shared_basis(cls, "zd", table_key(m), ((0, 0), (1, 0), (0, 1)))
+        return _shared_basis("zd", table_key(m), ((0, 0), (1, 0), (0, 1)))
 
     @classmethod
     def monomial(cls, m: PayoffMatrix, max_total_degree: int = 3) -> "BasisSpec":
@@ -161,7 +142,7 @@ class BasisSpec:
             for total in range(max_total_degree + 1)
             for k1 in range(total, -1, -1)
         )
-        return _shared_basis(cls, f"monomial:{max_total_degree}", table_key(m), labels)
+        return _shared_basis(f"monomial:{max_total_degree}", table_key(m), labels)
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
@@ -170,23 +151,38 @@ class BasisSpec:
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
-        return _shared_basis(cls, f"exp:{h:g}", table_key(m), labels)
+        return _shared_basis(f"exp:{h:g}", table_key(m), labels)
 
     @classmethod
     def wsls4(cls, m: PayoffMatrix) -> "BasisSpec":
         """The four-vector basis (s1, s2, s1*s2, 1)."""
-        return _shared_basis(cls, "wsls4", table_key(m), ((1, 0), (0, 1), (1, 1), (0, 0)))
+        return _shared_basis("wsls4", table_key(m), ((1, 0), (0, 1), (1, 1), (0, 0)))
 
     @classmethod
     def custom(cls, m: PayoffMatrix, labels: Sequence) -> "BasisSpec":
         """Any family of payoff-feature labels, as in :func:`payoff_features`."""
-        labels = tuple(labels)
-        return cls("custom", labels, payoff_features(m, labels).T)
+        return _shared_basis.__wrapped__("custom", table_key(m), tuple(labels))
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _shared_basis(cls, kind: str, key: tuple, labels: tuple) -> BasisSpec:
-    return cls(kind, labels, payoff_features(key[0], labels).T)
+def _shared_basis(kind: str, key: tuple, labels: tuple) -> BasisSpec:
+    """The basis of the labels' feature rows at the payoffs of ``key``.
+
+    ``custom`` calls it uncached.  Each column is divided by the power of
+    two at its peak, which is exact, then its 2-norm is taken and scaled
+    back, so a column whose squares underflow or overflow is equilibrated
+    like any other.
+    """
+    if not labels:
+        raise ValueError("a basis must contain at least one vector")
+    matrix = payoff_features(key[0], labels).T
+    _, peak = np.frexp(np.max(np.abs(matrix), axis=0))
+    scale = np.ldexp(np.linalg.norm(np.ldexp(matrix, -peak), axis=0), peak)
+    scale[scale == 0.0] = 1.0
+    arrays = (matrix, scale, matrix / scale)
+    for array in arrays:
+        array.flags.writeable = False
+    return BasisSpec(kind, labels, *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,15 +249,17 @@ def _tft_identity(m: PayoffMatrix, labels, name: str, at: str) -> IdentityCheck:
     """Normalise the difference of two payoff features by its DC entry.
 
     The difference is (0, -d, d, 0) for the TFT identities, with d its DC
-    entry; a non-finite d is an OverflowError and one that vanishes next
-    to the two features' DC entries a ValueError, both naming ``at``.
+    entry.  A non-finite d is an OverflowError.  A d that vanishes is a
+    ValueError: a subnormal one (1/d could overflow), or one at most 1e-12
+    times the larger DC entry of the two features.  Both errors name ``at``.
     """
     a, b = payoff_features(m, labels)
     dc = JointState.DC
     denominator = float(a[dc]) - float(b[dc])
     if not math.isfinite(denominator):
         raise OverflowError(f"{name} overflows double precision at {at}")
-    if abs(denominator) <= 1e-12 * max(abs(a[dc]), abs(b[dc]), 1.0):
+    if (abs(denominator) < np.finfo(float).tiny
+            or abs(denominator) <= 1e-12 * max(abs(a[dc]), abs(b[dc]))):
         raise ValueError(f"degenerate denominator: {name} vanishes at {at}")
     w = (a - b) / denominator
     return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
@@ -281,14 +279,12 @@ def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
 def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     """Check that (e^{h s1} - e^{h s2}) / (e^{hT} - e^{hS}) is the TFT vector.
 
-    Valid for any h != 0 whose denominator does not vanish in double
-    precision (at the default payoffs, |h| above about 2e-13), which is a
-    ValueError.  Arguments with |h| * max|payoff| > 700 would overflow
+    Valid wherever the denominator does not vanish in double precision,
+    which is a ValueError: at h = 0 and, at the default payoffs, at |h|
+    below about 2e-13.  Arguments with |h| * max|payoff| > 700 would overflow
     double precision and are rejected as a range error.
     """
     h = _exponent(h)
-    if h == 0.0:
-        raise ValueError("h = 0 is excluded (the identity degenerates)")
     return _tft_identity(m, [("exp", 1, h), ("exp", 2, h)], "e^{hT} - e^{hS}", f"h={h}")
 
 

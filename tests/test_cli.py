@@ -396,6 +396,17 @@ class TestSweep:
         assert len(rows) == 10
         assert all(float(r[header.index("max_abs_error")]) <= 1e-12 for r in rows)
 
+    def test_tft_k_range_at_small_payoffs(self, capsys):
+        # T^k - S^k is 1.25e-16 at k = 3, far from vanishing next to T^3 and
+        # S^3 = 0; an absolute floor of 1e-12 used to refuse k = 3 to 5
+        argv = ["sweep", "--tft-k-range", "1:5", "--payoffs", "3e-6,0,5e-6,1e-6"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert [r[header.index("error")] for r in rows] == [""] * 5
+        for k, row in enumerate(rows, start=1):
+            assert float(row[header.index("coefficient")]) == pytest.approx(5e-6**-k, rel=1e-14)
+
     def test_tft_k_range_overflow_is_a_row_error(self, capsys):
         code, out, _ = _run(["sweep", "--tft-k-range", "440:442"], capsys)
         assert code == 0
@@ -577,6 +588,41 @@ class TestOutFiles:
             ["decompose", "tft", "--format", "json", "--out", os.devnull], capsys
         )
         assert (code, stdout, err) == (0, "", "")
+
+
+class TestWhatTheBytesDependOn:
+    """Each outside dependency of the output bytes, pinned on its own.
+
+    A golden file that moves says only that some byte moved; these say
+    which dependency moved it.
+    """
+
+    #: The first raw 64-bit output of PCG64 seeded through numpy's SeedSequence.
+    FIRST_RAW = {0: 0xA30FEBCFD9C2825F, 1: 0x8306BDF37922E4FF,
+                 2024: 0xAD0348563DD4CAE8, 2**64 - 1: 0xAE163A7A8C47568F}
+
+    @pytest.mark.parametrize("seed", sorted(FIRST_RAW))
+    def test_seeded_pcg64_stream(self, seed):
+        assert int(np.random.PCG64(seed).random_raw()) == self.FIRST_RAW[seed]
+
+    @pytest.mark.parametrize("seed", sorted(FIRST_RAW))
+    def test_generator_random_is_the_top_53_bits(self, seed):
+        raw = np.random.PCG64(seed).random_raw(4096)
+        doubles = np.random.Generator(np.random.PCG64(seed)).random(4096)
+        expected = (raw >> np.uint64(11)).astype(float) * 2.0**-53
+        np.testing.assert_array_equal(doubles.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("value, json_text, csv_text", [
+        (5e-324, "5e-324", "4.9406564584124654e-324"),
+        (0.1, "0.1", "0.10000000000000001"),
+        (float(2**53 + 1), "9007199254740992.0", "9007199254740992"),
+    ], ids=["subnormal", "0.1", "2^53+1"])
+    def test_float_text(self, value, json_text, csv_text):
+        # json.dumps writes repr, the shortest text that reads back; a CSV
+        # cell is %.17g, by the table template and by the one-cell path alike
+        assert json.dumps(value) == json_text
+        assert cli._fmt(value) == csv_text
+        assert cli._csv_text(["x"], [np.array([value])]) == f"x\r\n{csv_text}\r\n"
 
 
 class TestEntryPoints:

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zdlab as z
 from zdlab import pressdyson
@@ -11,6 +12,8 @@ from zdlab.moments import K_CAP
 
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 strategy_vectors = st.tuples(probability, probability, probability, probability)
+#: Permissive payoffs R = S = P = 0, at which the s1*s2 column of wsls4 is zero.
+ZERO_COLUMN_PAYOFFS = z.PayoffMatrix(0, 0, 5, 0, permissive=True)
 
 
 def _solve_exact(columns, target):
@@ -138,10 +141,6 @@ class TestBasisSpec:
         np.testing.assert_array_equal(basis.matrix[:, 0], np.ones(4))
         np.testing.assert_array_equal(basis.matrix[:, 1], [3, 0, 5, 1])
         np.testing.assert_array_equal(basis.matrix[:, 2], [3, 5, 0, 1])
-
-    def test_matrix_must_match_labels(self):
-        with pytest.raises(ValueError, match="shape does not match"):
-            z.BasisSpec("custom", ((0, 0),), np.ones((4, 2)))
 
     def test_monomial_counts_by_total_degree(self, m):
         for degree, count in [(0, 1), (1, 3), (2, 6), (3, 10)]:
@@ -312,19 +311,19 @@ class TestDecompose:
         if degree == 20:
             assert z.decompose(z.press_dyson(z.TFT, 1), basis).rank == 4
 
-    def test_zero_column_keeps_its_place(self, m):
-        # a zero column keeps scale 1 instead of dividing by its zero norm
-        basis = z.BasisSpec.zd(m)
-        padded = z.BasisSpec("padded", basis.labels + ("zero",),
-                             np.column_stack([basis.matrix, np.zeros(4)]))
-        result = z.decompose(z.press_dyson(z.TFT, 1), padded)
+    def test_zero_column_keeps_its_place(self):
+        # at R = S = P = 0 the s1*s2 column is zero: it keeps scale 1 instead
+        # of dividing by its zero norm
+        basis = z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS)
+        assert not basis.matrix[:, basis.labels.index((1, 1))].any()
+        result = z.decompose(z.press_dyson(z.TFT, 1), basis)
         assert result.exact and result.rank == 3
-        assert result.coefficients["zero"] == 0.0
+        assert result.coefficients[(1, 1)] == 0.0
 
     @pytest.mark.parametrize("build", [
-        None, z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 12),
-        lambda m: z.BasisSpec.exponential(m, 0.5),
-    ], ids=["direct", "zd", "wsls4", "monomial:12", "exp:0.5"])
+        lambda m: z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS), z.BasisSpec.zd, z.BasisSpec.wsls4,
+        lambda m: z.BasisSpec.monomial(m, 12), lambda m: z.BasisSpec.exponential(m, 0.5),
+    ], ids=["zero-column", "zd", "wsls4", "monomial:12", "exp:0.5"])
     def test_matches_equilibration_on_every_call(self, m, table_caches, build):
         # the scales a basis computes once give decompose the bits of
         # equilibrating on every call
@@ -339,13 +338,7 @@ class TestDecompose:
             coef = coef / scale
             return coef, target - B @ coef, rank
 
-        if build is None:
-            # the second column's sum of squares overflows; the third is zero
-            columns = [np.ones(4), [1e160, 0.0, 1.5e160, 1.0], np.zeros(4),
-                       [3e-300, 0.0, 1e-300, 2.0]]
-            basis = z.BasisSpec("direct", ("1", "big", "zero", "tiny"), np.column_stack(columns))
-        else:
-            basis = build(m)
+        basis = build(m)
         rng = np.random.default_rng(8)
         for target in [z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1)] + list(rng.random((20, 4))):
             result = z.decompose(target, basis)
@@ -354,6 +347,64 @@ class TestDecompose:
                 np.array(list(result.coefficients.values())).view(np.int64), coef.view(np.int64))
             np.testing.assert_array_equal(result.residual.view(np.int64), residual.view(np.int64))
             assert result.rank == rank
+
+    @pytest.mark.parametrize("build, power", [
+        (z.BasisSpec.zd, 530), (z.BasisSpec.zd, -665), (z.BasisSpec.wsls4, -333),
+        (lambda m: z.BasisSpec.monomial(m, 3), 180), (lambda m: z.BasisSpec.monomial(m, 3), -200),
+    ], ids=["zd*2^530", "zd*2^-665", "wsls4*2^-333", "monomial:3*2^180", "monomial:3*2^-200"])
+    def test_payoffs_times_a_power_of_two_move_no_bit(self, m, build, power):
+        # each column's squares overflow or underflow at the scaled payoffs;
+        # its scale still takes the power of two exactly, so the equilibrated
+        # basis, rank and residual keep their bits and each coefficient
+        # divides by the column's power of two
+        basis = build(m)
+        scaled = build(z.PayoffMatrix(*(math.ldexp(v, power) for v in m.as_tuple())))
+        degrees = np.array([sum(label) for label in basis.labels])
+        np.testing.assert_array_equal(scaled._scale, np.ldexp(basis._scale, power * degrees))
+        np.testing.assert_array_equal(scaled._equilibrated, basis._equilibrated)
+        for target in (z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1)):
+            result, moved = z.decompose(target, basis), z.decompose(target, scaled)
+            assert (moved.rank, moved.exact) == (result.rank, result.exact)
+            np.testing.assert_array_equal(moved.residual, result.residual)
+            np.testing.assert_array_equal(
+                list(moved.coefficients.values()),
+                np.ldexp(list(result.coefficients.values()), -power * degrees))
+
+    @pytest.mark.parametrize("payoffs, basis, strategy, rank", [
+        ((3e-200, 0, 5e-200, 1e-200), z.BasisSpec.zd, z.TFT, 3),
+        ((3e160, 0, 5e160, 1e160), z.BasisSpec.zd, z.TFT, 3),
+        ((3e-100, 0, 5e-100, 1e-100), z.BasisSpec.wsls4, z.WSLS, 4),
+        ((3e-150, 0, 5e-150, 1e-150), z.BasisSpec.wsls4, z.WSLS, 4),
+    ], ids=["zd*1e-200", "zd*1e160", "wsls4*1e-100", "wsls4*1e-150"])
+    def test_rescaled_payoffs_keep_the_span(self, payoffs, basis, strategy, rank):
+        # columns whose squares underflowed kept scale 1 and fell below the
+        # rank threshold: TFT read rank 1 over zd at 1e-200, WSLS rank 3 over
+        # wsls4 at 1e-100, both inexact
+        result = z.decompose(z.press_dyson(strategy, 1), basis(z.PayoffMatrix(*payoffs)))
+        assert result.exact and result.rank == rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4, unique=True),
+           st.floats(-60.0, 60.0), st.sampled_from(["zd", "wsls4", "monomial:3", "exp"]))
+    def test_scale_is_the_plain_norm_while_squares_are_normal(self, values, decade, kind):
+        # dividing by the peak's power of two first is exact, so wherever no
+        # square of a column underflows or overflows, its scale is the norm
+        # the basis took before, np.linalg.norm of the column itself
+        S, P, R, T = (v * 10.0**decade for v in sorted(values))
+        assume(T > R > P > S and 2 * R > T + S and T >= np.finfo(float).tiny)
+        m = z.PayoffMatrix(R, S, T, P)
+        basis = {"zd": z.BasisSpec.zd, "wsls4": z.BasisSpec.wsls4,
+                 "monomial:3": lambda m: z.BasisSpec.monomial(m, 3),
+                 "exp": lambda m: z.BasisSpec.exponential(m, 1.0 / T)}[kind](m)
+        with np.errstate(under="ignore", over="ignore"):
+            squares = basis.matrix**2
+            plain = np.linalg.norm(basis.matrix, axis=0)
+        normal = (np.isfinite(squares.sum(axis=0))
+                  & ((squares >= np.finfo(float).tiny) | (basis.matrix == 0)).all(axis=0))
+        plain[plain == 0.0] = 1.0
+        np.testing.assert_array_equal(basis._scale[normal], plain[normal])
+        np.testing.assert_array_equal(basis._equilibrated[:, normal],
+                                      basis.matrix[:, normal] / plain[normal])
 
     def test_decompose_accepts_raw_arrays(self, m):
         for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
@@ -396,6 +447,22 @@ class TestTftPowerIdentity:
         # odd powers are fine for T = -S
         assert z.tft_power_identity(m, 3).max_abs_error == 0.0
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_small_payoffs_keep_their_denominator(self, k):
+        # T^k - S^k = (5e-6)^k is far from vanishing next to T^k and S^k = 0,
+        # but the guard used to compare it with 1e-12 as well and refused it
+        m = z.PayoffMatrix(3e-6, 0, 5e-6, 1e-6)
+        check = z.tft_power_identity(m, k)
+        assert check.coefficient == pytest.approx(5e-6**-k, rel=1e-14)
+        assert check.max_abs_error == 0.0
+
+    def test_subnormal_denominator_vanishes(self):
+        # (5e-80)^4 is subnormal, so 1 / (T^4 - S^4) would overflow
+        m = z.PayoffMatrix(3e-80, 0, 5e-80, 1e-80)
+        assert math.isfinite(z.tft_power_identity(m, 3).coefficient)
+        with pytest.raises(ValueError, match="degenerate denominator: .* at k=4$"):
+            z.tft_power_identity(m, 4)
+
     def test_bad_k(self, m):
         for k in (0, -1, 1.5, True):
             with pytest.raises(ValueError):
@@ -427,7 +494,8 @@ class TestTftExponentialIdentity:
         assert z.tft_exponential_identity(m, h).max_abs_error <= 1e-12
 
     def test_h_zero_rejected(self, m):
-        with pytest.raises(ValueError):
+        # the degeneracy guard refuses it: e^{0T} - e^{0S} is zero
+        with pytest.raises(ValueError, match="degenerate denominator: .* at h=0.0$"):
             z.tft_exponential_identity(m, 0.0)
 
     @pytest.mark.parametrize("h", [1e-300, -1e-300, 1e-13])
