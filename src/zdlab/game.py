@@ -106,7 +106,7 @@ def _is_int(x) -> bool:
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """The four one-shot payoffs (R, S, T, P).
+    """The four one-shot payoffs (R, S, T, P); a payoff of -0.0 is read as 0.0.
 
     The strict constructor enforces the prisoner's-dilemma ordering
     T > R > P > S together with 2R > T + S.  Passing ``permissive=True``
@@ -127,7 +127,7 @@ class PayoffMatrix:
             value = real_number(getattr(self, name), f"payoff {name}")
             if not np.isfinite(value):
                 raise ValueError(f"payoff {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
         if self.permissive:
             if self.T == self.S:
                 raise ValueError("even permissive payoffs require T != S")
@@ -159,15 +159,6 @@ def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
 #: Payoff tables that :func:`payoff_features` keeps, one per (payoffs,
 #: labels) pair; the least recently used goes first.
 FEATURE_CACHE_SIZE = 256
-
-
-def table_key(m: PayoffMatrix) -> tuple:
-    """A hashable key under which two payoff matrices share their tables.
-
-    ``==`` takes 0.0 for -0.0, but an odd power of a payoff keeps the sign
-    of a zero, so the key holds the payoffs' signs as well.
-    """
-    return m, tuple(math.copysign(1.0, v) for v in m.as_tuple())
 
 
 def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
@@ -202,12 +193,11 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
             raise ValueError(f"not a payoff feature label: {label!r}")
     # one table per value: a label of another numeric type (np.int64(2) for 2)
     # shares it, and one that failed the checks above (True, 1.0) never reaches it
-    return _feature_rows(table_key(m), tuple(canonical))
+    return _feature_rows(m, tuple(canonical))
 
 
 @functools.lru_cache(maxsize=FEATURE_CACHE_SIZE)
-def _feature_rows(key: tuple, labels: tuple) -> np.ndarray:
-    m = key[0]
+def _feature_rows(m: PayoffMatrix, labels: tuple) -> np.ndarray:
     s = np.array([payoff_vector(m, 1), payoff_vector(m, 2)])
     rows = np.empty((len(labels), 4))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -178,8 +178,10 @@ class LimitBatch(NamedTuple):
 
 def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sums of ``a * b`` over the last axis, added first to last: ((t0 + t1) + t2) + t3."""
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"cannot pair {a.shape[-1]} terms with {b.shape[-1]}")
     total = a[..., 0] * b[..., 0]
-    for j in range(1, max(a.shape[-1], b.shape[-1])):  # unequal lengths: IndexError
+    for j in range(1, a.shape[-1]):
         total += a[..., j] * b[..., j]
     return total
 

@@ -94,12 +94,14 @@ def payoff_distributions(v, pi):
 
     Returns the support, the distinct payoff values in ascending order
     (shape (G,)), and the probability of each under every distribution of
-    ``pi`` (shape (..., G)).  A payoff within :data:`VALUE_TOL` of a
-    support value counts as that outcome; probabilities are summed in ascending
-    payoff order.
+    ``pi`` (shape (..., G)); ``pi`` of any shape but (..., len(v)) is a
+    ValueError.  A payoff within :data:`VALUE_TOL` of a support value counts
+    as that outcome; probabilities are summed in ascending payoff order.
     """
     values = np.asarray(v, dtype=float)
     pi = np.asarray(pi, dtype=float)
+    if pi.shape[-1:] != values.shape:
+        raise ValueError(f"{values.size} payoffs against probabilities of shape {pi.shape}")
     support: list[float] = []
     probs: list[np.ndarray] = []
     for idx in np.argsort(values, kind="stable").tolist():

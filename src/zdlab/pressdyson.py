@@ -33,7 +33,6 @@ from .game import (
     named_strategy,
     payoff_features,
     real_number,
-    table_key,
 )
 from .markov import ordered_dot
 from .moments import K_CAP
@@ -123,7 +122,7 @@ class BasisSpec:
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
         """The classical basis {1, s1, s2}."""
-        return _shared_basis("zd", table_key(m), ((0, 0), (1, 0), (0, 1)))
+        return _shared_basis("zd", m, ((0, 0), (1, 0), (0, 1)))
 
     @classmethod
     def monomial(cls, m: PayoffMatrix, max_total_degree: int = 3) -> "BasisSpec":
@@ -142,7 +141,7 @@ class BasisSpec:
             for total in range(max_total_degree + 1)
             for k1 in range(total, -1, -1)
         )
-        return _shared_basis(f"monomial:{max_total_degree}", table_key(m), labels)
+        return _shared_basis(f"monomial:{max_total_degree}", m, labels)
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
@@ -151,22 +150,22 @@ class BasisSpec:
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
-        return _shared_basis(f"exp:{h:g}", table_key(m), labels)
+        return _shared_basis(f"exp:{h:g}", m, labels)
 
     @classmethod
     def wsls4(cls, m: PayoffMatrix) -> "BasisSpec":
         """The four-vector basis (s1, s2, s1*s2, 1)."""
-        return _shared_basis("wsls4", table_key(m), ((1, 0), (0, 1), (1, 1), (0, 0)))
+        return _shared_basis("wsls4", m, ((1, 0), (0, 1), (1, 1), (0, 0)))
 
     @classmethod
     def custom(cls, m: PayoffMatrix, labels: Sequence) -> "BasisSpec":
         """Any family of payoff-feature labels, as in :func:`payoff_features`."""
-        return _shared_basis.__wrapped__("custom", table_key(m), tuple(labels))
+        return _shared_basis.__wrapped__("custom", m, tuple(labels))
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _shared_basis(kind: str, key: tuple, labels: tuple) -> BasisSpec:
-    """The basis of the labels' feature rows at the payoffs of ``key``.
+def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
+    """The basis of the labels' feature rows at the payoffs ``m``.
 
     ``custom`` calls it uncached.  Each column is divided by the power of
     two at its peak, which is exact, then its 2-norm is taken and scaled
@@ -175,7 +174,7 @@ def _shared_basis(kind: str, key: tuple, labels: tuple) -> BasisSpec:
     """
     if not labels:
         raise ValueError("a basis must contain at least one vector")
-    matrix = payoff_features(key[0], labels).T
+    matrix = payoff_features(m, labels).T
     _, peak = np.frexp(np.max(np.abs(matrix), axis=0))
     scale = np.ldexp(np.linalg.norm(np.ldexp(matrix, -peak), axis=0), peak)
     scale[scale == 0.0] = 1.0
@@ -207,8 +206,8 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     column scaled to unit 2-norm (a zero column keeps scale 1), so that
     columns of very different magnitude (5^20 against 1) do not hide the
     small ones below the rank threshold ``RANK_TOL``, relative to the
-    largest singular value.  A
-    rank-deficient or overcomplete basis is reported through ``rank``,
+    largest singular value.  A target that is not finite is a ValueError.
+    A rank-deficient or overcomplete basis is reported through ``rank``,
     never an error; its coefficients are the solution whose scaled
     coefficients (coefficient times column norm) have minimum norm.  The
     residual is taken against the unscaled basis, and ``exact`` is True iff
@@ -218,6 +217,8 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     about the strategy; the coefficients carry the content.
     """
     target = np.asarray(pd, dtype=float)
+    if not np.isfinite(target).all():
+        raise ValueError(f"the target must be finite, got {target.tolist()}")
     coef, _, rank, _ = np.linalg.lstsq(basis._equilibrated, target, rcond=RANK_TOL)
     coef = coef / basis._scale
     residual = target - basis.matrix @ coef

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import zdlab as z
 from zdlab.game import SWAP
@@ -51,6 +51,14 @@ class TestPayoffMatrix:
         with pytest.raises(ValueError, match=re.escape(f"payoff {name} must be a number, "
                                                        f"got {value!r}")):
             z.PayoffMatrix(**payoffs)
+
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4))
+    def test_every_payoff_but_negative_zero_keeps_its_bits(self, payoffs):
+        assume(payoffs[2] != payoffs[1])
+        m = z.PayoffMatrix(*payoffs, permissive=True)
+        expected = [0.0 if v == 0.0 else v for v in payoffs]
+        assert np.array(m.as_tuple()).view(np.int64).tolist() == \
+            np.array(expected).view(np.int64).tolist()
 
     def test_any_real_number_is_a_payoff(self):
         m = z.PayoffMatrix(R=Fraction(3), S=np.int8(0), T=np.float32(5.0), P=1)
@@ -131,13 +139,16 @@ class TestPayoffVectors:
             assert rows.shape == (len(labels), 4)
             np.testing.assert_array_equal(rows.view(np.int64), cold.view(np.int64))
 
-    def test_zero_payoffs_keep_their_sign(self, table_caches):
-        # 0.0 == -0.0, but s1 keeps the sign of a zero payoff
-        for S in (0.0, -0.0, 0.0):
+    def test_a_negative_zero_payoff_is_zero(self, table_caches):
+        # -0.0 is read as 0.0, so the two matrices share their tables
+        zero = z.PayoffMatrix(3.0, 0.0, 5.0, 1.0)
+        for S in (-0.0, 0.0, -0.0):
             m = z.PayoffMatrix(3.0, S, 5.0, 1.0)
-            row = z.payoff_features(m, [(1, 0)])[0]
-            assert np.signbit(row[1]) == np.signbit(S)
-            assert np.signbit(z.BasisSpec.zd(m).matrix[1, 1]) == np.signbit(S)
+            assert not np.signbit(m.S)
+            row = z.payoff_features(m, [(1, 0)])
+            assert row is z.payoff_features(zero, [(1, 0)])
+            assert not np.signbit(row[0, 1])
+            assert z.BasisSpec.zd(m) is z.BasisSpec.zd(zero)
 
     @given(st.integers(min_value=1, max_value=10))
     def test_power_matches_repeated_multiplication(self, k):
@@ -213,6 +224,12 @@ class TestStrategies:
     def test_non_numeric_probability_rejected(self, entry):
         with pytest.raises(ValueError, match="must be numbers"):
             z.MemoryOneStrategy((entry, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("p", [0.5, None])
+    def test_probabilities_that_are_not_iterable_are_rejected(self, p):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cooperation probabilities must be numbers: {p!r}")):
+            z.MemoryOneStrategy(p)
 
     @pytest.mark.parametrize("p", [("1", 0, True, 0), (1, 0, True, 0), ("1", 0, 0, 0),
                                    (np.False_, 0, 0, 0), "1000"])

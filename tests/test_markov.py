@@ -121,6 +121,17 @@ class TestClassify:
 
 
 class TestCesaroLimit:
+    @pytest.mark.parametrize("eps, converged", [(1e-11, False), (1e-12, False), (1e-13, True)])
+    def test_default_tolerance_boundary(self, eps, converged):
+        # scaling column 0 by 1 + eps leaves a residual of about 0.39 eps, so
+        # DEFAULT_TOL (1e-13) lies between the cases at 1e-12 and at 1e-13
+        M = np.array(z.transition_matrix(z.TFT, z.MemoryOneStrategy((0.9, 0.2, 0.6, 0.35))))
+        M[:, 0] *= 1.0 + eps
+        result = z.cesaro_limit(M)
+        assert 0.3 * eps < result.residual < 0.5 * eps
+        assert result.converged is converged
+        assert z.cesaro_limit(M, tol=1e-10).converged
+
     def test_tft_vs_tft_cycle_average(self):
         M = z.transition_matrix(z.TFT, z.TFT)
         result = z.cesaro_limit(M, CD)

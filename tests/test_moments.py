@@ -39,8 +39,13 @@ class TestFeatureAverages:
         # never an average over the shorter row's states alone
         F = z.payoff_features(m, [(1, 0), (2, 0)])
         for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
-            with pytest.raises((ValueError, IndexError)):
+            with pytest.raises(ValueError, match="cannot pair"):
                 z.feature_averages(F, pi)
+            with pytest.raises(ValueError, match="cannot pair"):
+                z.relation_value({(1, 0): 1.0}, pi, m)
+        for pi in ([0.5, 0.5], [[0.5, 0.5, 0.0]], 1.0):
+            with pytest.raises(ValueError, match="4 payoffs against probabilities"):
+                z.payoff_distributions([1.0, 2.0, 3.0, 4.0], pi)
 
     @pytest.mark.parametrize("k_max", [0, -1, 21, 2.0, True])
     def test_moment_orders_validated(self, k_max):
@@ -216,6 +221,12 @@ class TestPayoffDistributions:
         support, probs = z.payoff_distributions(v, [[0.1, 0.2, 0.3, 0.4]])
         assert support.tolist() == [1.0, 2.0]
         assert probs.tolist() == [[0.2 + 0.4, 0.1 + 0.3]]
+
+    @pytest.mark.parametrize("gap, outcomes", [(1e-12, 3), (2e-12, 4), (1e-10, 4)])
+    def test_value_tolerance_boundary(self, gap, outcomes):
+        # VALUE_TOL (1e-12) joins a gap of 1e-12 and no wider one
+        support, _ = z.payoff_distributions([0.0, gap, 1.0, 2.0], np.full(4, 0.25))
+        assert len(support) == outcomes
 
 
 class TestDistributionsEqual:

@@ -106,8 +106,10 @@ class TestAkinResidual:
         # never a sum over the shorter vector's states alone
         pd = z.press_dyson(z.TFT, 1)
         for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
-            with pytest.raises((ValueError, IndexError)):
+            with pytest.raises(ValueError, match="cannot pair"):
                 z.akin_residual(pd, pi)
+        with pytest.raises(ValueError, match="cannot pair 3 terms with 4"):
+            z.akin_residual([0.0, -1.0, 1.0], np.full(4, 0.25))
 
     def test_vanishes_on_cesaro_limits(self, random_strategies):
         focals = [z.TFT, z.WSLS, z.ALL_C, z.ALL_D]
@@ -248,9 +250,26 @@ class TestBasisSpec:
         assert z.format_label((1, 1)) == "s1*s2"
         assert z.format_label((2, 3)) == "s1^2*s2^3"
         assert z.format_label(("exp", 2, -0.5)) == "exp(-0.5*s2)"
+        assert z.format_label("s1") == "s1"
+        assert z.format_label([1, 0]) == "[1, 0]"
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_target_that_is_not_finite_is_an_error(self, m, bad):
+        # it used to give NaN coefficients and exact False, as if outside the span
+        for basis in (z.BasisSpec.zd(m), z.BasisSpec.wsls4(m)):
+            with pytest.raises(ValueError, match="target must be finite"):
+                z.decompose([bad, -1.0, 1.0, 0.0], basis)
+
+    @pytest.mark.parametrize("d, rank", [(1e-7, 2), (1e-8, 2), (1e-9, 1)])
+    def test_rank_tolerance_boundary(self, d, rank):
+        # s1 and s2 differ by d at CD and DC: a relative singular value of
+        # about 0.41 d, so RANK_TOL (1e-9) lies between the cases at 1e-8 and 1e-9
+        basis = z.BasisSpec.custom(z.PayoffMatrix(1, 1, 1 + d, 0, permissive=True),
+                                   [(1, 0), (0, 1)])
+        assert z.decompose(z.press_dyson(z.TFT, 1), basis).rank == rank
+
     def test_tft_is_zd(self, m):
         result = z.decompose(z.press_dyson(z.TFT, 1), z.BasisSpec.zd(m))
         assert result.exact and result.rank == 3
