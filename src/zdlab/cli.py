@@ -335,7 +335,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.out is not None and Path(args.out).suffix == ".csv":
+    if args.out is not None and Path(args.out).suffix.lower() == ".csv":
         raise ValueError(f"simulate --out {args.out}: .csv is the state table's suffix")
     m = _parse_payoffs(args.payoffs)
     s1 = parse_strategy(args.strategy1)
@@ -566,7 +566,3 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,8 +43,7 @@ class JointState(IntEnum):
 
 
 # Index permutation mapping a global state to the opponent's viewpoint.
-SWAP = (0, 2, 1, 3)
-_SWAP_INDEX = np.array(SWAP)  # take() converts a tuple index on every call
+_SWAP_INDEX = np.array((0, 2, 1, 3))  # take() converts a tuple index on every call
 
 
 def global_frame(own: np.ndarray, player: int) -> np.ndarray:
@@ -161,6 +160,18 @@ def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
 FEATURE_CACHE_SIZE = 256
 
 
+def feature_label(label) -> tuple:
+    """The canonical form of a payoff feature label (int orders, float h); else a ValueError."""
+    if (isinstance(label, tuple) and len(label) == 2
+            and all(_is_int(k) and k >= 0 for k in label)):
+        return (int(label[0]), int(label[1]))
+    if (isinstance(label, tuple) and len(label) == 3 and isinstance(label[0], str)
+            and label[0] == "exp" and _is_int(label[1]) and label[1] in (1, 2)
+            and _is_real(label[2]) and math.isfinite(h := _to_float(label[2]))):
+        return ("exp", int(label[1]), h)
+    raise ValueError(f"not a payoff feature label: {label!r}")
+
+
 def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
     """The payoff features named by ``labels``, one row of four values each.
 
@@ -176,23 +187,15 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
     """
     canonical = []
     for label in labels:
-        if (isinstance(label, tuple) and len(label) == 2
-                and all(_is_int(k) and k >= 0 for k in label)):
-            canonical.append((int(label[0]), int(label[1])))
-        elif (isinstance(label, tuple) and len(label) == 3 and label[0] == "exp"
-                and _is_int(label[1]) and label[1] in (1, 2)
-                and _is_real(label[2]) and math.isfinite(h := _to_float(label[2]))):
-            exponent = abs(h) * max(abs(v) for v in m.as_tuple())
-            if exponent > 700.0:
-                raise OverflowError(
-                    f"|h| * max|payoff| = {exponent:g} exceeds the "
-                    "double-precision exponential range (700)"
-                )
-            canonical.append(("exp", int(label[1]), h))
-        else:
-            raise ValueError(f"not a payoff feature label: {label!r}")
+        label = feature_label(label)
+        if len(label) == 3 and (exponent := abs(label[2]) * max(map(abs, m.as_tuple()))) > 700.0:
+            raise OverflowError(
+                f"|h| * max|payoff| = {exponent:g} exceeds the "
+                "double-precision exponential range (700)"
+            )
+        canonical.append(label)
     # one table per value: a label of another numeric type (np.int64(2) for 2)
-    # shares it, and one that failed the checks above (True, 1.0) never reaches it
+    # shares it, and one that feature_label refuses (True, 1.0) never reaches it
     return _feature_rows(m, tuple(canonical))
 
 

@@ -29,6 +29,7 @@ from .game import (
     MemoryOneStrategy,
     PayoffMatrix,
     _is_int,
+    feature_label,
     global_frame,
     named_strategy,
     payoff_features,
@@ -87,20 +88,13 @@ def akin_residual(pd, pi) -> float:
     return float(ordered_dot(np.asarray(pd, dtype=float), np.asarray(pi, dtype=float)))
 
 
-def _exponent(h) -> float:
-    """An exponential parameter h as a double: a real number, or a 0-d array of one."""
-    return real_number(h[()] if isinstance(h, np.ndarray) else h, "h")
-
-
 def format_label(label) -> str:
-    """Human-readable form of a basis label, e.g. (1,1) -> 's1*s2'."""
-    if isinstance(label, tuple) and len(label) == 3 and label[0] == "exp":
-        _, player, h = label
-        return f"exp({h:g}*s{player})"
-    if isinstance(label, tuple) and len(label) == 2:
-        powers = zip(("s1", "s2"), label)
-        return "*".join(f"{s}^{k}" if k > 1 else s for s, k in powers if k > 0) or "1"
-    return str(label)
+    """Human-readable form of a payoff feature label, e.g. (1,1) -> 's1*s2'; else a ValueError."""
+    label = feature_label(label)
+    if len(label) == 3:
+        return f"exp({label[2]:g}*s{label[1]})"
+    powers = zip(("s1", "s2"), label)
+    return "*".join(f"{s}^{k}" if k > 1 else s for s, k in powers if k > 0) or "1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +140,7 @@ class BasisSpec:
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
         """The basis {1, e^{h s1}, e^{h s2}} for h != 0 within exponential range."""
-        h = _exponent(h)
+        h = real_number(h, "h")
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
@@ -285,7 +279,7 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
     below about 2e-13.  Arguments with |h| * max|payoff| > 700 would overflow
     double precision and are rejected as a range error.
     """
-    h = _exponent(h)
+    h = real_number(h, "h")
     return _tft_identity(m, [("exp", 1, h), ("exp", 2, h)], "e^{hT} - e^{hS}", f"h={h}")
 
 

@@ -316,14 +316,17 @@ class TestSimulate:
         assert sum(int(r[1]) for r in rows) == 500
 
     def test_csv_out_is_usage_error(self, capsys, tmp_path):
-        # the state-occupancy table beside the report would overwrite it
-        out = tmp_path / "run.csv"
-        code, stdout, err = _run(
-            ["simulate", "tft", "wsls", "--rounds", "100", "--out", str(out)], capsys
-        )
-        assert (code, stdout) == (2, "")
-        assert err.startswith("error: ") and str(out) in err
-        assert list(tmp_path.iterdir()) == []
+        # the state-occupancy table beside the report would overwrite it; run.CSV
+        # used to pass, and its table run.csv is the report itself on a
+        # case-insensitive file system
+        for name in ("run.csv", "run.CSV", "run.Csv"):
+            out = tmp_path / name
+            code, stdout, err = _run(
+                ["simulate", "tft", "wsls", "--rounds", "100", "--out", str(out)], capsys
+            )
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: ") and str(out) in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = _run(["simulate", "tft", "all_d", "--epsilon", "0.7"], capsys)

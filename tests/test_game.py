@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import zdlab as z
-from zdlab.game import SWAP
+
+#: The state seen from the other player's side: CD <-> DC, stated here apart from the code.
+SWAP = (0, 2, 1, 3)
 
 #: Test ids of 10**400, Fraction(10**400) and -10**400, real numbers past the double range.
 BEYOND_DOUBLE = ["int", "fraction", "negative_int"]
@@ -106,8 +108,11 @@ class TestPayoffVectors:
         np.testing.assert_array_equal(F[1], z.payoff_vector(m, 2))
 
     def test_malformed_labels_rejected(self, m):
+        # the tag must be the text "exp": a one-element array equal to it used to
+        # pass, and a longer one raised numpy's ambiguous-truth error
         for label in [(1.5, 0), (-1, 0), (0, -2), (True, 0), (1, 2, 3), ("exp", 3, 1.0),
-                      ("exp", 1, math.nan), ("exp", 1, "h"), "s1", 1, ("exp", 1, 10**400)]:
+                      ("exp", 1, math.nan), ("exp", 1, "h"), "s1", 1, ("exp", 1, 10**400),
+                      (np.array(["exp"]), 1, 0.5), (np.array([1, 2]), 1, 0.5)]:
             with pytest.raises(ValueError, match="label"):
                 z.payoff_features(m, [label])
 

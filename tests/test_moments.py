@@ -334,6 +334,37 @@ class TestDistributionStacksEqual:
         assert z.distribution_stacks_equal(a, b, tol=0.0).tolist() == [True]
 
 
+class TestDistributionsEqualIsTheGapTest:
+    """Why verify-tft's ``dist_equal`` and its gap term are each implied by the other.
+
+    At strict payoffs whose four values lie pairwise more than ``VALUE_TOL``
+    apart, comparing the two players' payoff distributions under TFT makes
+    four outcomes.  The S outcome sums pi_CD + (-pi_DC), the same single
+    rounding as the gap pi_CD - pi_DC; the T outcome is its exact negative;
+    the R and P outcomes cancel exactly.
+    """
+
+    @pytest.mark.parametrize("payoffs", [(3, 0, 5, 1), (4, -1, 6, 0), (3.3, 0.1, 5.7, 1.2)])
+    @pytest.mark.parametrize("start", [None, z.JointState.DC], ids=["uniform", "dc"])
+    def test_equal_distributions_iff_the_gap_is_within_tol(self, payoffs, start):
+        m = z.PayoffMatrix(*payoffs)
+        values = np.array(m.as_tuple())
+        assert (np.abs(values[:, None] - values) > z.moments.VALUE_TOL).sum() == 12
+        rng = np.random.Generator(np.random.PCG64(12))
+        opponents = rng.random((2000, 4))
+        corner = rng.random((200, 4)) < 0.5  # some opponents with entries 0 and 1
+        opponents[:200][corner] = rng.integers(0, 2, corner.sum())
+        Ms = z.transition_matrices(z.TFT.array, opponents)
+        pis = z.cesaro_limits(Ms, start).distributions
+        gaps = pis[:, z.JointState.CD] - pis[:, z.JointState.DC]
+        d1 = z.payoff_distributions(z.payoff_vector(m, 1), pis)
+        d2 = z.payoff_distributions(z.payoff_vector(m, 2), pis)
+        for tol in (0.0, 1e-17, 1e-16, 1e-12, 1e-8):
+            gap_test = np.abs(gaps) <= tol
+            assert z.distribution_stacks_equal(d1, d2, tol).tolist() == gap_test.tolist()
+        assert 0 < (gaps == 0).sum() < len(gaps)  # at tol 0 both verdicts occur
+
+
 class TestStructuralTftEquality:
     def test_cd_dc_symmetry_propagates(self, m, random_strategies):
         # one full-pipeline sample; the acceptance suite covers 1000

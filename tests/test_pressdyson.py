@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import zdlab as z
 from zdlab import pressdyson
-from zdlab.game import SWAP
 from zdlab.moments import K_CAP
 
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 strategy_vectors = st.tuples(probability, probability, probability, probability)
+#: The state seen from the other player's side: CD <-> DC, stated here apart from the code.
+SWAP = (0, 2, 1, 3)
 #: Permissive payoffs R = S = P = 0, at which the s1*s2 column of wsls4 is zero.
 ZERO_COLUMN_PAYOFFS = z.PayoffMatrix(0, 0, 5, 0, permissive=True)
 
@@ -199,8 +201,7 @@ class TestBasisSpec:
         with pytest.raises(OverflowError, match="exponential range"):
             z.BasisSpec.exponential(m, 1000.0)  # 1000 * 5 > 700
 
-    @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2"),
-                                         (np.array(-1.0), "exp:-1"), (np.array(0.25), "exp:0.25")])
+    @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2")])
     def test_exponential_accepts_any_real_h(self, m, table_caches, h, kind):
         basis = z.BasisSpec.exponential(m, h)
         assert basis.kind == kind
@@ -208,14 +209,36 @@ class TestBasisSpec:
         assert all(type(label[2]) is float for label in basis.labels[1:])
         assert z.BasisSpec.exponential(m, float(h)) is basis
 
-    @pytest.mark.parametrize("h", [10**400, -10**400, "0.5", b"0.5", True, np.array(True)],
-                             ids=["1e400", "-1e400", "str", "bytes", "bool", "bool_array"])
+    @pytest.mark.parametrize("h", [10**400, -10**400, "0.5", b"0.5", True, np.array(True),
+                                   np.array(-1.0), np.array(0.25)],
+                             ids=["1e400", "-1e400", "str", "bytes", "bool", "bool_array",
+                                  "array_-1", "array_0.25"])
     def test_exponential_refuses_h_that_is_not_a_finite_real(self, m, h):
-        # 10**400 used to raise OverflowError; text and bools used to build a basis
+        # 10**400 used to raise OverflowError; text and bools used to build a basis;
+        # a 0-d array used to be read as its number, unlike everywhere else
         with pytest.raises(ValueError):
             z.BasisSpec.exponential(m, h)
         with pytest.raises(ValueError):
             z.tft_exponential_identity(m, h)
+
+    @pytest.mark.parametrize("h, accepted", [
+        (2, True), (0.5, True), (np.float64(-1.5), True), (Fraction(1, 4), True),
+        (np.array(0.5), False), (np.array(2), False), ("0.5", False), (b"0.5", False),
+        (True, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+        (10**400, False),
+    ], ids=["int", "float", "float64", "fraction", "array", "int_array", "str", "bytes",
+            "bool", "nan", "inf", "-inf", "1e400"])
+    def test_every_exponential_entry_reads_h_one_way(self, m, h, accepted):
+        # the basis, the TFT identity and an ("exp", p, h) label accept and refuse the same h
+        entries = [lambda h: z.BasisSpec.exponential(m, h).labels,
+                   lambda h: z.tft_exponential_identity(m, h),
+                   lambda h: z.payoff_features(m, [("exp", 1, h), ("exp", 2, h)]).tolist()]
+        for entry in entries:
+            if accepted:
+                assert entry(h) == entry(float(h))
+            else:
+                with pytest.raises(ValueError):
+                    entry(h)
 
     def test_constructors_share_read_only_instances(self, m, table_caches):
         for build in (z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 3),
@@ -250,8 +273,21 @@ class TestBasisSpec:
         assert z.format_label((1, 1)) == "s1*s2"
         assert z.format_label((2, 3)) == "s1^2*s2^3"
         assert z.format_label(("exp", 2, -0.5)) == "exp(-0.5*s2)"
-        assert z.format_label("s1") == "s1"
-        assert z.format_label([1, 0]) == "[1, 0]"
+        for label in ("s1", [1, 0]):
+            with pytest.raises(ValueError, match="not a payoff feature label"):
+                z.format_label(label)
+
+    @pytest.mark.parametrize("label", [("exp", 1), (1.5, 0), (True, 0), (-1, 2), (2, "a"),
+                                       "s1", [1, 0], (np.array(["exp"]), 1, 0.5)],
+                             ids=["exp_without_h", "fractional_order", "bool_order",
+                                  "negative_order", "text_order", "str", "list", "array_tag"])
+    def test_format_label_refuses_what_payoff_features_refuses(self, m, label):
+        # format_label used to print s1^1.5, s1 and s2^2, raise TypeError on
+        # ("exp", 1) and (2, "a"), and print the rest with str()
+        with pytest.raises(ValueError) as refused:
+            z.payoff_features(m, [label])
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            z.format_label(label)
 
 
 class TestDecompose:
