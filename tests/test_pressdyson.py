@@ -201,7 +201,8 @@ class TestBasisSpec:
         with pytest.raises(OverflowError, match="exponential range"):
             z.BasisSpec.exponential(m, 1000.0)  # 1000 * 5 > 700
 
-    @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2")])
+    @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2"),
+                                         (Fraction(-1), "exp:-1"), (Fraction(1, 4), "exp:0.25")])
     def test_exponential_accepts_any_real_h(self, m, table_caches, h, kind):
         basis = z.BasisSpec.exponential(m, h)
         assert basis.kind == kind
