@@ -43,7 +43,7 @@ from .moments import (
     moment_orders,
     payoff_distributions,
 )
-from .montecarlo import PRNG_ID, SimulationConfig, simulate
+from .montecarlo import PRNG_ID, SimulationConfig, check_seed, simulate
 from .pressdyson import (
     BasisSpec,
     decompose,
@@ -91,7 +91,10 @@ def _parse_initial(text: str):
 
 
 def _parse_floats(text: str, option: str) -> list[float]:
-    return [read_number(x, option) for x in text.split(",") if x.strip() != ""]
+    values = [read_number(x, option) for x in text.split(",") if x.strip() != ""]
+    if not values:
+        raise ValueError(f"{option} is empty")
+    return values
 
 
 def _parse_basis(text: str, m: PayoffMatrix) -> BasisSpec:
@@ -194,10 +197,9 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     tol = read_number(args.tol, "--tol")
     if tol <= 0:
         raise ValueError(f"--tol must be positive, got {tol!r}")
+    check_seed(args.seed)
     initial = _parse_initial(args.initial)
     h_grid = _parse_floats(args.h_grid, "--h-grid")
-    if not h_grid:
-        raise ValueError("--h-grid is empty")
     h_labels = [format(h, "g") for h in h_grid]  # one output column or key each
     for i, label in enumerate(h_labels):
         if label in h_labels[:i]:
@@ -403,10 +405,7 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
             raise ValueError(f"unknown payoff symbol {name!r} in --payoff-grid")
         if name in dict(axes):
             raise ValueError(f"payoff symbol {name} is named twice in --payoff-grid")
-        floats = _parse_floats(values, "--payoff-grid")
-        if not floats:
-            raise ValueError(f"empty value list for {name} in --payoff-grid")
-        axes.append((name, floats))
+        axes.append((name, _parse_floats(values, f"--payoff-grid {name}")))
     if not axes:
         raise ValueError("empty --payoff-grid")
     points: list[PayoffMatrix | str] = []
@@ -420,9 +419,6 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    modes = [args.wsls_coeffs, args.tft_k_range is not None, args.h_range is not None]
-    if sum(modes) != 1:
-        raise ValueError("choose exactly one of --wsls-coeffs, --tft-k-range, --h-range")
     if (args.payoff_grid is None) == args.wsls_coeffs:
         raise ValueError("--wsls-coeffs requires --payoff-grid" if args.wsls_coeffs
                          else "--payoff-grid goes with --wsls-coeffs only; use --payoffs")
@@ -460,8 +456,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             parameters = {"mode": "tft-k-range", "k_range": args.tft_k_range}
         else:
             values = _parse_floats(args.h_range, "--h-range")
-            if not values:
-                raise ValueError("empty --h-range")
             identity, column = tft_exponential_identity, "h"
             parameters = {"mode": "h-range", "h_range": args.h_range}
         header = [column, "coefficient", "max_abs_error", "error"]
@@ -542,14 +536,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="tabulate identities over a grid")
-    p.add_argument("--wsls-coeffs", action="store_true", dest="wsls_coeffs",
-                   help="WSLS basis coefficients over a payoff grid")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--wsls-coeffs", action="store_true", dest="wsls_coeffs",
+                       help="WSLS basis coefficients over a payoff grid")
+    group.add_argument("--tft-k-range", default=None, dest="tft_k_range",
+                       metavar="A:B", help="power-identity check for k in A..B")
+    group.add_argument("--h-range", default=None, dest="h_range", metavar="LIST",
+                       help="exponential-identity check on listed h values")
     p.add_argument("--payoff-grid", default=None, dest="payoff_grid",
                    metavar="SPEC", help="e.g. 'T=4.5,5.0,5.5;R=3'")
-    p.add_argument("--tft-k-range", default=None, dest="tft_k_range",
-                   metavar="A:B", help="power-identity check for k in A..B")
-    p.add_argument("--h-range", default=None, dest="h_range", metavar="LIST",
-                   help="exponential-identity check on listed h values")
     add_common(p, "csv")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .game import PayoffMatrix, _is_int, payoff_features
+from .game import PayoffMatrix, _is_int, payoff_features, real_number
 from .markov import ordered_dot
 
 __all__ = [
@@ -122,8 +122,11 @@ def distribution_stacks_equal(a, b, tol: float) -> np.ndarray:
     :func:`payoff_distributions` over both supports together, with ``b``'s
     probabilities negated, so an outcome present on one side only has
     probability zero on the other.  Returns, per distribution, whether
-    every outcome's two probabilities agree within ``tol``.
+    every outcome's two probabilities agree within ``tol``, a real number >= 0.
     """
+    tol = real_number(tol, "tol")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     (xa, pa), (xb, pb) = a, b
     pa, pb = np.asarray(pa, dtype=float), np.asarray(pb, dtype=float)
     stack = np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1])

@@ -45,8 +45,6 @@ __all__ = [
 #: Identifier of the pseudo-random generator backing every simulation.
 PRNG_ID = "numpy.random.PCG64"
 
-_SEED_MODULUS = 2**64
-
 #: Rounds per chunk of uniforms; the kernel's buffers are O(chunk), not O(rounds).
 _CHUNK_ROUNDS = 2**17
 
@@ -55,6 +53,12 @@ _PIECE_ROUNDS = 2**14
 
 #: The one-byte code of the identity map: state s's image sits in bits 2s and 2s+1.
 _IDENTITY = 0b11100100
+
+
+def check_seed(seed: int) -> None:
+    """Refuse an integer seed outside [0, 2**64), the seeds a run records and replays."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,7 @@ class SimulationConfig:
             object.__setattr__(self, name, int(value))
         if self.rounds < 1:
             raise ValueError(f"rounds must be positive, got {self.rounds!r}")
-        if not (0 <= self.seed < _SEED_MODULUS):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be nonnegative, got {self.burn_in!r}")
         if self.burn_in >= self.rounds:

@@ -456,6 +456,12 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_payoff_grid_ignores_spacing_case_and_empty_chunks(self, capsys):
+        plain = _run(["sweep", "--wsls-coeffs", "--payoff-grid", "T=4.5,5;R=3"], capsys)
+        loose = _run(["sweep", "--wsls-coeffs", "--payoff-grid", " t=4.5,5 ; ; R=3;"], capsys)
+        assert plain[:2] == loose[:2] and plain[0] == 0
+        assert len(_read_csv(plain[1])[1]) == 2
+
     def test_json_format(self, capsys):
         code, out, _ = _run(
             ["sweep", "--tft-k-range", "1:3", "--format", "json"], capsys
@@ -533,6 +539,11 @@ OUT_CASES = {
                        [".manifest.json"]),
     "sweep csv": ("run.csv", ["sweep", "--tft-k-range", "1:4"], [".manifest.json"]),
     "decompose json": ("run.json", ["decompose", "wsls", "--basis", "wsls4"], []),
+    "decompose csv": ("run.csv", ["decompose", "wsls", "--basis", "wsls4", "--format", "csv"],
+                      [".manifest.json"]),
+    "verify-tft json": ("run.json", ["verify-tft", "--random", "5", "--seed", "3",
+                                     "--format", "json"], []),
+    "sweep h-range": ("run.csv", ["sweep", "--h-range=-2,-1,0.5,1,2"], [".manifest.json"]),
     "simulate": ("run.json", ["simulate", "tft", "random:0.3", "--rounds", "2000",
                               "--seed", "9"], [".csv"]),
 }
@@ -554,6 +565,21 @@ class TestOutFiles:
             (reused / p).write_bytes(b"junk\n" * (len(expected[p]) + 1000))
         assert _run(argv + ["--out", str(reused / name)], capsys)[0] == 0
         assert {p: (reused / p).read_bytes() for p in paths} == expected
+
+    @pytest.mark.parametrize("name, argv, suffixes", [
+        ("run.json", ["decompose", "tft"], []),
+        ("run.csv", ["sweep", "--tft-k-range", "1:5"], [".manifest.json"]),
+    ], ids=["decompose", "sweep"])
+    def test_negative_zero_payoff_writes_the_zero_payoff_bytes(self, name, argv, suffixes,
+                                                              tmp_path, capsys):
+        paths = [Path(name)] + [Path(name).with_suffix(s) for s in suffixes]
+        written = []
+        for payoffs in ("3,-0,5,1", "3,0,5,1"):
+            (tmp_path / payoffs).mkdir()
+            out = tmp_path / payoffs / name
+            assert _run(argv + ["--payoffs", payoffs, "--out", str(out)], capsys)[0] == 0
+            written.append({p: (tmp_path / payoffs / p).read_bytes() for p in paths})
+        assert written[0] == written[1]
 
     def test_inode_mode_and_symlink_kept(self, tmp_path, capsys):
         argv = ["verify-tft", "--random", "5", "--seed", "3"]
@@ -697,7 +723,7 @@ class TestEntryPoints:
         (["verify-tft", "--opponent", "tft", "--tol", "0"], "--tol must be positive"),
         (["verify-tft", "--opponent", "tft", "--h-grid", ","], "--h-grid is empty"),
         (["sweep", "--wsls-coeffs", "--payoff-grid", "X=1"], "unknown payoff symbol"),
-        (["sweep", "--wsls-coeffs", "--payoff-grid", "T="], "empty value list"),
+        (["sweep", "--wsls-coeffs", "--payoff-grid", "T="], "--payoff-grid T is empty"),
         (["sweep", "--wsls-coeffs"], "requires --payoff-grid"),
         (["simulate", "tft", "all_d", "--burn-in", "-1"], "burn_in must be nonnegative"),
         (["decompose", "tft", "--basis", "monomial:-1"], "max_total_degree"),
@@ -740,12 +766,26 @@ class TestEntryPoints:
          "--h-grid expects a number, got 'a'"),
         (["sweep", "--h-range", "a"], "--h-range expects a number, got 'a'"),
         (["sweep", "--wsls-coeffs", "--payoff-grid", "T=x"],
-         "--payoff-grid expects a number, got 'x'"),
+         "--payoff-grid T expects a number, got 'x'"),
         (["decompose", "random:x"], "strategy 'random:x' expects a number, got 'x'"),
         (["decompose", "1,0,1,x"], "strategy 'custom:1,0,1,x' expects a number, got 'x'"),
         # argparse named these two as "argument --tol: invalid float value: 'x'"
         (["verify-tft", "--opponent", "tft", "--tol", "x"], "--tol expects a number, got 'x'"),
         (["simulate", "tft", "all_d", "--epsilon", "x"], "--epsilon expects a number, got 'x'"),
+        # argparse holds sweep's mode rule, as it holds verify-tft's --opponent/--random rule
+        (["sweep"], "one of the arguments --wsls-coeffs --tft-k-range --h-range is required"),
+        (["sweep", "--h-range", "1", "--tft-k-range", "1:2"],
+         "argument --tft-k-range: not allowed with argument --h-range"),
+        # these two used to read "empty --h-range" and "empty value list for T in --payoff-grid"
+        (["sweep", "--h-range=,"], "error: --h-range is empty"),
+        (["sweep", "--wsls-coeffs", "--payoff-grid", "T=;R=3"], "error: --payoff-grid T is empty"),
+        # verify-tft used to run with seed 2**64 and print numpy's message for -1
+        (["verify-tft", "--random", "2", "--seed", "18446744073709551616"],
+         "error: seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        (["verify-tft", "--random", "2", "--seed", "-1"],
+         "error: seed must be a 64-bit unsigned integer, got -1"),
+        (["simulate", "tft", "wsls", "--seed", "-1"],
+         "error: seed must be a 64-bit unsigned integer, got -1"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

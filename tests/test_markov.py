@@ -334,6 +334,14 @@ class TestCesaroLimits:
         batch = z.cesaro_limits(BATCH_CHAINS[:3])
         with pytest.raises(ValueError):
             batch.distributions[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch.unique[0] = False
+
+    def test_nested_lists_solve_as_the_array(self):
+        chains = np.asarray(BATCH_CHAINS[:5])
+        from_lists, from_array = z.cesaro_limits(chains.tolist()), z.cesaro_limits(chains)
+        np.testing.assert_array_equal(from_lists.distributions, from_array.distributions)
+        assert from_lists.unique.tolist() == from_array.unique.tolist()
 
     def test_bad_input(self):
         with pytest.raises(ValueError, match="tolerance"):

@@ -34,6 +34,7 @@ class TestFeatureAverages:
         expected = np.array([[_in_order(f, pi) for f in F.tolist()] for pi in pis.tolist()])
         np.testing.assert_array_equal(averages, expected)
         np.testing.assert_array_equal(z.feature_averages(F, pis[0]), expected[0])
+        np.testing.assert_array_equal(z.feature_averages(F.tolist(), pis.tolist()), expected)
 
     def test_length_mismatch_is_an_error(self, m):
         # never an average over the shorter row's states alone
@@ -254,6 +255,19 @@ class TestDistributionsEqual:
         a = ([1.0], [1.0])
         b = ([1.0, 2.0], [1.0 - 1e-12, 1e-12])
         assert z.distribution_stacks_equal(a, b, tol=1e-8)
+
+    @pytest.mark.parametrize("tol, message", [
+        (math.nan, "tol must be nonnegative, got nan"),  # used to find every pair unequal
+        (-1, "tol must be nonnegative, got -1.0"),  # likewise
+        (-math.inf, "tol must be nonnegative, got -inf"),
+        (True, "tol must be a number, got True"),  # used to be read as 1
+        ("1e-8", "tol must be a number, got '1e-8'"),  # used to raise numpy's UFuncTypeError
+    ], ids=["nan", "negative", "-inf", "bool", "str"])
+    def test_tol_is_a_nonnegative_real_number(self, m, tol, message):
+        d = z.payoff_distributions(z.payoff_vector(m, 1), CYCLE)
+        with pytest.raises(ValueError) as excinfo:
+            z.distribution_stacks_equal(d, d, tol)
+        assert str(excinfo.value) == message
 
 
 GRID = (-1.0, 0.0, 1.0, 2.5, 3.0, 5.0, 7.0)

@@ -119,6 +119,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             z.SimulationConfig(rounds=0)
 
+    def test_zero_rounds_is_named_before_the_empty_sample(self):
+        with pytest.raises(ValueError, match="^rounds must be positive, got 0$"):
+            z.SimulationConfig(rounds=0, burn_in=0)
+
     @pytest.mark.parametrize("fields", [
         {"rounds": 1e4, "burn_in": 10},
         {"burn_in": 10.0},
@@ -241,6 +245,7 @@ class TestSimulate:
         expected = [[sum(m[c[s]] << 2 * s for s in range(4)) for c in decode] for m in decode]
         assert montecarlo._composition_table().tolist() == expected
         assert decode[montecarlo._IDENTITY] == [0, 1, 2, 3]
+        assert not montecarlo._composition_table().flags.writeable  # one table per process
 
     def test_memory_is_bounded_by_the_chunk(self):
         # the uniforms of 2e6 rounds alone take 32 MB; the kernel draws them

@@ -466,6 +466,11 @@ class TestDecompose:
         for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
             assert z.decompose(target, z.BasisSpec.zd(m)).exact
 
+    def test_residual_is_read_only(self, m):
+        result = z.decompose(z.press_dyson(z.WSLS, 1), z.BasisSpec.zd(m))
+        with pytest.raises(ValueError):
+            result.residual[0] = 0.0
+
     @pytest.mark.parametrize("eps, exact", [(1e-11, False), (1e-13, True)])
     def test_exact_tol_decides_a_residual_off_the_span(self, m, eps, exact):
         # (-3, 2, 2, -1) is orthogonal to 1, s1 = (3, 0, 5, 1) and s2 = (3, 5, 0, 1),
@@ -563,6 +568,11 @@ class TestTftExponentialIdentity:
     def test_overflow_guard(self, m):
         with pytest.raises(OverflowError, match="exponential range"):
             z.tft_exponential_identity(m, 200.0)  # 200 * 5 > 700
+
+    def test_h_that_is_not_a_number_is_named_h(self, m):
+        with pytest.raises(ValueError) as excinfo:
+            z.tft_exponential_identity(m, "x")
+        assert str(excinfo.value) == "h must be a number, got 'x'"
 
 
 class TestWslsCoefficients:
