@@ -449,7 +449,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.tft_k_range is not None:
             lo, _, hi = args.tft_k_range.partition(":")
             usage = f"--tft-k-range A:B needs integers A and B, got {args.tft_k_range!r}"
-            k_lo, k_hi = _integer(lo, usage), _integer(hi or lo, usage)
+            k_lo, k_hi = _integer(lo, usage), _integer(hi, usage)
             if k_hi < k_lo or k_lo < 1:
                 raise ValueError(f"empty or invalid k range {args.tft_k_range!r}")
             values, identity, column = range(k_lo, k_hi + 1), tft_power_identity, "k"

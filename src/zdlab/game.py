@@ -62,7 +62,7 @@ def global_frame(own: np.ndarray, player: int) -> np.ndarray:
 
 def _is_real(x) -> bool:
     """A real number other than a bool: an int, a float, a Fraction, a numpy int or float."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _to_float(x) -> float:
@@ -100,7 +100,8 @@ def check_noise(eps) -> float:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """An integer other than a bool: an int or an int subclass (an IntEnum too), a numpy int."""
+    return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ FEATURE_CACHE_SIZE = 256
 def feature_label(label) -> tuple:
     """The canonical form of a payoff feature label (int orders, float h); else a ValueError."""
     if (isinstance(label, tuple) and len(label) == 2
-            and all(_is_int(k) and k >= 0 for k in label)):
+            and _is_int(label[0]) and label[0] >= 0 and _is_int(label[1]) and label[1] >= 0):
         return (int(label[0]), int(label[1]))
     if (isinstance(label, tuple) and len(label) == 3 and isinstance(label[0], str)
             and label[0] == "exp" and _is_int(label[1]) and label[1] in (1, 2)

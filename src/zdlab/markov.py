@@ -23,8 +23,9 @@ the Numerical Solution of Markov Chains, 1994).
 
 The elimination works on a stack of chains at once (:func:`cesaro_limits`).
 Chains sharing a support pattern share their classification and their
-elimination order, so each pattern is classified once and eliminated as
-one vectorised group; :func:`cesaro_limit` is its N=1 case.  Every
+elimination order, so each pattern is classified and planned once per
+process, and its chains are eliminated as one vectorised group;
+:func:`cesaro_limit` is its N=1 case.  Every
 weighted sum over states in the package adds its terms first to last in
 elementwise numpy and never calls BLAS: :func:`ordered_dot`, or the GTH
 back-substitution's forward accumulation.  So a result has the same bits
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -56,6 +58,11 @@ DEFAULT_TOL = 1e-13
 
 #: Bit 4*to + frm of a chain's support mask is set when M[to, frm] > 0.
 _MASK_BITS = 1 << np.arange(N_STATES * N_STATES)
+
+#: The start distributions, read-only: row s is all mass on joint state s,
+#: and the last row is the uniform start.
+_STARTS = np.vstack([np.eye(N_STATES), np.full(N_STATES, 1.0 / N_STATES)])
+_STARTS.flags.writeable = False
 
 
 def check_start(initial) -> None:
@@ -111,11 +118,27 @@ def classify(M) -> ChainStructure:
     length <= class size suffice on four states).  The result depends on
     the support pattern alone and is cached per pattern.
     """
-    return _classify_mask(int(_support_masks(np.asarray(M, dtype=float))[0]))
+    return _classify_mask(int(_support_masks(np.asarray(M, dtype=float))[0])).structure
+
+
+class _Plan(NamedTuple):
+    """How the chains of one support pattern are solved.
+
+    The elimination visits the states in ``order``: the ``transient``
+    transient states first, then each recurrent class, whose rows in that
+    order and whose states ``blocks`` holds.  ``take[4i + j]`` indexes the
+    flattened matrix at ``P[i, j]``, one step from the i-th state to the j-th.
+    """
+
+    structure: ChainStructure
+    order: np.ndarray
+    take: np.ndarray
+    transient: int
+    blocks: tuple[tuple[slice, tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=4096)
-def _classify_mask(mask: int) -> ChainStructure:
+def _classify_mask(mask: int) -> _Plan:
     states = range(N_STATES)
     succ = [{to for to in states if (mask >> (N_STATES * to + frm)) & 1} for frm in states]
 
@@ -138,7 +161,14 @@ def _classify_mask(mask: int) -> ChainStructure:
                 period = gcd(period, t)
         periods.append(period if closed else None)
     ergodic = sum(recurrent) == 1 and all(p in (None, 1) for p in periods)
-    return ChainStructure(classes, recurrent, tuple(periods), ergodic)
+    structure = ChainStructure(classes, recurrent, tuple(periods), ergodic)
+    transient, closed = structure.transient_states, structure.recurrent_classes
+    order = np.array(transient + sum(closed, ()))
+    take = (N_STATES * order[None, :] + order[:, None]).ravel()
+    order.flags.writeable = take.flags.writeable = False  # one plan serves every caller
+    starts = list(accumulate(map(len, closed), initial=len(transient)))
+    blocks = tuple((slice(a, b), c) for c, a, b in zip(closed, starts, starts[1:]))
+    return _Plan(structure, order, take, len(transient), blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,40 +224,39 @@ def _gth_stack(P: np.ndarray) -> np.ndarray:
     among the states before it, then rebuilds the distribution front to
     back; ``P`` is overwritten.
     """
+    # each in-place step names its view first, so no view is written back onto itself
     n = P.shape[1]
     for k in range(n - 1, 0, -1):
-        P[:, :k, k] /= P[:, k, :k].sum(axis=1, keepdims=True)  # a sum, never 1 - P[k, k]
-        P[:, :k, :k] += P[:, :k, k, None] * P[:, k, None, :k]
+        into = P[:, :k, k]
+        into /= np.add.reduce(P[:, k, :k], axis=1, keepdims=True)  # a sum, never 1 - P[k, k]
+        among = P[:, :k, :k]
+        among += into[:, :, None] * P[:, k, None, :k]
     # x[k]: state k's weight in every block, so each step runs along the stack;
     # x_k gets x_i P[i, k] once x_i is final, adding its terms first to last
     x = np.zeros((n, len(P)))
     x[0] = 1.0
     for i in range(n - 1):
-        x[i + 1:] += x[i] * P[:, i, i + 1:].T
-    return (x / x.sum(axis=0)).T
+        later = x[i + 1:]
+        later += x[i] * P[:, i, i + 1:].T
+    return (x / np.add.reduce(x, axis=0)).T
 
 
-def _solve_group(Ms: np.ndarray, pi0: np.ndarray, structure: ChainStructure) -> np.ndarray:
-    """Cesaro limits from ``pi0`` of chains sharing ``structure``: (G, 4)."""
-    transient = structure.transient_states
-    recurrent = structure.recurrent_classes
-    order = np.array(list(transient) + [s for members in recurrent for s in members])
-    # P[g, i, j]: one step i -> j of chain g, transient states first
-    P = np.ascontiguousarray(Ms[:, order[None, :], order[:, None]])
-    mass = np.tile(pi0[order], (len(P), 1))
-    for k in range(len(transient)):
+def _solve_group(Ms: np.ndarray, pi0: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Cesaro limits from ``pi0`` of chains (G, 16) that share ``plan``: (G, 4)."""
+    P = Ms.take(plan.take, axis=1).reshape(-1, N_STATES, N_STATES)
+    mass = pi0[plan.order][None].repeat(len(P), axis=0)
+    for k in range(plan.transient):
         rest = slice(k + 1, N_STATES)
-        exits = P[:, k, rest] / P[:, k, rest].sum(axis=1, keepdims=True)
-        P[:, rest, rest] += P[:, rest, k, None] * exits[:, None, :]
-        mass[:, rest] += mass[:, k, None] * exits
+        out = P[:, k, rest]
+        exits = out / np.add.reduce(out, axis=1, keepdims=True)
+        among, later = P[:, rest, rest], mass[:, rest]
+        among += P[:, rest, k, None] * exits[:, None, :]
+        later += mass[:, k, None] * exits
     pi = np.zeros((len(P), N_STATES))
-    start = len(transient)
-    for members in recurrent:
-        block = slice(start, start + len(members))
-        weight = mass[:, block].sum(axis=1, keepdims=True)
-        pi[:, list(members)] = weight * _gth_stack(P[:, block, block])
-        start = block.stop
-    return pi / pi.sum(axis=1, keepdims=True)
+    for block, members in plan.blocks:
+        weight = np.add.reduce(mass[:, block], axis=1, keepdims=True)
+        pi[:, members] = weight * _gth_stack(P[:, block, block])
+    return pi / np.add.reduce(pi, axis=1, keepdims=True)
 
 
 def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
@@ -247,21 +276,24 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
     check_start(initial)
-    pi0 = np.full(N_STATES, 1.0 / N_STATES) if initial is None else np.eye(N_STATES)[initial]
-    masks, group = np.unique(_support_masks(Ms), return_inverse=True)
-    structures = [_classify_mask(mask) for mask in masks.tolist()]
+    pi0 = _STARTS[N_STATES if initial is None else initial]
+    masks = _support_masks(Ms).tolist()
+    groups: dict[int, list[int]] = {}
+    for n, mask in enumerate(masks):
+        groups.setdefault(mask, []).append(n)
+    plans = {mask: _classify_mask(mask) for mask in groups}
+    flat = Ms.reshape(-1, N_STATES * N_STATES)
     pis = np.empty((len(Ms), N_STATES))
-    for index, structure in enumerate(structures):
-        members = np.flatnonzero(group == index)
-        pis[members] = _solve_group(Ms[members], pi0, structure)
+    unique = np.empty(len(Ms), dtype=bool)
+    for mask, members in groups.items():
+        members = np.array(members)
+        pis[members] = _solve_group(flat[members], pi0, plans[mask])
+        unique[members] = plans[mask].structure.unique
     pis.flags.writeable = False
-    residuals = np.abs(ordered_dot(Ms, pis[:, None, :]) - pis).max(axis=1)
-    unique = np.array([structure.unique for structure in structures])[group]
+    residuals = np.maximum.reduce(np.abs(ordered_dot(Ms, pis[:, None, :]) - pis), axis=1)
     unique.flags.writeable = False
-    return LimitBatch(
-        pis, residuals, residuals <= tol,
-        tuple(structures[g] for g in group.tolist()), unique,
-    )
+    structures = tuple(plans[mask].structure for mask in masks)
+    return LimitBatch(pis, residuals, residuals <= tol, structures, unique)
 
 
 def cesaro_limit(M, initial=None, tol: float = DEFAULT_TOL, max_steps=None) -> LimitResult:

@@ -84,7 +84,10 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
         return 0.0  # the empty sum
     for label in coeffs:
         if isinstance(label, tuple) and len(label) == 2:
-            _check_k(_check_k(label[0]) + _check_k(label[1]))
+            k1, k2 = label
+            if not (_is_int(k1) and _is_int(k2) and k1 >= 0 and k2 >= 0
+                    and int(k1) + int(k2) <= K_CAP):
+                _check_k(_check_k(k1) + _check_k(k2))  # names the first order at fault
     averages = feature_averages(payoff_features(m, list(coeffs)), pi)
     return float(ordered_dot(np.array(list(coeffs.values()), dtype=float), averages))
 

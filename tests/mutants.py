@@ -72,6 +72,16 @@ MUTANTS = [
            "DEFAULT_TOL = 1e-13", "DEFAULT_TOL = 1e-10", "KILLED"),
     Mutant("rank-compare-strict", "src/zdlab/montecarlo.py",
            "np.greater_equal(col, x,", "np.greater(col, x,", "KILLED"),
+    Mutant("first-pattern-plan", "src/zdlab/markov.py",
+           "_solve_group(flat[members], pi0, plans[mask])",
+           "_solve_group(flat[members], pi0, next(iter(plans.values())))", "KILLED"),
+    Mutant("plan-by-transient-count", "src/zdlab/markov.py",
+           "plans = {mask: _classify_mask(mask) for mask in groups}",
+           "by_count: dict = {}\n"
+           "    plans = {mask: by_count.setdefault(_classify_mask(mask).transient,"
+           " _classify_mask(mask)) for mask in groups}", "KILLED"),
+    Mutant("is-int-accepts-bool", "src/zdlab/game.py",
+           "return type(x) is int or (", "return type(x) in (int, bool) or (", "KILLED"),
 ]
 
 

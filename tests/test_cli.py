@@ -786,6 +786,11 @@ class TestEntryPoints:
          "error: seed must be a 64-bit unsigned integer, got -1"),
         (["simulate", "tft", "wsls", "--seed", "-1"],
          "error: seed must be a 64-bit unsigned integer, got -1"),
+        # these two used to print the single row k = 3, as if B were A
+        (["sweep", "--tft-k-range", "3:"],
+         "--tft-k-range A:B needs integers A and B, got '3:'"),
+        (["sweep", "--tft-k-range", "3"],
+         "--tft-k-range A:B needs integers A and B, got '3'"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -263,6 +264,36 @@ BATCH_CHAINS = _batch_test_chains()
 STARTS = {"uniform": None, **{s.name.lower(): s for s in z.JointState}}
 
 
+def _digest_chains():
+    """A seeded family of 4,096 chains: corners, near-corners, mixed and interior pairs.
+
+    After the 256 corner pairs, player 1 is a random corner and player 2 a
+    corner moved by 2^-51 to 2^-3 (about 10^-15 to 10^-1) in each entry, a
+    mix of exact 0s and 1s with interior entries, or an interior strategy;
+    in the last 960 pairs both players are moved off their corners.
+    """
+    rng = np.random.Generator(np.random.PCG64(30))
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+    p1 = np.repeat(corners, 16, axis=0)  # the 256 corner pairs first
+    p2 = np.tile(corners, (16, 1))
+    n = 960
+    own = corners[rng.integers(0, 16, size=(4, n))]
+    corner = corners[rng.integers(0, 16, size=n)]
+    # 2^-3 to 2^-50 by ldexp, which is exact: np.power's bits follow numpy's
+    # CPU dispatch, and the family must be the same everywhere
+    delta = np.ldexp(rng.uniform(0.5, 1.0, size=(n, 4)), -rng.integers(3, 51, size=(n, 4)))
+    near = np.where(corner == 1.0, 1.0 - delta, delta)
+    mixed = np.where(rng.random((n, 4)) < 0.5, corner, rng.random((n, 4)))
+    interior = rng.random((n, 4))
+    both_near = np.where(own[3] == 1.0, 1.0 - delta[::-1], delta[::-1])
+    p1 = np.concatenate([p1, own[0], own[1], own[2], both_near])
+    p2 = np.concatenate([p2, near, mixed, interior, near])
+    return z.transition_matrices(p1, p2)
+
+
+DIGEST_CHAINS = _digest_chains()
+
+
 class TestCesaroLimits:
     @pytest.mark.parametrize("start", sorted(STARTS))
     def test_batch_equals_single_chain_bit_for_bit(self, start):
@@ -277,6 +308,20 @@ class TestCesaroLimits:
             assert batch.structures[n] == z.classify(M)
             assert batch.structures[n].unique == single.unique
             assert batch.unique[n] == single.unique
+
+    def test_digest_of_a_seeded_family(self):
+        # the solver's bits, pinned: the SHA-256 of the distributions and
+        # residuals of 4,096 chains from the uniform start and from CD. The
+        # expected hex was captured at 4d32209, before the per-pattern plan
+        # cache, and holds on OpenBLAS's Prescott kernels and on numpy's
+        # baseline loops as well
+        digest = hashlib.sha256()
+        for initial in (None, CD):
+            batch = z.cesaro_limits(DIGEST_CHAINS, initial)
+            digest.update(batch.distributions.tobytes())
+            digest.update(batch.residuals.tobytes())
+        assert digest.hexdigest() == (
+            "19c048105e33dda07ffcb2e89ecc5d0064ba46dcfa10b819b64d43bedef314a6")
 
     def test_result_independent_of_batch_composition(self):
         rng = np.random.Generator(np.random.PCG64(5))

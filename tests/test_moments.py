@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import zdlab as z
+from zdlab import game
 
 CYCLE = np.array([0.0, 0.5, 0.5, 0.0])  # TFT-vs-TFT average over the CD/DC cycle
 
@@ -172,6 +174,58 @@ class TestRelationValue:
     def test_unknown_label_rejected(self, m):
         with pytest.raises(ValueError, match="label"):
             z.relation_value({"s1": 1.0}, CYCLE, m)
+
+
+class _Int(int):
+    pass
+
+
+#: The integer rule: an int, a numpy integer or an int subclass (an IntEnum
+#: too) is an integer; a bool, a numpy bool, a float, a Fraction, a string
+#: and None are not, even when equal to 1.
+INTEGERS = [1, np.int64(1), np.uint8(1), z.JointState.CD, _Int(1)]
+NOT_INTEGERS = [True, np.bool_(True), 1.0, Fraction(1), "1", None]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("x", INTEGERS, ids=repr)
+    def test_accepted(self, x, m):
+        assert game._is_int(x)
+        assert game.feature_label((x, 0)) == (1, 0)
+        assert game.feature_label((0, x)) == (0, 1)
+        assert game.feature_label(("exp", x, 0.5)) == ("exp", 1, 0.5)
+        assert [type(k) for k in game.feature_label((x, x))] == [int, int]
+        assert (z.relation_value({(x, 0): 2.0, (0, x): -1.0}, CYCLE, m)
+                == z.relation_value({(1, 0): 2.0, (0, 1): -1.0}, CYCLE, m))
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS, ids=repr)
+    def test_refused(self, x, m):
+        assert not game._is_int(x)
+        for label in [(x, 0), (0, x), ("exp", x, 0.5)]:
+            with pytest.raises(ValueError) as excinfo:
+                game.feature_label(label)
+            assert str(excinfo.value) == f"not a payoff feature label: {label!r}"
+        for label in [(x, 0), (0, x), (x, 21)]:
+            with pytest.raises(ValueError) as excinfo:
+                z.relation_value({label: 1.0}, CYCLE, m)
+            assert str(excinfo.value) == f"moment order must be a nonnegative integer, got {x!r}"
+
+    @pytest.mark.parametrize("label, message", [
+        ((-1, 0), "moment order must be a nonnegative integer, got -1"),
+        ((0, -1), "moment order must be a nonnegative integer, got -1"),
+        ((21, -1), "moment order 21 exceeds the precision cap 20"),
+        ((-1, 21), "moment order must be a nonnegative integer, got -1"),
+        ((0, 21), "moment order 21 exceeds the precision cap 20"),
+        ((15, 15), "moment order 30 exceeds the precision cap 20"),
+        ((np.uint8(200), np.uint8(100)), "moment order 200 exceeds the precision cap 20"),
+        ((np.uint8(10), np.uint8(250)), "moment order 250 exceeds the precision cap 20"),
+        ((np.uint8(10), np.uint8(11)), "moment order 21 exceeds the precision cap 20"),
+    ])
+    def test_relation_orders_in_order(self, label, message, m):
+        # the first order at fault is named, then the total k1 + k2
+        with pytest.raises(ValueError) as excinfo:
+            z.relation_value({(0, 0): 1.0, label: 1.0}, CYCLE, m)
+        assert str(excinfo.value) == message
 
 
 class TestPayoffDistribution:
