@@ -286,7 +286,7 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     pis = np.empty((len(Ms), N_STATES))
     unique = np.empty(len(Ms), dtype=bool)
     for mask, members in groups.items():
-        members = np.array(members)
+        members = np.array(members)  # a list index is converted anew at each of its three uses
         pis[members] = _solve_group(flat[members], pi0, plans[mask])
         unique[members] = plans[mask].structure.unique
     pis.flags.writeable = False

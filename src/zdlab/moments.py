@@ -10,11 +10,10 @@ computed with it.  The features are rows of :func:`zdlab.game.payoff_features`:
 player 1's k-th moment averages the ``(k, 0)`` row, a cross moment the
 ``(k1, k2)`` row and an MGF value the ``("exp", player, h)`` row.  A payoff distribution is
 the (support, probabilities) pair that :func:`payoff_distributions`
-builds, and it has one outcome rule: sorted by value, a payoff within :data:`VALUE_TOL` of the
-first value of the current cluster joins that cluster as one outcome.  The
-rule is the same within one distribution and between two, since
-:func:`distribution_stacks_equal` compares two distributions by clustering
-their supports together.
+builds, and it has one outcome rule: equal payoffs are one outcome, in
+ascending order.  The rule is the same within one distribution and between
+two, since :func:`distribution_stacks_equal` compares two distributions by
+merging their supports together.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ __all__ = [
 #: ``simulate`` and ``verify-tft`` accept, that a relation may name and
 #: that a monomial basis may reach.
 K_CAP = 20
-
-#: Absolute tolerance for treating two payoff values as the same outcome.
-VALUE_TOL = 1e-12
 
 
 def _check_k(k: int) -> int:
@@ -98,8 +94,8 @@ def payoff_distributions(v, pi):
     Returns the support, the distinct payoff values in ascending order
     (shape (G,)), and the probability of each under every distribution of
     ``pi`` (shape (..., G)); ``pi`` of any shape but (..., len(v)) is a
-    ValueError.  A payoff within :data:`VALUE_TOL` of a support value counts
-    as that outcome; probabilities are summed in ascending payoff order.
+    ValueError.  Probabilities are summed in ascending payoff order, state
+    order within a tie.
     """
     values = np.asarray(v, dtype=float)
     pi = np.asarray(pi, dtype=float)
@@ -108,7 +104,7 @@ def payoff_distributions(v, pi):
     support: list[float] = []
     probs: list[np.ndarray] = []
     for idx in np.argsort(values, kind="stable").tolist():
-        if support and abs(values[idx] - support[-1]) <= VALUE_TOL:
+        if support and values[idx] == support[-1]:
             probs[-1] = probs[-1] + pi[..., idx]
         else:
             support.append(float(values[idx]))

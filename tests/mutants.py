@@ -49,10 +49,12 @@ MUTANTS = [
            "SURVIVED", "equivalent: max_abs_error is 0 by construction (ROADMAP item 9)"),
     Mutant("verify-without-gap", "src/zdlab/cli.py",
            "        & (np.abs(gaps) <= tol)\n", "",
-           "SURVIVED", "equivalent given dist_equal, the same test at separated payoffs"),
+           "SURVIVED",
+           "equivalent given dist_equal, the same test at every strict payoff matrix"),
     Mutant("verify-without-dist-equal", "src/zdlab/cli.py",
            "        & dist_equal\n", "",
-           "SURVIVED", "equivalent given the gap term, the same test at separated payoffs"),
+           "SURVIVED",
+           "equivalent given the gap term, the same test at every strict payoff matrix"),
     Mutant("gate-bound-10x", "src/zdlab/montecarlo.py",
            "float(tol_sigma * np.sqrt(", "float(10 * tol_sigma * np.sqrt(",
            "SURVIVED", "waits for the calibration test of ROADMAP item 6"),
@@ -66,8 +68,9 @@ MUTANTS = [
            'pd = press_dyson(named_strategy("custom:0.9,0.2,0.4,0.7"), 1)', "KILLED"),
     Mutant("rank-tol", "src/zdlab/pressdyson.py",
            "RANK_TOL = 1e-9", "RANK_TOL = 1e-6", "KILLED"),
-    Mutant("value-tol", "src/zdlab/moments.py",
-           "VALUE_TOL = 1e-12", "VALUE_TOL = 1e-9", "KILLED"),
+    Mutant("outcomes-within-1e-12", "src/zdlab/moments.py",
+           "if support and values[idx] == support[-1]:",
+           "if support and abs(values[idx] - support[-1]) <= 1e-12:", "KILLED"),
     Mutant("default-tol", "src/zdlab/markov.py",
            "DEFAULT_TOL = 1e-13", "DEFAULT_TOL = 1e-10", "KILLED"),
     Mutant("rank-compare-strict", "src/zdlab/montecarlo.py",

@@ -307,6 +307,19 @@ class TestSimulate:
             [x, freq[s]] for x, s in zip((0.0, 1.0, 4.0, 6.0), (1, 3, 0, 2)) if freq[s] != 0.0
         ]
 
+    def test_histograms_keep_payoffs_closer_than_1e_12_apart(self, capsys):
+        # four distinct payoffs are four outcomes at any scale; 1e-12 apart
+        # they used to merge into the one outcome [[0.0, 1.0]]
+        code, out, _ = _run(["simulate", "tft", "random:0.5", "--payoffs", "3e-13,0,5e-13,1e-13",
+                             "--rounds", "1000", "--seed", "1"], capsys)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["state_counts"] == [262, 244, 244, 250]
+        for p in (1, 2):
+            assert report["histograms"][f"player{p}"] == [
+                [0.0, 0.244], [1e-13, 0.25], [3e-13, 0.262], [5e-13, 0.244]
+            ]
+
     def test_csv_summary_sidecar(self, capsys, tmp_path):
         out_file = tmp_path / "run.json"
         main(["simulate", "wsls", "tft", "--rounds", "500", "--out", str(out_file)])

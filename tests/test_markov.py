@@ -382,6 +382,15 @@ class TestCesaroLimits:
         with pytest.raises(ValueError):
             batch.unique[0] = False
 
+    @pytest.mark.parametrize("chain", [np.full((4, 4), 0.25), np.eye(4)], ids=["full", "identity"])
+    def test_shared_tables_read_only(self, chain):
+        # the start table and a cached plan serve every later call: a write
+        # into one would change the results of every call after it
+        plan = markov._classify_mask(int(markov._support_masks(chain[None])[0]))
+        for table in (markov._STARTS, plan.order, plan.take):
+            with pytest.raises(ValueError):
+                table[0] = 3
+
     def test_nested_lists_solve_as_the_array(self):
         chains = np.asarray(BATCH_CHAINS[:5])
         from_lists, from_array = z.cesaro_limits(chains.tolist()), z.cesaro_limits(chains)

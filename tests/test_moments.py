@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import zdlab as z
 from zdlab import game
@@ -272,16 +272,39 @@ class TestPayoffDistributions:
                 assert single.tolist() == row
 
     def test_tied_values_merge_in_payoff_order(self):
-        v = np.array([2.0, 1.0, 2.0, 1.0 + 1e-13])
+        # equal payoffs are one outcome, summed in state order; a payoff one
+        # ulp above 1.0 is an outcome of its own (1.0 + 1e-13 used to join 1.0)
+        above = np.nextafter(1.0, 2.0)
+        v = np.array([2.0, 1.0, 2.0, above])
         support, probs = z.payoff_distributions(v, [[0.1, 0.2, 0.3, 0.4]])
-        assert support.tolist() == [1.0, 2.0]
-        assert probs.tolist() == [[0.2 + 0.4, 0.1 + 0.3]]
+        assert support.tolist() == [1.0, above, 2.0]
+        assert probs.tolist() == [[0.2, 0.4, 0.1 + 0.3]]
 
-    @pytest.mark.parametrize("gap, outcomes", [(1e-12, 3), (2e-12, 4), (1e-10, 4)])
-    def test_value_tolerance_boundary(self, gap, outcomes):
-        # VALUE_TOL (1e-12) joins a gap of 1e-12 and no wider one
-        support, _ = z.payoff_distributions([0.0, gap, 1.0, 2.0], np.full(4, 0.25))
-        assert len(support) == outcomes
+    @pytest.mark.parametrize("gap", [np.nextafter(0.0, 1.0), 1e-12, 2e-12, 1e-10])
+    def test_distinct_values_are_distinct_outcomes(self, gap):
+        # however close, two distinct payoffs are two outcomes (a gap of
+        # 1e-12 or less used to merge them)
+        support, probs = z.payoff_distributions([0.0, gap, 1.0, 2.0], np.full(4, 0.25))
+        assert support.tolist() == [0.0, gap, 1.0, 2.0]
+        assert probs.tolist() == [0.25] * 4
+
+    @given(
+        st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, 1.0, 3.0]),
+                 min_size=4, max_size=4),
+        st.floats(1e-15, 1e15),
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), min_size=1, max_size=3),
+    )
+    def test_outcomes_do_not_depend_on_the_payoff_scale(self, x, a, pis):
+        # a > 0 keeps the order of the payoffs; while it keeps them finite
+        # and as many distinct, the outcomes are a times x's, with the bits
+        # of x's probabilities
+        x = np.array(x)
+        y = a * x
+        assume(np.isfinite(y).all() and len(set(y.tolist())) == len(set(x.tolist())))
+        support_x, probs_x = z.payoff_distributions(x, pis)
+        support_y, probs_y = z.payoff_distributions(y, pis)
+        assert support_y.tolist() == (a * support_x).tolist()
+        assert probs_y.tobytes() == probs_x.tobytes()
 
 
 class TestDistributionsEqual:
@@ -396,28 +419,32 @@ class TestDistributionStacksEqual:
         b = ([1.0, 3.0], [[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
         assert z.distribution_stacks_equal(a, b, tol=1e-8).tolist() == [False, True, True]
 
-    def test_value_tolerance_matches_outcomes(self):
+    @pytest.mark.parametrize("value", [np.nextafter(1.0, 2.0), 1.0 + 1e-13])
+    def test_distinct_values_are_two_outcomes(self, value):
+        # the outcome rule of payoff_distributions, between two distributions:
+        # 1.0 and a value one ulp or 1e-13 above it used to be one outcome
         a = ([1.0], [[1.0]])
-        b = ([1.0 + 1e-13], [[1.0]])
-        assert z.distribution_stacks_equal(a, b, tol=0.0).tolist() == [True]
+        b = ([value], [[1.0]])
+        assert z.distribution_stacks_equal(a, b, tol=0.0).tolist() == [False]
 
 
 class TestDistributionsEqualIsTheGapTest:
     """Why verify-tft's ``dist_equal`` and its gap term are each implied by the other.
 
-    At strict payoffs whose four values lie pairwise more than ``VALUE_TOL``
-    apart, comparing the two players' payoff distributions under TFT makes
-    four outcomes.  The S outcome sums pi_CD + (-pi_DC), the same single
+    At strict payoffs the four values are distinct, however close, so
+    comparing the two players' payoff distributions under TFT makes four
+    outcomes.  The S outcome sums pi_CD + (-pi_DC), the same single
     rounding as the gap pi_CD - pi_DC; the T outcome is its exact negative;
     the R and P outcomes cancel exactly.
     """
 
-    @pytest.mark.parametrize("payoffs", [(3, 0, 5, 1), (4, -1, 6, 0), (3.3, 0.1, 5.7, 1.2)])
+    @pytest.mark.parametrize("payoffs", [
+        (3, 0, 5, 1), (4, -1, 6, 0), (3.3, 0.1, 5.7, 1.2),
+        (3e-13, 0, 5e-13, 1e-13),  # used to be one outcome, equal whatever the gap
+    ])
     @pytest.mark.parametrize("start", [None, z.JointState.DC], ids=["uniform", "dc"])
     def test_equal_distributions_iff_the_gap_is_within_tol(self, payoffs, start):
         m = z.PayoffMatrix(*payoffs)
-        values = np.array(m.as_tuple())
-        assert (np.abs(values[:, None] - values) > z.moments.VALUE_TOL).sum() == 12
         rng = np.random.Generator(np.random.PCG64(12))
         opponents = rng.random((2000, 4))
         corner = rng.random((200, 4)) < 0.5  # some opponents with entries 0 and 1
