@@ -81,14 +81,14 @@ def real_number(x, what: str) -> float:
 
 
 def read_number(text: str, what: str) -> float:
-    """A finite number typed as ``text``; anything else is a ValueError naming ``what``."""
+    """A finite number typed as ``text``, -0 read as 0; else a ValueError naming ``what``."""
     try:
         value = float(text)
     except ValueError:
         raise ValueError(f"{what} expects a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{what}: expected a finite number, got {text!r}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def check_noise(eps) -> float:
@@ -178,40 +178,36 @@ def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:
 
     The label ``(k1, k2)`` of nonnegative integers names the pointwise
     product s1^k1 * s2^k2, so ``(0, 0)`` is the all-ones vector, and
-    ``("exp", player, h)`` names e^{h * s_player} for a finite real h,
-    taken as a double.  Any other label is a ValueError.  An exponential
-    that can overflow a double (|h| * max|payoff| > 700) is an
-    OverflowError, and so is a power that is not finite in double
-    precision.  Returns shape (len(labels), 4), read-only: every label is
-    checked on every call, and the rows of a recent (payoffs, labels) pair
-    are the array built for it before (see :data:`FEATURE_CACHE_SIZE`).
+    ``("exp", player, h)`` names e^{h * s_player} for a finite real h.
+    Any other label is a ValueError.  Each value is the double numpy
+    computes, an underflow included (0.0 or a subnormal), and a feature
+    with a value that is not finite is an OverflowError naming it.
+    Returns shape (len(labels), 4), read-only: every label is checked on
+    every call, and the rows of a recent (payoffs, labels) pair are the
+    array built for it before (see :data:`FEATURE_CACHE_SIZE`).
     """
-    canonical = []
-    for label in labels:
-        label = feature_label(label)
-        if len(label) == 3 and (exponent := abs(label[2]) * max(map(abs, m.as_tuple()))) > 700.0:
-            raise OverflowError(
-                f"|h| * max|payoff| = {exponent:g} exceeds the "
-                "double-precision exponential range (700)"
-            )
-        canonical.append(label)
     # one table per value: a label of another numeric type (np.int64(2) for 2)
     # shares it, and one that feature_label refuses (True, 1.0) never reaches it
-    return _feature_rows(m, tuple(canonical))
+    return _feature_rows(m, tuple(map(feature_label, labels)))
 
 
 @functools.lru_cache(maxsize=FEATURE_CACHE_SIZE)
 def _feature_rows(m: PayoffMatrix, labels: tuple) -> np.ndarray:
     s = np.array([payoff_vector(m, 1), payoff_vector(m, 2)])
     rows = np.empty((len(labels), 4))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for i, label in enumerate(labels):
             if len(label) == 2:
                 rows[i] = s[0] ** label[0] * s[1] ** label[1]
             else:
                 rows[i] = np.exp(label[2] * s[label[1] - 1])
     if not np.isfinite(rows).all():
-        k1, k2 = labels[int(np.argmin(np.isfinite(rows).all(axis=1)))]
+        label = labels[int(np.argmin(np.isfinite(rows).all(axis=1)))]
+        if len(label) == 3:
+            raise OverflowError(
+                f"payoff exponential e^(h*s{label[1]}) overflows double precision at h={label[2]}"
+            )
+        k1, k2 = label
         raise OverflowError(
             f"payoff power s1^{k1}*s2^{k2} overflows double precision at k={k1 + k2}"
         )

@@ -139,7 +139,7 @@ class BasisSpec:
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
-        """The basis {1, e^{h s1}, e^{h s2}} for h != 0 within exponential range."""
+        """The basis {1, e^{h s1}, e^{h s2}} for h != 0 wherever its entries are finite."""
         h = real_number(h, "h")
         if h == 0.0:
             raise ValueError("h = 0 degenerates the exponential basis")
@@ -276,8 +276,8 @@ def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:
 
     Valid wherever the denominator does not vanish in double precision,
     which is a ValueError: at h = 0 and, at the default payoffs, at |h|
-    below about 2e-13.  Arguments with |h| * max|payoff| > 700 would overflow
-    double precision and are rejected as a range error.
+    below about 2e-13.  An e^{h s} that is not a finite double is an
+    OverflowError (h >= 142 at the default payoffs), as in payoff_features.
     """
     h = real_number(h, "h")
     return _tft_identity(m, [("exp", 1, h), ("exp", 2, h)], "e^{hT} - e^{hS}", f"h={h}")

@@ -85,6 +85,20 @@ MUTANTS = [
            " _classify_mask(mask)) for mask in groups}", "KILLED"),
     Mutant("is-int-accepts-bool", "src/zdlab/game.py",
            "return type(x) is int or (", "return type(x) in (int, bool) or (", "KILLED"),
+    Mutant("frame-swap", "src/zdlab/game.py",
+           "_SWAP_INDEX = np.array((0, 2, 1, 3))", "_SWAP_INDEX = np.array((0, 1, 2, 3))",
+           "KILLED"),
+    Mutant("drop-transient-mass", "src/zdlab/markov.py",
+           "        later += mass[:, k, None] * exits\n", "", "KILLED"),
+    Mutant("gth-one-minus-diagonal", "src/zdlab/markov.py",
+           "into /= np.add.reduce(P[:, k, :k], axis=1, keepdims=True)",
+           "into /= 1.0 - P[:, k, k, None]", "KILLED"),
+    Mutant("burn-in-off-by-one", "src/zdlab/montecarlo.py",
+           "first = max(burn_in - start, 0)", "first = max(burn_in - start - 1, 0)", "KILLED"),
+    Mutant("exp-overflow-unchecked", "src/zdlab/game.py",
+           "    if not np.isfinite(rows).all():\n",
+           "    if not np.isfinite(rows[[len(label) == 2 for label in labels]]).all():\n",
+           "KILLED"),
 ]
 
 

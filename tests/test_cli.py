@@ -207,6 +207,14 @@ class TestDecompose:
         )
         assert code == 0 and json.loads(out)["exact"] is False
 
+    def test_underflowing_exponential_basis_contains_tft(self, capsys):
+        # at -800 each e^{h s} but e^0 underflows to 0.0; this basis used to be refused
+        code, out, _ = _run(["decompose", "tft", "--basis", "exp:-800"], capsys)
+        result = json.loads(out)
+        assert (code, result["exact"], result["rank"]) == (0, True, 3)
+        code, out, _ = _run(["decompose", "wsls", "--basis", "exp:-800"], capsys)
+        assert code == 0 and json.loads(out)["exact"] is False
+
     def test_csv_format(self, capsys, tmp_path):
         out_file = tmp_path / "d.csv"
         code, _, _ = _run(
@@ -219,9 +227,10 @@ class TestDecompose:
         assert (tmp_path / "d.manifest.json").exists()
 
     def test_exponential_basis_out_of_range(self, capsys):
-        code, _, err = _run(["decompose", "tft", "--basis", "exp:1000"], capsys)
+        code, _, err = _run(["decompose", "tft", "--basis", "exp:142"], capsys)
         assert code == 2
-        assert "exceeds the double-precision exponential range" in err
+        assert err == ("error: payoff exponential e^(h*s1) overflows double precision "
+                       "at h=142.0\n")
 
     def test_monomial_basis_out_of_range(self):
         # a subprocess, so numpy warnings and LAPACK messages would show on stderr
@@ -341,6 +350,13 @@ class TestSimulate:
             assert err.startswith("error: ") and str(out) in err
             assert list(tmp_path.iterdir()) == []
 
+    def test_typed_negative_zero_is_zero(self, capsys):
+        # a typed number reads -0 as 0, as a payoff does; this used to record -0.0
+        code, out, _ = _run(["simulate", "tft", "tft", "--rounds", "10", "--epsilon=-0"], capsys)
+        assert code == 0
+        epsilon = json.loads(out)["manifest"]["parameters"]["epsilon"]
+        assert (epsilon, math.copysign(1.0, epsilon)) == (0.0, 1.0)
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = _run(["simulate", "tft", "all_d", "--epsilon", "0.7"], capsys)
         assert code == 2 and "noise" in err
@@ -441,6 +457,19 @@ class TestSweep:
         header, _ = _read_csv(out)
         coeff = float(rows[0][header.index("coefficient")])
         assert coeff == pytest.approx(1.0 / (np.exp(-10.0) - 1.0))
+
+    def test_h_range_refuses_exactly_the_non_finite_exponentials(self, capsys):
+        # e^{141 * 5} is finite and e^{142 * 5} is not; for h < 0 every e^{h s}
+        # is a double or underflows to 0.0.  Each of the first three used to be
+        # an error cell, refused by a guessed bound
+        code, out, _ = _run(["sweep", "--h-range=-800,-150,141,142,900"], capsys)
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert [row[:3] for row in rows[:3]] == [
+            ["-800", "-1", "0"], ["-150", "-1", "0"], ["141", "6.6433977979979511e-307", "0"]]
+        assert [row[header.index("error")] for row in rows] == [""] * 3 + [
+            f"payoff exponential e^(h*s1) overflows double precision at h={h}"
+            for h in ("142.0", "900.0")]
 
     def test_h_range_vanishing_denominator_is_a_row_error(self, capsys):
         # e^{hT} - e^{hS} rounds to zero: an error cell, not a traceback
@@ -804,6 +833,9 @@ class TestEntryPoints:
          "--tft-k-range A:B needs integers A and B, got '3:'"),
         (["sweep", "--tft-k-range", "3"],
          "--tft-k-range A:B needs integers A and B, got '3'"),
+        # -0 used to write its own column dev_h_-0 beside dev_h_0
+        (["verify-tft", "--opponent", "tft", "--h-grid=-0,0"],
+         "--h-grid values 0.0 and 0.0 share a label"),
     ])
     def test_invalid_input_is_usage_error(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -155,6 +155,12 @@ class TestPayoffVectors:
             assert not np.signbit(row[0, 1])
             assert z.BasisSpec.zd(m) is z.BasisSpec.zd(zero)
 
+    @pytest.mark.parametrize("text", ["-0", "-0.0", " -0e9 ", "-1e-400", "0"])
+    def test_a_typed_negative_zero_is_zero(self, text):
+        # read_number follows PayoffMatrix's rule; "-0" used to read as -0.0
+        value = z.game.read_number(text, "x")
+        assert value == 0.0 and not np.signbit(value)
+
     @given(st.integers(min_value=1, max_value=10))
     def test_power_matches_repeated_multiplication(self, k):
         v = z.payoff_vector(z.DEFAULT_PAYOFFS, 1)
@@ -179,8 +185,30 @@ class TestPayoffVectors:
         np.testing.assert_allclose(
             F[1], [math.e**-3, math.e**-5, 1.0, math.e**-1], rtol=1e-15
         )
-        with pytest.raises(OverflowError, match="exponential range"):
-            z.payoff_features(m, [("exp", 2, 141.0)])  # 141 * 5 > 700
+        # e^705 is finite and e^710 is not; the refusal names the feature
+        assert z.payoff_features(m, [("exp", 2, 141.0)])[0, 1] == np.exp(705.0)
+        with pytest.raises(OverflowError, match=r"^payoff exponential e\^\(h\*s2\) "
+                           r"overflows double precision at h=142\.0$"):
+            z.payoff_features(m, [("exp", 1, 0.5), ("exp", 2, 142.0)])
+
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+           st.sampled_from((1, 2)), st.sampled_from((1.0, -1.0)), st.floats(-3.0, 3.0))
+    def test_exp_is_refused_exactly_when_not_finite(self, payoffs, player, sign, u):
+        # the feature is numpy's own e^{h s}, an underflow included, whatever the
+        # caller's np.seterr, and it is refused exactly when that is not a finite
+        # double; a guessed bound on h times the largest payoff used to refuse finite ones
+        assume(payoffs[2] != payoffs[1])
+        m, h = z.PayoffMatrix(*payoffs, permissive=True), sign * 10.0**u
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.exp(h * z.payoff_vector(m, player))
+        with np.errstate(all="raise"):
+            if not np.isfinite(expected).all():
+                message = f"payoff exponential e^(h*s{player}) overflows double precision at h={h}"
+                with pytest.raises(OverflowError, match=re.escape(message) + "$"):
+                    z.payoff_features(m, [("exp", player, h)])
+            else:
+                rows = z.payoff_features(m, [("exp", player, h)])
+                assert rows[0].view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_exp_zero_gives_ones(self, m):
         np.testing.assert_array_equal(z.payoff_features(m, [("exp", 1, 0.0)])[0], np.ones(4))

@@ -117,9 +117,12 @@ class TestMgf:
         np.testing.assert_allclose(z.feature_averages(F, CYCLE), [expected, expected])
 
     def test_overflow_guard(self, m):
-        message = r"\|h\| \* max\|payoff\| = 750 exceeds the double-precision exponential range"
+        # e^{150 * 5} is not a finite double, while e^{-150 * 5} underflows to 0.0
+        message = r"^payoff exponential e\^\(h\*s1\) overflows double precision at h=150\.0$"
         with pytest.raises(OverflowError, match=message):
             z.payoff_features(m, [("exp", 1, 150.0)])
+        features = z.payoff_features(m, [("exp", 1, -150.0)])
+        assert z.feature_averages(features, CYCLE).tolist() == [0.5]
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
     def test_non_finite_h_rejected(self, m, h):

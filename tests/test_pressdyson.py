@@ -198,8 +198,10 @@ class TestBasisSpec:
         np.testing.assert_allclose(basis.matrix[:, 1], np.exp(0.5 * np.array([3, 0, 5, 1])))
         with pytest.raises(ValueError):
             z.BasisSpec.exponential(m, 0.0)
-        with pytest.raises(OverflowError, match="exponential range"):
-            z.BasisSpec.exponential(m, 1000.0)  # 1000 * 5 > 700
+        message = r"e\^\(h\*s1\) overflows double precision at h=142\.0$"
+        with pytest.raises(OverflowError, match=message):
+            z.BasisSpec.exponential(m, 142.0)  # e^710 is not a finite double
+        assert z.BasisSpec.exponential(m, -1000.0).matrix[1, 1:].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2"),
                                          (Fraction(-1), "exp:-1"), (Fraction(1, 4), "exp:0.25")])
@@ -566,8 +568,17 @@ class TestTftExponentialIdentity:
             z.tft_exponential_identity(m, h)
 
     def test_overflow_guard(self, m):
-        with pytest.raises(OverflowError, match="exponential range"):
-            z.tft_exponential_identity(m, 200.0)  # 200 * 5 > 700
+        # e^{141 * 5} is finite, e^{142 * 5} is not
+        assert z.tft_exponential_identity(m, 141.0).coefficient == 1.0 / np.exp(705.0)
+        message = r"e\^\(h\*s1\) overflows double precision at h=142\.0$"
+        with pytest.raises(OverflowError, match=message):
+            z.tft_exponential_identity(m, 142.0)
+
+    @pytest.mark.parametrize("h", [-150.0, -800.0, -1e300])
+    def test_underflow_is_the_rounded_value(self, m, h):
+        # e^{hT} rounds to 0 and e^{hS} = 1: the coefficient is -1 exactly;
+        # each of these h used to be refused as out of range
+        assert z.tft_exponential_identity(m, h) == (-1.0, 0.0)
 
     def test_h_that_is_not_a_number_is_named_h(self, m):
         with pytest.raises(ValueError) as excinfo:
