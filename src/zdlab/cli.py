@@ -388,12 +388,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str]:
-    """Expand a grid spec like 'T=4.5,5.0,5.5;R=3' into payoff matrices.
-
-    Points that cannot form even a permissive payoff matrix are kept as
-    error strings so a sweep can report them without aborting.
-    """
+def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix]:
+    """Expand a grid spec like 'T=4.5,5.0,5.5;R=3' into permissive payoff matrices."""
     axes: list[tuple[str, list[float]]] = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -408,13 +404,10 @@ def _parse_payoff_grid(text: str, base: PayoffMatrix) -> list[PayoffMatrix | str
         axes.append((name, _parse_floats(values, f"--payoff-grid {name}")))
     if not axes:
         raise ValueError("empty --payoff-grid")
-    points: list[PayoffMatrix | str] = []
+    points: list[PayoffMatrix] = []
     for combo in itertools.product(*(values for _, values in axes)):
         values = _payoff_dict(base) | {name: v for (name, _), v in zip(axes, combo)}
-        try:
-            points.append(PayoffMatrix(permissive=True, **values))
-        except ValueError as exc:
-            points.append(f"{values}: {exc}")
+        points.append(PayoffMatrix(permissive=True, **values))
     return points
 
 
@@ -430,9 +423,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   "gamma", "residual_norm", "rank", "exact", "error"]
         rows: list[list] = []
         for point in points:
-            if isinstance(point, str):
-                rows.append([None] * 11 + [point])
-                continue
             try:
                 result = wsls_coefficients(point)
             except (ValueError, OverflowError) as exc:

@@ -110,10 +110,9 @@ class PayoffMatrix:
 
     The strict constructor enforces the prisoner's-dilemma ordering
     T > R > P > S together with 2R > T + S.  Passing ``permissive=True``
-    relaxes this to T != S, which is the minimum needed for the
-    normalising denominators T^k - S^k and e^{hT} - e^{hS} to have a
-    chance of existing (individual operations still check their own
-    denominator, since e.g. T = -S kills T^k - S^k for even k).
+    accepts any four finite payoffs; each operation checks what it needs
+    of them, as the TFT identities check their denominators T^k - S^k and
+    e^{hT} - e^{hS}.
     """
 
     R: float
@@ -128,10 +127,7 @@ class PayoffMatrix:
             if not np.isfinite(value):
                 raise ValueError(f"payoff {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
-        if self.permissive:
-            if self.T == self.S:
-                raise ValueError("even permissive payoffs require T != S")
-        else:
+        if not self.permissive:
             if not (self.T > self.R > self.P > self.S):
                 raise ValueError(
                     f"payoff ordering T > R > P > S violated by {self.as_tuple()}"
@@ -165,6 +161,8 @@ def feature_label(label) -> tuple:
     """The canonical form of a payoff feature label (int orders, float h); else a ValueError."""
     if (isinstance(label, tuple) and len(label) == 2
             and _is_int(label[0]) and label[0] >= 0 and _is_int(label[1]) and label[1] >= 0):
+        if (k := int(max(label))) > 2**53:  # numpy takes s**k with k a double, exact to 2^53
+            raise ValueError(f"payoff power order {k} exceeds 2^53")
         return (int(label[0]), int(label[1]))
     if (isinstance(label, tuple) and len(label) == 3 and isinstance(label[0], str)
             and label[0] == "exp" and _is_int(label[1]) and label[1] in (1, 2)

@@ -33,24 +33,17 @@ __all__ = [
 ]
 
 #: The largest moment order accepted: a fixed bound on the orders that
-#: ``simulate`` and ``verify-tft`` accept, that a relation may name and
-#: that a monomial basis may reach.
+#: ``simulate`` and ``verify-tft`` accept and that a monomial basis may reach.
 K_CAP = 20
-
-
-def _check_k(k: int) -> int:
-    if not _is_int(k) or k < 0:
-        raise ValueError(f"moment order must be a nonnegative integer, got {k!r}")
-    if k > K_CAP:
-        raise ValueError(f"moment order {k} exceeds the precision cap {K_CAP}")
-    return int(k)
 
 
 def moment_orders(k_max: int) -> list[int]:
     """The moment orders 1 ... ``k_max``, each at most :data:`K_CAP`."""
     if not _is_int(k_max) or k_max < 1:
         raise ValueError(f"need at least one moment order, got k_max={k_max!r}")
-    return [_check_k(k) for k in range(1, k_max + 1)]
+    if k_max > K_CAP:  # names the first order at fault
+        raise ValueError(f"moment order {K_CAP + 1} exceeds the precision cap {K_CAP}")
+    return list(range(1, k_max + 1))
 
 
 def feature_averages(F, pi) -> np.ndarray:
@@ -71,19 +64,14 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     ``coeffs`` maps payoff-feature labels (see
     :func:`zdlab.game.payoff_features`) to coefficients; the result is
     the dot product of the coefficients with the features' averages under
-    ``pi``.  A monomial whose order k1 + k2 exceeds ``K_CAP`` is refused,
-    as in :func:`moment_orders`.  When ``pi`` is a long-run distribution
-    of a chain in which the decomposed player uses the corresponding
-    strategy, the result is the enforced relation and vanishes.
+    ``pi``.  The labels follow the rules of :func:`payoff_features`, so
+    every decomposition that :func:`zdlab.pressdyson.decompose` makes reads
+    back.  When ``pi`` is a long-run distribution of a chain in which the
+    decomposed player uses the corresponding strategy, the result is the
+    enforced relation and vanishes.
     """
     if not coeffs:
         return 0.0  # the empty sum
-    for label in coeffs:
-        if isinstance(label, tuple) and len(label) == 2:
-            k1, k2 = label
-            if not (_is_int(k1) and _is_int(k2) and k1 >= 0 and k2 >= 0
-                    and int(k1) + int(k2) <= K_CAP):
-                _check_k(_check_k(k1) + _check_k(k2))  # names the first order at fault
     averages = feature_averages(payoff_features(m, list(coeffs)), pi)
     return float(ordered_dot(np.array(list(coeffs.values()), dtype=float), averages))
 

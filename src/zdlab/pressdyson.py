@@ -139,10 +139,8 @@ class BasisSpec:
 
     @classmethod
     def exponential(cls, m: PayoffMatrix, h: float) -> "BasisSpec":
-        """The basis {1, e^{h s1}, e^{h s2}} for h != 0 wherever its entries are finite."""
+        """The basis {1, e^{h s1}, e^{h s2}} wherever its entries are finite (rank 1 at h = 0)."""
         h = real_number(h, "h")
-        if h == 0.0:
-            raise ValueError("h = 0 degenerates the exponential basis")
         labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))
         return _shared_basis(f"exp:{h:g}", m, labels)
 
@@ -263,8 +261,8 @@ def _tft_identity(m: PayoffMatrix, labels, name: str, at: str) -> IdentityCheck:
 def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     """Check that (s1^k - s2^k) / (T^k - S^k) reproduces the TFT vector.
 
-    Valid for any integer k >= 1 with T^k != S^k; the denominator is
-    checked per k because e.g. T = -S kills it for even k even though
+    Valid for any integer 1 <= k <= 2^53 with T^k != S^k; the denominator
+    is checked per k because e.g. T = -S kills it for even k even though
     T != S.  Any other k is a ValueError, and a payoff power or a
     denominator beyond double precision is an OverflowError.
     """

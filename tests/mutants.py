@@ -99,6 +99,30 @@ MUTANTS = [
            "    if not np.isfinite(rows).all():\n",
            "    if not np.isfinite(rows[[len(label) == 2 for label in labels]]).all():\n",
            "KILLED"),
+    Mutant("relation-order-cap", "src/zdlab/moments.py",
+           "    averages = feature_averages(payoff_features(m, list(coeffs)), pi)\n",
+           "    if any(isinstance(label, tuple) and len(label) == 2 and sum(label) > K_CAP\n"
+           "           for label in coeffs):\n"
+           "        raise ValueError(f\"moment order above {K_CAP}\")\n"
+           "    averages = feature_averages(payoff_features(m, list(coeffs)), pi)\n",
+           "KILLED"),
+    Mutant("exp-basis-refuses-h-zero", "src/zdlab/pressdyson.py",
+           '        labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))\n',
+           "        if h == 0.0:\n"
+           '            raise ValueError("h must be nonzero")\n'
+           '        labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))\n',
+           "KILLED"),
+    Mutant("permissive-refuses-t-equal-s", "src/zdlab/game.py",
+           "        if not self.permissive:\n",
+           "        if self.permissive and self.T == self.S:\n"
+           '            raise ValueError("T equals S")\n'
+           "        if not self.permissive:\n",
+           "KILLED"),
+    Mutant("power-order-past-2-53", "src/zdlab/game.py",
+           "        if (k := int(max(label))) > 2**53:"
+           "  # numpy takes s**k with k a double, exact to 2^53\n"
+           '            raise ValueError(f"payoff power order {k} exceeds 2^53")\n', "",
+           "KILLED"),
 ]
 
 

@@ -215,6 +215,13 @@ class TestDecompose:
         code, out, _ = _run(["decompose", "wsls", "--basis", "exp:-800"], capsys)
         assert code == 0 and json.loads(out)["exact"] is False
 
+    def test_degenerate_bases_report_rank_one(self, capsys):
+        # exp:0 has three columns of ones and monomial:0 one; neither is an error
+        for basis in ("exp:0", "monomial:0"):
+            code, out, _ = _run(["decompose", "tft", "--basis", basis], capsys)
+            result = json.loads(out)
+            assert (code, result["rank"], result["exact"]) == (0, 1, False)
+
     def test_csv_format(self, capsys, tmp_path):
         out_file = tmp_path / "d.csv"
         code, _, _ = _run(
@@ -399,14 +406,15 @@ class TestSweep:
         assert rows[0][header.index("exact")] == "false"
         assert rows[1][header.index("rank")] == "4"
 
-    def test_unbuildable_grid_point_reported_in_row(self, capsys):
-        # T = S = 0 cannot form even a permissive matrix; the sweep continues
+    def test_t_equal_s_grid_point_reports_its_rank(self, capsys):
+        # T = S = 0 is a permissive matrix like any other; its basis loses rank
         code, out, _ = _run(
             ["sweep", "--wsls-coeffs", "--payoff-grid", "T=0.0,5.0;S=0.0"], capsys
         )
         assert code == 0
         header, rows = _read_csv(out)
-        assert "T != S" in rows[0][header.index("error")]
+        assert len(rows) == 2
+        assert [rows[0][header.index(c)] for c in ("rank", "exact", "error")] == ["3", "false", ""]
         assert rows[1][header.index("error")] == ""
 
     def test_overflowing_grid_point_reported_in_row(self, capsys):
@@ -427,6 +435,18 @@ class TestSweep:
         header, rows = _read_csv(out)
         assert len(rows) == 10
         assert all(float(r[header.index("max_abs_error")]) <= 1e-12 for r in rows)
+
+    def test_tft_k_range_past_2_53_is_refused(self, capsys):
+        # k = 2^53 + 1 is odd, so the exact coefficient 1/(T^k - S^k) is +1 here;
+        # numpy would round k to the even 2^53 and print -1
+        k = 2**53
+        argv = ["sweep", "--tft-k-range", f"{k}:{k + 1}", "--payoffs", "0.5,-1,0.75,0.25"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert _read_csv(out)[1] == [
+            [str(k), "-1", "0", ""],
+            [str(k + 1), "", "", f"payoff power order {k + 1} exceeds 2^53"],
+        ]
 
     def test_tft_k_range_at_small_payoffs(self, capsys):
         # T^k - S^k is 1.25e-16 at k = 3, far from vanishing next to T^3 and

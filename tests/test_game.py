@@ -32,9 +32,10 @@ class TestPayoffMatrix:
         m = z.PayoffMatrix(R=1, S=0, T=5, P=1, permissive=True)
         assert m.R == m.P
 
-    def test_permissive_still_requires_t_neq_s(self):
-        with pytest.raises(ValueError, match="T != S"):
-            z.PayoffMatrix(R=1, S=2, T=2, P=1, permissive=True)
+    def test_permissive_accepts_t_equal_s(self):
+        # any four finite payoffs build; each operation checks what it needs
+        m = z.PayoffMatrix(R=1, S=2, T=2, P=1, permissive=True)
+        assert m.as_tuple() == (1.0, 2.0, 2.0, 1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -56,7 +57,6 @@ class TestPayoffMatrix:
 
     @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4))
     def test_every_payoff_but_negative_zero_keeps_its_bits(self, payoffs):
-        assume(payoffs[2] != payoffs[1])
         m = z.PayoffMatrix(*payoffs, permissive=True)
         expected = [0.0 if v == 0.0 else v for v in payoffs]
         assert np.array(m.as_tuple()).view(np.int64).tolist() == \
@@ -177,6 +177,17 @@ class TestPayoffVectors:
             z.payoff_features(m, [(1, 0), (442, 0)])
         assert np.isfinite(z.payoff_features(m, [(441, 0)])).all()
 
+    @pytest.mark.parametrize("k", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
+    def test_power_order_above_2_53_is_refused(self, k):
+        # numpy raises s to k as a double, which rounds 2^53 + 1 to the even
+        # 2^53, so that (-1)^k would read 1, and cannot hold 10^400 at all
+        m = z.PayoffMatrix(R=0.5, S=-1, T=0.75, P=0.25, permissive=True)
+        assert z.payoff_features(m, [(2**53, 0), (0, 2**53)]).tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]]
+        for label in [(k, 0), (0, k), (k, k)]:
+            with pytest.raises(ValueError) as excinfo:
+                z.payoff_features(m, [label])
+            assert str(excinfo.value) == f"payoff power order {k} exceeds 2^53"
+
     def test_exp_transform(self, m):
         F = z.payoff_features(m, [("exp", 1, 1.0), ("exp", 2, -1.0)])
         np.testing.assert_allclose(
@@ -197,7 +208,6 @@ class TestPayoffVectors:
         # the feature is numpy's own e^{h s}, an underflow included, whatever the
         # caller's np.seterr, and it is refused exactly when that is not a finite
         # double; a guessed bound on h times the largest payoff used to refuse finite ones
-        assume(payoffs[2] != payoffs[1])
         m, h = z.PayoffMatrix(*payoffs, permissive=True), sign * 10.0**u
         with np.errstate(over="ignore", under="ignore"):
             expected = np.exp(h * z.payoff_vector(m, player))

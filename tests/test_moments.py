@@ -79,10 +79,12 @@ class TestMoment:
             assert averages.tolist() == [v[state] ** k for k in (1, 2, 3)]
 
     def test_order_validation(self, m):
-        with pytest.raises(ValueError, match="label"):
-            z.payoff_features(m, [(1.5, 0)])
-        with pytest.raises(ValueError, match="moment order"):
-            z.relation_value({(1.5, 0): 1.0}, CYCLE, m)
+        # features and relations read their labels by one grammar
+        for read in (lambda: z.payoff_features(m, [(1.5, 0)]),
+                     lambda: z.relation_value({(1.5, 0): 1.0}, CYCLE, m)):
+            with pytest.raises(ValueError) as excinfo:
+                read()
+            assert str(excinfo.value) == "not a payoff feature label: (1.5, 0)"
 
     def test_precision_cap(self):
         assert z.moments.moment_orders(20)[-1] == 20
@@ -167,12 +169,24 @@ class TestRelationValue:
         assert z.relation_value({(1, 0): 0.0, (0, 1): 0.0}, CYCLE, m) == 0.0
 
     def test_precision_cap(self, m):
+        # K_CAP bounds the orders that --k-max and monomial:D generate, not
+        # those a relation names: (15, 15) is a cross moment of order 30
         assert z.relation_value({(20, 0): 1.0}, CYCLE, m) == pytest.approx((1 + 5.0**20) / 2)
-        # (15, 15) is a cross moment of order 30: each exponent is under the
-        # cap, but the order is not
-        for label in [(21, 0), (0, 21), (500, 0), (15, 15)]:
-            with pytest.raises(ValueError, match="cap"):
-                z.relation_value({label: 1.0}, CYCLE, m)
+        for label, value in [((21, 0), 5.0**21 / 2), ((0, 21), 5.0**21 / 2), ((15, 15), 0.0)]:
+            assert z.relation_value({label: 1.0}, CYCLE, m) == value
+        message = r"^payoff power s1\^500\*s2\^0 overflows double precision at k=500$"
+        with pytest.raises(OverflowError, match=message):
+            z.relation_value({(500, 0): 1.0}, CYCLE, m)
+
+    @pytest.mark.parametrize("k", [21, 100, 441])
+    def test_tft_power_relations_read_back(self, m, random_strategies, k):
+        # TFT lies in the span of s1^k and s2^k for every k; every decomposition
+        # reads back, however high its order
+        result = z.decompose(z.press_dyson(z.TFT, 1), z.BasisSpec.custom(m, [(k, 0), (0, k)]))
+        assert result.exact and result.rank == 2
+        for opponent in random_strategies(20, seed=k):
+            pi = z.cesaro_limit(z.transition_matrix(z.TFT, opponent)).distribution
+            assert abs(z.relation_value(result.coefficients, pi, m)) <= 1e-15
 
     def test_unknown_label_rejected(self, m):
         with pytest.raises(ValueError, match="label"):
@@ -211,24 +225,25 @@ class TestIntegerRule:
         for label in [(x, 0), (0, x), (x, 21)]:
             with pytest.raises(ValueError) as excinfo:
                 z.relation_value({label: 1.0}, CYCLE, m)
-            assert str(excinfo.value) == f"moment order must be a nonnegative integer, got {x!r}"
+            assert str(excinfo.value) == f"not a payoff feature label: {label!r}"
 
-    @pytest.mark.parametrize("label, message", [
-        ((-1, 0), "moment order must be a nonnegative integer, got -1"),
-        ((0, -1), "moment order must be a nonnegative integer, got -1"),
-        ((21, -1), "moment order 21 exceeds the precision cap 20"),
-        ((-1, 21), "moment order must be a nonnegative integer, got -1"),
-        ((0, 21), "moment order 21 exceeds the precision cap 20"),
-        ((15, 15), "moment order 30 exceeds the precision cap 20"),
-        ((np.uint8(200), np.uint8(100)), "moment order 200 exceeds the precision cap 20"),
-        ((np.uint8(10), np.uint8(250)), "moment order 250 exceeds the precision cap 20"),
-        ((np.uint8(10), np.uint8(11)), "moment order 21 exceeds the precision cap 20"),
-    ])
-    def test_relation_orders_in_order(self, label, message, m):
-        # the first order at fault is named, then the total k1 + k2
+    @pytest.mark.parametrize("label", [(-1, 0), (0, -1), (21, -1), (-1, 21)], ids=repr)
+    def test_relation_refuses_a_negative_order(self, label, m):
+        # by the label grammar, whatever the other order
         with pytest.raises(ValueError) as excinfo:
             z.relation_value({(0, 0): 1.0, label: 1.0}, CYCLE, m)
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == f"not a payoff feature label: {label!r}"
+
+    @pytest.mark.parametrize("label, value", [
+        ((0, 21), 1.0 + 5.0**21 / 2),
+        ((15, 15), 1.0),
+        ((np.uint8(200), np.uint8(100)), 1.0),
+        ((np.uint8(10), np.uint8(250)), 1.0),
+        ((np.uint8(10), np.uint8(11)), 1.0),
+    ], ids=["0-21", "15-15", "uint8-200-100", "uint8-10-250", "uint8-10-11"])
+    def test_relation_reads_any_order(self, label, value, m):
+        # uint8 orders read as Python ints; (15, 15) is a cross moment of order 30
+        assert z.relation_value({(0, 0): 1.0, label: 1.0}, CYCLE, m) == value
 
 
 class TestPayoffDistribution:

@@ -196,8 +196,10 @@ class TestBasisSpec:
         basis = z.BasisSpec.exponential(m, 0.5)
         assert basis.labels == ((0, 0), ("exp", 1, 0.5), ("exp", 2, 0.5))
         np.testing.assert_allclose(basis.matrix[:, 1], np.exp(0.5 * np.array([3, 0, 5, 1])))
-        with pytest.raises(ValueError):
-            z.BasisSpec.exponential(m, 0.0)
+        # at h = 0 the three columns coincide: rank 1, like monomial:0
+        degenerate = z.BasisSpec.exponential(m, 0.0)
+        assert degenerate.matrix.tolist() == [[1.0] * 3] * 4
+        assert z.decompose(z.press_dyson(z.TFT, 1), degenerate).rank == 1
         message = r"e\^\(h\*s1\) overflows double precision at h=142\.0$"
         with pytest.raises(OverflowError, match=message):
             z.BasisSpec.exponential(m, 142.0)  # e^710 is not a finite double
@@ -531,6 +533,14 @@ class TestTftPowerIdentity:
             with pytest.raises(ValueError):
                 z.tft_power_identity(m, k)
 
+    def test_t_equal_s_is_a_degenerate_denominator(self):
+        m = z.PayoffMatrix(R=3, S=3, T=3, P=1, permissive=True)
+        with pytest.raises(ValueError, match=r"^degenerate denominator: T\^k - S\^k vanishes at k=1$"):
+            z.tft_power_identity(m, 1)
+        with pytest.raises(ValueError, match=r"^degenerate denominator: e\^\{hT\} - e\^\{hS\} "
+                                             r"vanishes at h=0\.5$"):
+            z.tft_exponential_identity(m, 0.5)
+
     def test_overflow_is_a_range_error(self, m):
         assert z.tft_power_identity(m, 441).max_abs_error == 0.0
         with pytest.raises(OverflowError, match="k=442"):
@@ -623,3 +633,8 @@ class TestWslsCoefficients:
         result = z.wsls_coefficients(m)
         assert result.rank < 4
         assert not result.exact
+
+    def test_t_equal_s_reports_its_rank(self):
+        # at R = S = T the CC, CD and DC rows coincide, and so do s1 and s2
+        result = z.wsls_coefficients(z.PayoffMatrix(R=3, S=3, T=3, P=1, permissive=True))
+        assert (result.rank, result.exact) == (2, False)
