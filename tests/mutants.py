@@ -43,18 +43,12 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("identity-error-zero", "src/zdlab/pressdyson.py",
-           "return IdentityCheck(1.0 / denominator, float(np.max(np.abs(w - _TFT_PD))))",
-           "return IdentityCheck(1.0 / denominator, 0.0)",
-           "SURVIVED", "equivalent: max_abs_error is 0 by construction (ROADMAP item 9)"),
-    Mutant("verify-without-gap", "src/zdlab/cli.py",
-           "        & (np.abs(gaps) <= tol)\n", "",
-           "SURVIVED",
-           "equivalent given dist_equal, the same test at every strict payoff matrix"),
+    Mutant("verify-without-converged", "src/zdlab/cli.py",
+           "        limits.converged\n        & dist_equal\n", "        dist_equal\n", "KILLED"),
     Mutant("verify-without-dist-equal", "src/zdlab/cli.py",
-           "        & dist_equal\n", "",
-           "SURVIVED",
-           "equivalent given the gap term, the same test at every strict payoff matrix"),
+           "        & dist_equal\n", "", "KILLED"),
+    Mutant("verify-without-mgfs", "src/zdlab/cli.py",
+           "        & (dev_h <= tol).all(axis=1)\n", "", "KILLED"),
     Mutant("gate-bound-10x", "src/zdlab/montecarlo.py",
            "float(tol_sigma * np.sqrt(", "float(10 * tol_sigma * np.sqrt(",
            "SURVIVED", "waits for the calibration test of ROADMAP item 6"),
@@ -106,6 +100,11 @@ MUTANTS = [
            "        raise ValueError(f\"moment order above {K_CAP}\")\n"
            "    averages = feature_averages(payoff_features(m, list(coeffs)), pi)\n",
            "KILLED"),
+    Mutant("basis-takes-a-label-twice", "src/zdlab/pressdyson.py",
+           "    if twice := [label for i, label in enumerate(labels) if label in labels[:i]]:\n"
+           '        raise ValueError(f"a basis names the feature'
+           ' {format_label(twice[0])} twice")\n',
+           "", "KILLED"),
     Mutant("exp-basis-refuses-h-zero", "src/zdlab/pressdyson.py",
            '        labels = ((0, 0), ("exp", 1, h), ("exp", 2, h))\n',
            "        if h == 0.0:\n"
@@ -121,7 +120,7 @@ MUTANTS = [
     Mutant("power-order-past-2-53", "src/zdlab/game.py",
            "        if (k := int(max(label))) > 2**53:"
            "  # numpy takes s**k with k a double, exact to 2^53\n"
-           '            raise ValueError(f"payoff power order {k} exceeds 2^53")\n', "",
+           '            raise ValueError(f"payoff power order {_shown(k)} exceeds 2^53")\n', "",
            "KILLED"),
 ]
 

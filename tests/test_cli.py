@@ -166,6 +166,49 @@ class TestVerifyTft:
             assert err == "error: moment order 21 exceeds the precision cap 20\n"
 
 
+class TestVerifyTftVerdict:
+    """Each term of verify-tft's ``pass`` counts: a fault planted in one row's term fails that row.
+
+    The moment term is pinned by the golden case ``random_40_options``.
+    """
+
+    ARGV = ["verify-tft", "--random", "5", "--seed", "1", "--h-grid", "0.5"]
+
+    def _verdicts(self, capsys) -> dict:
+        code, out, err = _run(self.ARGV, capsys)
+        header, rows = _read_csv(out)
+        assert (code, "4/5 opponents passed" in err) == (1, True)
+        assert [row[-1] for row in rows] == ["false"] + ["true"] * 4
+        return dict(zip(header, rows[0]))
+
+    def test_unconverged_limit_fails(self, capsys, monkeypatch):
+        def first_unconverged(*args, **kwargs):
+            limits = z.cesaro_limits(*args, **kwargs)
+            return limits._replace(converged=np.arange(len(limits.converged)) > 0)
+
+        monkeypatch.setattr(cli, "cesaro_limits", first_unconverged)
+        assert self._verdicts(capsys)["converged"] == "false"
+
+    def test_unequal_distributions_fail(self, capsys, monkeypatch):
+        def first_unequal(a, b, tol):
+            return z.distribution_stacks_equal(a, b, tol) & (np.arange(5) > 0)
+
+        monkeypatch.setattr(cli, "distribution_stacks_equal", first_unequal)
+        assert self._verdicts(capsys)["dist_equal"] == "false"
+
+    def test_mgf_deviation_fails(self, capsys, monkeypatch):
+        # the columns are player 1's moments, player 2's, then each player's MGF
+        def offset_first_mgf(F, pis):
+            averages = z.feature_averages(F, pis)
+            averages[0, -2] += 1.0
+            return averages
+
+        monkeypatch.setattr(cli, "feature_averages", offset_first_mgf)
+        row = self._verdicts(capsys)
+        assert float(row["dev_h_0.5"]) > 0.5
+        assert max(float(row[f"dev_k{k}"]) for k in range(1, 7)) <= 1e-8
+
+
 class TestDecompose:
     def test_tft_zd(self, capsys):
         code, out, _ = _run(["decompose", "tft"], capsys)

@@ -188,6 +188,18 @@ class TestPayoffVectors:
                 z.payoff_features(m, [label])
             assert str(excinfo.value) == f"payoff power order {k} exceeds 2^53"
 
+    @pytest.mark.parametrize("label, message", [
+        ((10**5000, 0), "payoff power order <int of 16610 bits> exceeds 2^53"),
+        ((-10**5000, 0), "not a payoff feature label: (-<int of 16610 bits>, 0)"),
+        (("exp", 1, 10**5000), "not a payoff feature label: ('exp', 1, <int of 16610 bits>)"),
+    ], ids=["order", "negative_order", "exp_h"])
+    def test_a_label_too_long_to_print_is_named(self, label, message):
+        # each message used to format the int, which Python refuses past 4300
+        # digits by default, so the refusal was "Exceeds the limit" instead
+        with pytest.raises(ValueError) as excinfo:
+            z.game.feature_label(label)
+        assert str(excinfo.value) == message
+
     def test_exp_transform(self, m):
         F = z.payoff_features(m, [("exp", 1, 1.0), ("exp", 2, -1.0)])
         np.testing.assert_allclose(

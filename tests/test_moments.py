@@ -447,7 +447,7 @@ class TestDistributionStacksEqual:
 
 
 class TestDistributionsEqualIsTheGapTest:
-    """Why verify-tft's ``dist_equal`` and its gap term are each implied by the other.
+    """Why verify-tft's ``dist_equal`` is its CD/DC balance test, so the verdict needs no gap term.
 
     At strict payoffs the four values are distinct, however close, so
     comparing the two players' payoff distributions under TFT makes four
