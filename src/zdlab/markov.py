@@ -27,7 +27,8 @@ elimination order, so each pattern is classified and planned once per
 process, and its chains are eliminated as one vectorised group;
 :func:`cesaro_limit` is its N=1 case.  Every
 weighted sum over states in the package adds its terms first to last in
-elementwise numpy and never calls BLAS: :func:`ordered_dot`, or the GTH
+elementwise numpy or Python floats and never calls BLAS: :func:`ordered_dot`
+for a stack of sums, :func:`float_dot` for one, or the GTH
 back-substitution's forward accumulation.  So a result has the same bits
 on every CPU and in every batch.
 """
@@ -35,9 +36,10 @@ on every CPU and in every batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import gcd
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -207,13 +209,28 @@ class LimitBatch(NamedTuple):
 
 
 def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sums of ``a * b`` over the last axis, added first to last: ((t0 + t1) + t2) + t3."""
+    """Sums of ``a * b`` over the last axis, added first to last: ((t0 + t1) + t2) + t3.
+
+    For stacks of sums; :func:`float_dot` takes a single one.
+    """
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"cannot pair {a.shape[-1]} terms with {b.shape[-1]}")
     total = a[..., 0] * b[..., 0]
     for j in range(1, a.shape[-1]):
         total += a[..., j] * b[..., j]
     return total
+
+
+def float_dot(a: list, b: list) -> float:
+    """The sum of ``a * b`` over two lists of Python floats, added first to last.
+
+    The bits :func:`ordered_dot` gives on the same two 1-D arrays, with no
+    numpy call; not the builtin ``sum``, which compensates from Python 3.12
+    on.  Lists of unequal length are a ValueError; the empty sum is 0.0.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"cannot pair {len(a)} terms with {len(b)}")
+    return reduce(add, map(mul, a, b)) if a else 0.0
 
 
 def _gth_stack(P: np.ndarray) -> np.ndarray:

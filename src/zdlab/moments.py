@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .game import PayoffMatrix, _is_int, payoff_features, real_number
-from .markov import ordered_dot
+from .markov import float_dot, ordered_dot
 
 __all__ = [
     "feature_averages",
@@ -73,7 +73,7 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     if not coeffs:
         return 0.0  # the empty sum
     averages = feature_averages(payoff_features(m, list(coeffs)), pi)
-    return float(ordered_dot(np.array(list(coeffs.values()), dtype=float), averages))
+    return float_dot([*map(float, coeffs.values())], averages.tolist())
 
 
 def payoff_distributions(v, pi):

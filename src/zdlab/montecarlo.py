@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (JointState, MemoryOneStrategy, _is_int, check_noise, global_frame,
+from .game import (JointState, MemoryOneStrategy, _is_int, _shown, check_noise, global_frame,
                    real_number, transition_matrix)
 from .markov import LimitResult, cesaro_limit, check_start
 
@@ -58,7 +58,7 @@ _IDENTITY = 0b11100100
 def check_seed(seed: int) -> None:
     """Refuse an integer seed outside [0, 2**64), the seeds a run records and replays."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,14 @@ from .game import (
     MemoryOneStrategy,
     PayoffMatrix,
     _is_int,
+    _shown,
     feature_label,
     global_frame,
     named_strategy,
     payoff_features,
     real_number,
 )
-from .markov import ordered_dot
+from .markov import float_dot
 from .moments import K_CAP
 
 __all__ = [
@@ -82,7 +83,7 @@ def akin_residual(pd, pi) -> float:
     of a chain in which the vector's owner plays the decomposed strategy;
     a visibly nonzero value therefore flags an inconsistent ``pi``.
     """
-    return float(ordered_dot(np.asarray(pd, dtype=float), np.asarray(pi, dtype=float)))
+    return float_dot(np.asarray(pd, dtype=float).tolist(), np.asarray(pi, dtype=float).tolist())
 
 
 def format_label(label) -> str:
@@ -98,17 +99,20 @@ def format_label(label) -> str:
 class BasisSpec:
     """An ordered, labelled family of payoff-space basis vectors.
 
-    One builder makes every basis, equilibrated once for :func:`decompose`
-    (each column scaled to unit 2-norm, a zero column keeping scale 1).  The
-    ``zd``, ``monomial``, ``exponential`` and ``wsls4`` constructors share one
+    One builder makes every basis and factors it once for :func:`decompose`:
+    one SVD of the equilibrated matrix (each column scaled to unit 2-norm, a
+    zero column keeping scale 1) gives the rank, the left singular vectors
+    that span its columns and the right ones divided by their singular values
+    and the column scales.  The ``zd``,
+    ``monomial``, ``exponential`` and ``wsls4`` constructors share one
     instance per payoffs and argument; every array of a basis is read-only.
     """
 
     kind: str
     labels: tuple
     matrix: np.ndarray  # shape (4, len(labels)), columns follow labels
-    _scale: np.ndarray = field(repr=False)
-    _equilibrated: np.ndarray = field(repr=False)
+    _u: np.ndarray = field(repr=False)  # shape (4, rank), orthonormal, spanning the columns
+    _w: np.ndarray = field(repr=False)  # shape (len(labels), rank)
 
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
@@ -125,7 +129,7 @@ class BasisSpec:
         if not (_is_int(max_total_degree) and 0 <= max_total_degree <= K_CAP):
             raise ValueError(
                 f"max_total_degree must lie in [0, {K_CAP}] (the precision cap K_CAP), "
-                f"got {max_total_degree}"
+                f"got {_shown(max_total_degree)}"
             )
         labels = tuple(
             (k1, total - k1)
@@ -152,14 +156,29 @@ class BasisSpec:
         return _shared_basis.__wrapped__("custom", m, tuple(labels))
 
 
+def _column_scales(matrix: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column, 1 for a zero column.
+
+    Each column is divided by the power of two at its peak, which is exact,
+    then its norm is taken and scaled back, so a column whose squares
+    underflow or overflow is equilibrated like any other.
+    """
+    _, peak = np.frexp(np.max(np.abs(matrix), axis=0))
+    scale = np.ldexp(np.linalg.norm(np.ldexp(matrix, -peak), axis=0), peak)
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
-    """The basis of the labels' feature rows at the payoffs ``m``.
+    """The basis of the labels' feature rows at the payoffs ``m``, factored.
 
     ``custom`` calls it uncached.  Labels are kept canonical, and one named
-    twice is a ValueError.  Each column is divided by the power of two at
-    its peak, which is exact, then its 2-norm is taken and scaled back, so a
-    column whose squares underflow or overflow is equilibrated like any other.
+    twice is a ValueError.  The rank follows lstsq's rule: the singular
+    values of the equilibrated matrix above ``RANK_TOL`` times the largest.
+    The factors keep only those, so ``_w`` times ``_u``'s transpose is the
+    pseudo-inverse whose solution has scaled coefficients (coefficient
+    times column scale) of minimum norm.
     """
     if not labels:
         raise ValueError("a basis must contain at least one vector")
@@ -167,10 +186,10 @@ def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
     if twice := [label for i, label in enumerate(labels) if label in labels[:i]]:
         raise ValueError(f"a basis names the feature {format_label(twice[0])} twice")
     matrix = payoff_features(m, labels).T
-    _, peak = np.frexp(np.max(np.abs(matrix), axis=0))
-    scale = np.ldexp(np.linalg.norm(np.ldexp(matrix, -peak), axis=0), peak)
-    scale[scale == 0.0] = 1.0
-    arrays = (matrix, scale, matrix / scale)
+    scale = _column_scales(matrix)
+    u, s, vt = np.linalg.svd(matrix / scale, full_matrices=False)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    arrays = (matrix, u[:, :rank], vt[:rank].T / s[:rank] / scale[:, None])
     for array in arrays:
         array.flags.writeable = False
     return BasisSpec(kind, labels, *arrays)
@@ -181,7 +200,8 @@ class DecompositionResult:
     """Least-squares decomposition of a Press-Dyson vector over a basis.
 
     ``coefficients`` maps each basis label to its coefficient, one per column
-    in basis order; ``residual`` is the target minus the basis combination.
+    in basis order; ``residual`` is the target minus its projection onto the
+    span of the basis.
     """
 
     coefficients: dict
@@ -194,33 +214,38 @@ class DecompositionResult:
 def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     """Decompose a Press-Dyson vector, or any 4-vector, against a basis.
 
-    Least squares over the basis as equilibrated when it was built, each
-    column scaled to unit 2-norm (a zero column keeps scale 1), so that
-    columns of very different magnitude (5^20 against 1) do not hide the
-    small ones below the rank threshold ``RANK_TOL``, relative to the
-    largest singular value.  A target that is not finite is a ValueError.
-    A rank-deficient or overcomplete basis is reported through ``rank``,
-    never an error; its coefficients are the solution whose scaled
-    coefficients (coefficient times column norm) have minimum norm.  The
-    residual is taken against the unscaled basis, and ``exact`` is True iff
-    its 2-norm is at most ``EXACT_TOL``.  A basis that spans R^4, as
-    ``wsls4`` and ``monomial:D`` for D >= 2 do at every strict payoff
-    matrix, is exact for every target, so there ``exact`` says nothing
-    about the strategy; the coefficients carry the content.
+    Least squares through the factors the basis took when it was built:
+    its columns were scaled to unit 2-norm (a zero column keeps scale 1),
+    so that columns of very different magnitude (5^20 against 1) do not
+    hide the small ones below the rank threshold ``RANK_TOL``, relative to
+    the largest singular value.  A target that is not a finite 4-vector is
+    a ValueError.  A rank-deficient or overcomplete basis is reported
+    through ``rank``, never an error; its coefficients are the solution
+    whose scaled coefficients (coefficient times column norm) have minimum
+    norm.  The residual is the target minus its projection onto the span,
+    and ``exact`` is True iff its 2-norm is at most ``EXACT_TOL``: a target
+    the basis contains is exact however large its coefficients, whose
+    rounding alone can leave more than that.  Every step is an in-order
+    sum in Python floats, so a call makes no LAPACK or BLAS call.  A basis
+    that spans R^4, as ``wsls4`` and ``monomial:D`` for D >= 2 do at every
+    strict payoff matrix, is exact for every target, so there ``exact``
+    says nothing about the strategy; the coefficients carry the content.
     """
     target = np.asarray(pd, dtype=float)
-    if not np.isfinite(target).all():
-        raise ValueError(f"the target must be finite, got {target.tolist()}")
-    coef, _, rank, _ = np.linalg.lstsq(basis._equilibrated, target, rcond=RANK_TOL)
-    coef = coef / basis._scale
-    residual = target - basis.matrix @ coef
+    if target.shape != (4,) or not np.isfinite(target).all():
+        raise ValueError(f"the target must be finite, of shape (4,), got {target.tolist()}")
+    t = target.tolist()
+    y = [float_dot(column, t) for column in basis._u.T.tolist()]  # coordinates in the span
+    coef = [float_dot(row, y) for row in basis._w.tolist()]
+    off = [x - float_dot(row, y) for x, row in zip(t, basis._u.tolist())]
+    norm = math.sqrt(float_dot(off, off))
+    residual = np.array(off)
     residual.flags.writeable = False
-    norm = float(np.linalg.norm(residual))
     return DecompositionResult(
-        coefficients=dict(zip(basis.labels, (float(c) for c in coef))),
+        coefficients=dict(zip(basis.labels, coef)),
         residual=residual,
         residual_norm=norm,
-        rank=int(rank),
+        rank=len(y),
         exact=norm <= EXACT_TOL,
     )
 
@@ -262,7 +287,7 @@ def tft_power_identity(m: PayoffMatrix, k: int) -> IdentityCheck:
     T != S.  Any other k is a ValueError, and a payoff power or a
     denominator beyond double precision is an OverflowError.
     """
-    return _tft_identity(m, [(k, 0), (0, k)], "T^k - S^k", f"k={k}")
+    return _tft_identity(m, [(k, 0), (0, k)], "T^k - S^k", f"k={_shown(k)}")
 
 
 def tft_exponential_identity(m: PayoffMatrix, h: float) -> IdentityCheck:

@@ -117,6 +117,12 @@ MUTANTS = [
            '            raise ValueError("T equals S")\n'
            "        if not self.permissive:\n",
            "KILLED"),
+    Mutant("rank-at-or-above-tol", "src/zdlab/pressdyson.py",
+           "rank = int(np.count_nonzero(s > RANK_TOL * s[0]))",
+           "rank = int(np.count_nonzero(s >= RANK_TOL * s[0]))", "KILLED"),
+    Mutant("factor-without-column-scale", "src/zdlab/pressdyson.py",
+           "vt[:rank].T / s[:rank] / scale[:, None])",
+           "vt[:rank].T / s[:rank])", "KILLED"),
     Mutant("power-order-past-2-53", "src/zdlab/game.py",
            "        if (k := int(max(label))) > 2**53:"
            "  # numpy takes s**k with k a double, exact to 2^53\n"

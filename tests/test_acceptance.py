@@ -255,9 +255,10 @@ def test_criterion_6_zd_boundary():
 #: Criterion 7: each of WSLS's ``wsls4`` coefficients must lie within
 #: C7 * kappa * u of its exact value, u = 2^-53 and kappa the infinity-norm
 #: condition number of the exact basis matrix (33.5 to 38 on the T sweep).
-#: The worst measured was 4.43 kappa u (157u, on the s1*s2 coefficient 3/28
-#: at the default payoffs), with OpenBLAS's default, Haswell and Prescott
-#: kernels and with numpy's baseline loops; lstsq's bits follow the kernel.
+#: The worst measured was 4.17 kappa u (148u, on the s1*s2 coefficient 3/28
+#: at the default payoffs) with OpenBLAS's default kernels and with numpy's
+#: baseline loops, 4.10 with Haswell's and 4.04 with Prescott's, whose bits
+#: the basis's SVD follows (4.43 when decompose solved with lstsq on every call).
 C7 = 8.0
 T_SWEEP = (4.5, 5.0, 5.5)  # R, S, P as in the default payoffs
 

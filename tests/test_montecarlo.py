@@ -93,6 +93,12 @@ class TestConfig:
             z.SimulationConfig(seed=2**64)
         z.SimulationConfig(seed=2**64 - 1)  # largest valid seed
 
+    def test_seed_too_long_to_print_is_named_by_its_bits(self):
+        # the message used to format the int itself: Python's 4300-digit limit error
+        with pytest.raises(ValueError, match=r"^seed must be a 64-bit unsigned integer, "
+                                             r"got <int of 16610 bits>$"):
+            z.montecarlo.check_seed(10**5000)
+
     def test_start_is_a_state_or_uniform(self, bad_start):
         # a start is a JointState, or None for the uniform draw; True used to
         # start every run in CD, False and a NaN distribution in CC

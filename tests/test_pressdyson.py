@@ -16,6 +16,10 @@ strategy_vectors = st.tuples(probability, probability, probability, probability)
 SWAP = (0, 2, 1, 3)
 #: Permissive payoffs R = S = P = 0, at which the s1*s2 column of wsls4 is zero.
 ZERO_COLUMN_PAYOFFS = z.PayoffMatrix(0, 0, 5, 0, permissive=True)
+#: Largest gap allowed, in units of u = 2^-53, between decompose's scaled
+#: coefficients and those of the per-call lstsq solve it replaced; 211 was
+#: the worst seen (monomial:20 at 4,-1,6,0) on three OpenBLAS kernels.
+ORACLE_GAP = 1024
 
 
 def _solve_exact(columns, target):
@@ -185,6 +189,12 @@ class TestBasisSpec:
             z.BasisSpec.monomial(huge, K_CAP)
         assert len(z.BasisSpec.monomial(huge, 15).labels) == 136
 
+    def test_monomial_degree_too_long_to_print_is_named_by_its_bits(self, m):
+        # the message used to format the int itself: Python's 4300-digit limit error
+        message = r"\(the precision cap K_CAP\), got <int of 16610 bits>$"
+        with pytest.raises(ValueError, match=message):
+            z.BasisSpec.monomial(m, 10**5000)
+
     @pytest.mark.parametrize("degree", [True, 2.0, np.float64(2), "2"],
                              ids=["bool", "float", "float64", "str"])
     def test_monomial_degree_is_an_integer(self, m, degree):
@@ -251,7 +261,7 @@ class TestBasisSpec:
             basis = build(m)
             assert build(z.PayoffMatrix(3, 0, 5, 1)) is basis
             assert build(z.PayoffMatrix(3, 0, 5.5, 1)) is not basis
-            for array in (basis.matrix, basis._scale, basis._equilibrated):
+            for array in (basis.matrix, basis._u, basis._w):
                 assert not array.flags.writeable
         assert z.BasisSpec.custom(m, [(0, 0)]) is not z.BasisSpec.custom(m, [(0, 0)])
 
@@ -320,6 +330,15 @@ class TestDecompose:
         for basis in (z.BasisSpec.zd(m), z.BasisSpec.wsls4(m)):
             with pytest.raises(ValueError, match="target must be finite"):
                 z.decompose([bad, -1.0, 1.0, 0.0], basis)
+
+    @pytest.mark.parametrize("target", [[0.0, -1.0, 1.0], [0.0, -1.0, 1.0, 0.0, 0.0],
+                                        [[0.0], [-1.0], [1.0], [0.0]], 0.5],
+                             ids=["3", "5", "4x1", "scalar"])
+    def test_target_that_is_not_a_4_vector_is_an_error(self, m, target):
+        # each coefficient adds four products; a shorter or longer target
+        # must not be cut or padded to fit
+        with pytest.raises(ValueError, match=r"of shape \(4,\)"):
+            z.decompose(target, z.BasisSpec.zd(m))
 
     @pytest.mark.parametrize("d, rank", [(1e-7, 2), (1e-8, 2), (1e-9, 1)])
     def test_rank_tolerance_boundary(self, d, rank):
@@ -398,33 +417,58 @@ class TestDecompose:
         assert result.exact and result.rank == 3
         assert result.coefficients[(1, 1)] == 0.0
 
+    def test_zero_basis_has_rank_zero(self):
+        # every singular value is 0, none above RANK_TOL times the largest:
+        # no column enters, so the residual is the target itself
+        basis = z.BasisSpec.custom(ZERO_COLUMN_PAYOFFS, [(1, 1)])
+        pd = z.press_dyson(z.TFT, 1)
+        result = z.decompose(pd, basis)
+        assert (result.rank, result.exact, result.coefficients) == (0, False, {(1, 1): 0.0})
+        np.testing.assert_array_equal(result.residual, pd)
+
     @pytest.mark.parametrize("build", [
         lambda m: z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS), z.BasisSpec.zd, z.BasisSpec.wsls4,
         lambda m: z.BasisSpec.monomial(m, 12), lambda m: z.BasisSpec.exponential(m, 0.5),
-    ], ids=["zero-column", "zd", "wsls4", "monomial:12", "exp:0.5"])
-    def test_matches_equilibration_on_every_call(self, m, table_caches, build):
-        # the scales a basis computes once give decompose the bits of
-        # equilibrating on every call
-        def per_call(target, B):
+        lambda m: z.BasisSpec.monomial(m, 2), lambda m: z.BasisSpec.monomial(m, 3),
+        lambda m: z.BasisSpec.monomial(m, 20), lambda m: z.BasisSpec.exponential(m, 2.0),
+        lambda m: z.BasisSpec.exponential(m, -2.0),
+        lambda m: z.BasisSpec.custom(m, [(1, 0), (0, 1), (2, 1), ("exp", 1, 0.5),
+                                         ("exp", 2, -1.0)]),
+    ], ids=["zero-column", "zd", "wsls4", "monomial:12", "exp:0.5", "monomial:2", "monomial:3",
+            "monomial:20", "exp:2", "exp:-2", "custom"])
+    def test_matches_equilibration_on_every_call(self, table_caches, build):
+        # the factors a basis takes once give the verdicts of equilibrating
+        # and solving with lstsq on every call, as decompose did before, on
+        # 1,002 targets (500 in the span) at two payoff matrices: the same
+        # rank and exact, and coefficients within ORACLE_GAP u, each times
+        # its column scale and relative to the largest
+        def scales(B):
             with np.errstate(over="ignore"):
                 scale = np.linalg.norm(B, axis=0)
                 for j in np.flatnonzero(np.isinf(scale)).tolist():
                     peak = np.max(np.abs(B[:, j]))
                     scale[j] = peak * np.linalg.norm(B[:, j] / peak)
             scale[scale == 0.0] = 1.0
-            coef, _, rank, _ = np.linalg.lstsq(B / scale, target, rcond=z.pressdyson.RANK_TOL)
-            coef = coef / scale
-            return coef, target - B @ coef, rank
+            return scale
 
-        basis = build(m)
+        def per_call(targets, B, scale):
+            coef, _, rank, _ = np.linalg.lstsq(B / scale, targets.T, rcond=z.pressdyson.RANK_TOL)
+            coef = coef / scale[:, None]
+            return coef.T, np.linalg.norm(targets.T - B @ coef, axis=0), rank
+
         rng = np.random.default_rng(8)
-        for target in [z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1)] + list(rng.random((20, 4))):
-            result = z.decompose(target, basis)
-            coef, residual, rank = per_call(np.asarray(target, dtype=float), basis.matrix)
-            np.testing.assert_array_equal(
-                np.array(list(result.coefficients.values())).view(np.int64), coef.view(np.int64))
-            np.testing.assert_array_equal(result.residual.view(np.int64), residual.view(np.int64))
-            assert result.rank == rank
+        for m in (z.PayoffMatrix(3, 0, 5, 1), z.PayoffMatrix(4, -1, 6, 0)):
+            basis = build(m)
+            scale = scales(basis.matrix)
+            targets = np.vstack([z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1),
+                                 rng.normal(size=(500, scale.size)) @ (basis.matrix / scale).T,
+                                 rng.uniform(-1.0, 1.0, size=(500, 4))])
+            coefs, norms, rank = per_call(targets, basis.matrix, scale)
+            for target, coef, norm in zip(targets, coefs, norms):
+                result = z.decompose(target, basis)
+                assert (result.rank, result.exact) == (rank, norm <= z.pressdyson.EXACT_TOL)
+                gap = np.abs(list(result.coefficients.values()) - coef) * scale
+                assert gap.max() <= ORACLE_GAP * 2.0**-53 * np.max(np.abs(coef) * scale)
 
     @pytest.mark.parametrize("build, power", [
         (z.BasisSpec.zd, 530), (z.BasisSpec.zd, -665), (z.BasisSpec.wsls4, -333),
@@ -433,13 +477,14 @@ class TestDecompose:
     def test_payoffs_times_a_power_of_two_move_no_bit(self, m, build, power):
         # each column's squares overflow or underflow at the scaled payoffs;
         # its scale still takes the power of two exactly, so the equilibrated
-        # basis, rank and residual keep their bits and each coefficient
-        # divides by the column's power of two
+        # basis and its SVD keep their bits: the rank, the left singular
+        # vectors and the residual keep theirs, and each row of the right
+        # factor, so each coefficient, divides by the column's power of two
         basis = build(m)
         scaled = build(z.PayoffMatrix(*(math.ldexp(v, power) for v in m.as_tuple())))
         degrees = np.array([sum(label) for label in basis.labels])
-        np.testing.assert_array_equal(scaled._scale, np.ldexp(basis._scale, power * degrees))
-        np.testing.assert_array_equal(scaled._equilibrated, basis._equilibrated)
+        np.testing.assert_array_equal(scaled._u, basis._u)
+        np.testing.assert_array_equal(scaled._w, np.ldexp(basis._w, -power * degrees[:, None]))
         for target in (z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1)):
             result, moved = z.decompose(target, basis), z.decompose(target, scaled)
             assert (moved.rank, moved.exact) == (result.rank, result.exact)
@@ -466,8 +511,9 @@ class TestDecompose:
            st.floats(-60.0, 60.0), st.sampled_from(["zd", "wsls4", "monomial:3", "exp"]))
     def test_scale_is_the_plain_norm_while_squares_are_normal(self, values, decade, kind):
         # dividing by the peak's power of two first is exact, so wherever no
-        # square of a column underflows or overflows, its scale is the norm
-        # the basis took before, np.linalg.norm of the column itself
+        # square of a column underflows or overflows, the scale that
+        # equilibrates it is the norm the basis took before, np.linalg.norm
+        # of the column itself
         S, P, R, T = (v * 10.0**decade for v in sorted(values))
         assume(T > R > P > S and 2 * R > T + S and T >= np.finfo(float).tiny)
         m = z.PayoffMatrix(R, S, T, P)
@@ -480,9 +526,87 @@ class TestDecompose:
         normal = (np.isfinite(squares.sum(axis=0))
                   & ((squares >= np.finfo(float).tiny) | (basis.matrix == 0)).all(axis=0))
         plain[plain == 0.0] = 1.0
-        np.testing.assert_array_equal(basis._scale[normal], plain[normal])
-        np.testing.assert_array_equal(basis._equilibrated[:, normal],
-                                      basis.matrix[:, normal] / plain[normal])
+        scale = pressdyson._column_scales(basis.matrix)
+        np.testing.assert_array_equal(scale[normal], plain[normal])
+
+    def test_calls_no_lapack_or_blas(self, m, monkeypatch):
+        # a basis is factored once, when it is built; a decomposition then
+        # adds products in Python floats, so no solver or BLAS call is left
+        bases = [z.BasisSpec.zd(m), z.BasisSpec.wsls4(m), z.BasisSpec.monomial(m, 3),
+                 z.BasisSpec.exponential(m, 0.5), z.BasisSpec.custom(m, [(1, 0), (0, 1)])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose called LAPACK or BLAS")
+
+        for name in ("lstsq", "svd", "pinv", "norm"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("dot", "matmul", "inner", "vdot", "einsum"):
+            monkeypatch.setattr(np, name, refuse)
+        for basis in bases:
+            for strategy in (z.TFT, z.WSLS):
+                result = z.decompose(z.press_dyson(strategy, 1), basis)
+                assert result.rank == basis._u.shape[1] and math.isfinite(result.residual_norm)
+
+    #: Every verdict that moved when the per-call lstsq solve, judged by the
+    #: residual of its rounded coefficients, gave way to the factors a basis
+    #: takes once, judged by the target's distance from the span, over a
+    #: sweep of TFT, WSLS, ALLC, ALLD and four random strategies against zd,
+    #: wsls4, monomial:1/2/3/12/20 and exp:h (h = +-1, 2, 5 times 10^-5 ...
+    #: 10^-13, and 0.5, 1, +-2), at these payoffs and at 3e-200, 0, 5e-200,
+    #: 1e-200, which moved none.  All are TFT, whose vector each of these
+    #: bases contains; no rank moved.  Per basis: (kind, argument, rank,
+    #: exact), exact None where it moves with the OpenBLAS kernel (Haswell,
+    #: Prescott) or with numpy's baseline loops, whose np.exp rounds some
+    #: entries of exp:h otherwise (ROADMAP item 18).
+    MOVED = {
+        (3, 0, 5, 1): [
+            ("exp", -5e-5, 3, True), ("exp", -2e-5, 3, True), ("exp", -5e-6, 3, True),
+            ("exp", -2e-6, 3, True), ("exp", -5e-7, 3, True), ("exp", -1e-7, 3, True),
+            ("exp", -1e-9, 2, True), ("exp", 1e-9, 2, True), ("exp", 1e-8, 3, True),
+            ("exp", 2e-8, 3, True), ("exp", 5e-7, 3, True), ("exp", 1e-6, 3, True),
+            ("exp", 1e-5, 3, True), ("exp", 5e-5, 3, True)],
+        (4, -1, 6, 0): [
+            ("exp", -1e-5, 3, True), ("exp", -2e-6, 3, True), ("exp", -5e-7, 3, True),
+            ("exp", -2e-7, 3, None), ("exp", -1e-7, 3, True), ("exp", -5e-8, 3, True),
+            ("exp", -2e-8, 3, True), ("exp", -1e-8, 3, True), ("exp", -5e-10, 2, None),
+            ("exp", 5e-10, 2, True), ("exp", 5e-9, 3, True), ("exp", 2e-8, 3, True),
+            ("exp", 1e-7, 3, True), ("exp", 5e-7, 3, True), ("exp", 2e-6, 3, True),
+            ("exp", 2e-5, 3, None), ("exp", 5e-5, 3, True)],
+        (1000003, 1000000, 1000005, 1000001): [
+            ("zd", None, 3, True), ("monomial", 1, 3, True), ("monomial", 2, 3, True),
+            ("monomial", 3, 3, True), ("monomial", 12, 3, True), ("monomial", 20, 3, True),
+            ("exp", -5e-5, 3, True), ("exp", -2e-5, 3, True), ("exp", -1e-5, 3, False),
+            ("exp", -5e-6, 3, True), ("exp", -2e-6, 3, True), ("exp", -5e-7, 3, True),
+            ("exp", -2e-7, 3, True), ("exp", -1e-7, 3, None), ("exp", -1e-8, 3, True),
+            ("exp", -5e-9, 3, True), ("exp", -2e-9, 2, True), ("exp", 1e-9, 2, True),
+            ("exp", 2e-9, 2, True), ("exp", 1e-8, 3, True), ("exp", 1e-7, 3, True),
+            ("exp", 2e-7, 3, True), ("exp", 2e-6, 3, True), ("exp", 5e-6, 3, True),
+            ("exp", 1e-5, 3, True), ("exp", 2e-5, 3, True)],
+        (1000000003, 1000000000, 1000000005, 1000000001): [
+            ("zd", None, 2, True), ("monomial", 1, 2, True), ("exp", -2e-7, 3, True),
+            ("exp", -2e-8, 3, True), ("exp", -5e-9, 3, True), ("exp", 1e-9, 2, True),
+            ("exp", 2e-9, 2, True), ("exp", 5e-9, 3, True), ("exp", 1e-8, 3, True),
+            ("exp", 1e-7, 3, True), ("exp", 2e-7, 3, True)],
+        (1.000000003, 1, 1.000000005, 1.000000001): [
+            ("zd", None, 2, True), ("monomial", 1, 2, True), ("exp", 1.0, 2, True),
+            ("exp", 2.0, 2, True)],
+    }
+
+    @pytest.mark.parametrize("payoffs", MOVED)
+    def test_verdicts_moved_from_the_per_call_solve(self, payoffs):
+        # ill-conditioned bases (ROADMAP items 3 and 9): the coefficients are
+        # large (of order 1/(h (T - S)) over exp:h), and their rounding alone
+        # left up to 1.2e-7 between the basis combination and the target, so
+        # 71 verdicts move to exact; the projection is as accurate as the
+        # span the SVD finds, which at shift 10^6 over exp:-1e-5 misses the
+        # target by 4.2e-12, the one verdict that moves away from exact
+        m = z.PayoffMatrix(*payoffs, permissive=True)
+        build = {"zd": lambda m, _: z.BasisSpec.zd(m), "monomial": z.BasisSpec.monomial,
+                 "exp": z.BasisSpec.exponential}
+        for kind, argument, rank, exact in self.MOVED[payoffs]:
+            result = z.decompose(z.press_dyson(z.TFT, 1), build[kind](m, argument))
+            assert result.rank == rank, (kind, argument)
+            assert exact is None or result.exact is exact, (kind, argument, result.residual_norm)
 
     def test_decompose_accepts_raw_arrays(self, m):
         for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
@@ -545,6 +669,12 @@ class TestTftPowerIdentity:
         assert math.isfinite(z.tft_power_identity(m, 3).coefficient)
         with pytest.raises(ValueError, match="degenerate denominator: .* at k=4$"):
             z.tft_power_identity(m, 4)
+
+    def test_k_too_long_to_print_is_named_by_its_bits(self, m):
+        # the identity's "k=..." text used to format the int first: Python's 4300-digit limit error
+        message = r"^payoff power order <int of 16610 bits> exceeds 2\^53$"
+        with pytest.raises(ValueError, match=message):
+            z.tft_power_identity(m, 10**5000)
 
     def test_bad_k(self, m):
         for k in (0, -1, 1.5, True):
