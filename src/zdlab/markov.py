@@ -21,20 +21,20 @@ outgoing entries, never ``1 - p_ii``, so slow mixing costs no accuracy
 (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985; Stewart, Introduction to
 the Numerical Solution of Markov Chains, 1994).
 
-The elimination works on a stack of chains at once (:func:`cesaro_limits`).
+The elimination is written once, over entries (:func:`cesaro_limits`).
 Chains sharing a support pattern share their classification and their
 elimination order, so each pattern is classified and planned once per
-process, and its chains are eliminated as one vectorised group;
-:func:`cesaro_limit` is its N=1 case.  Every
-weighted sum over states in the package adds its terms first to last in
-elementwise numpy or Python floats and never calls BLAS: :func:`ordered_dot`
-for a stack of sums, :func:`float_dot` for one, or the GTH
-back-substitution's forward accumulation.  So a result has the same bits
-on every CPU and in every batch.
+process.  A chain alone is eliminated on Python floats and a group on
+numpy columns, one entry per chain; :func:`cesaro_limit` is the N=1 case.
+Every weighted sum over states in the package adds its terms first to last
+in elementwise numpy or Python floats and never calls BLAS
+(:func:`ordered_dot` for a stack of sums, :func:`float_dot` for one), so a
+result has the same bits on every CPU and in every batch.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -233,47 +233,38 @@ def float_dot(a: list, b: list) -> float:
     return reduce(add, map(mul, a, b)) if a else 0.0
 
 
-def _gth_stack(P: np.ndarray) -> np.ndarray:
-    """Stationary distributions of a stack of irreducible blocks (GTH).
+def _solve(P: list, mass: list, plan: _Plan) -> list:
+    """Each state's Cesaro limit, from steps ``P[i][j]`` and start ``mass[i]`` in plan order.
 
-    ``P`` (G, n, n) holds row-stochastic blocks.  Removes states last to
-    first, folding the paths through each removed state into direct moves
-    among the states before it, then rebuilds the distribution front to
-    back; ``P`` is overwritten.
+    An entry is a Python float, a (G,) numpy column of G chains or a Fraction; every carrier
+    takes the same steps, and a sum adds its terms first to last from zero, as numpy's does.
+    ``P`` and ``mass`` are overwritten; no diagonal entry affects the result.
     """
-    # each in-place step names its view first, so no view is written back onto itself
-    n = P.shape[1]
-    for k in range(n - 1, 0, -1):
-        into = P[:, :k, k]
-        into /= np.add.reduce(P[:, k, :k], axis=1, keepdims=True)  # a sum, never 1 - P[k, k]
-        among = P[:, :k, :k]
-        among += into[:, :, None] * P[:, k, None, :k]
-    # x[k]: state k's weight in every block, so each step runs along the stack;
-    # x_k gets x_i P[i, k] once x_i is final, adding its terms first to last
-    x = np.zeros((n, len(P)))
-    x[0] = 1.0
-    for i in range(n - 1):
-        later = x[i + 1:]
-        later += x[i] * P[:, i, i + 1:].T
-    return (x / np.add.reduce(x, axis=0)).T
-
-
-def _solve_group(Ms: np.ndarray, pi0: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Cesaro limits from ``pi0`` of chains (G, 16) that share ``plan``: (G, 4)."""
-    P = Ms.take(plan.take, axis=1).reshape(-1, N_STATES, N_STATES)
-    mass = pi0[plan.order][None].repeat(len(P), axis=0)
-    for k in range(plan.transient):
-        rest = slice(k + 1, N_STATES)
-        out = P[:, k, rest]
-        exits = out / np.add.reduce(out, axis=1, keepdims=True)
-        among, later = P[:, rest, rest], mass[:, rest]
-        among += P[:, rest, k, None] * exits[:, None, :]
-        later += mass[:, k, None] * exits
-    pi = np.zeros((len(P), N_STATES))
+    zero = mass[0] * 0  # of the entries' own type, so Fractions stay exact
+    for k in range(plan.transient):  # carry state k's paths and mass to the states after it
+        rest = range(k + 1, N_STATES)
+        out = reduce(add, P[k][k + 1:], zero)
+        exits = [P[k][j] / out for j in rest]
+        for row in [P[i] for i in rest] + [mass]:  # the start's mass moves as one more row
+            for j, go in zip(rest, exits):
+                row[j] += row[k] * go
+    pi = [zero] * N_STATES
     for block, members in plan.blocks:
-        weight = np.add.reduce(mass[:, block], axis=1, keepdims=True)
-        pi[:, members] = weight * _gth_stack(P[:, block, block])
-    return pi / np.add.reduce(pi, axis=1, keepdims=True)
+        lo, hi = block.start, block.stop
+        for k in range(hi - 1, lo, -1):  # GTH: fold the paths through state k into those before it
+            pivot = reduce(add, P[k][lo:k], zero)  # a sum, never 1 - P[k][k]
+            for i in range(lo, k):
+                P[i][k] /= pivot
+                for j in range(lo, k):
+                    P[i][j] += P[i][k] * P[k][j]
+        x = [zero + 1]  # x_k: the sum of x_i P[i][k] over i < k, once each x_i is final
+        for k in range(lo + 1, hi):
+            x.append(reduce(add, [x_i * P[i][k] for i, x_i in enumerate(x, lo)], zero))
+        weight, total = reduce(add, mass[block], zero), reduce(add, x, zero)
+        for state, x_i in zip(members, x):
+            pi[state] = weight * (x_i / total)
+    total = reduce(add, pi, zero)
+    return [p / total for p in pi]
 
 
 def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
@@ -304,8 +295,16 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     unique = np.empty(len(Ms), dtype=bool)
     for mask, members in groups.items():
         members = np.array(members)  # a list index is converted anew at each of its three uses
-        pis[members] = _solve_group(flat[members], pi0, plans[mask])
-        unique[members] = plans[mask].structure.unique
+        plan, pi = plans[mask], None
+        P = flat[members].T.take(plan.take, axis=0).reshape(N_STATES, N_STATES, -1)
+        if len(members) == 1:  # on Python floats, where a 0/0 raises and reruns as a column
+            with suppress(ZeroDivisionError):
+                pi = _solve(P[..., 0].tolist(), pi0[plan.order].tolist(), plan)
+        if pi is None:
+            with np.errstate(all="ignore"):  # an underflowed pivot gives nan, as the residual says
+                pi = _solve([list(row) for row in P], pi0[plan.order].tolist(), plan)
+        pis[members] = np.transpose(pi)
+        unique[members] = plan.structure.unique
     pis.flags.writeable = False
     residuals = np.maximum.reduce(np.abs(ordered_dot(Ms, pis[:, None, :]) - pis), axis=1)
     unique.flags.writeable = False

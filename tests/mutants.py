@@ -70,8 +70,8 @@ MUTANTS = [
     Mutant("rank-compare-strict", "src/zdlab/montecarlo.py",
            "np.greater_equal(col, x,", "np.greater(col, x,", "KILLED"),
     Mutant("first-pattern-plan", "src/zdlab/markov.py",
-           "_solve_group(flat[members], pi0, plans[mask])",
-           "_solve_group(flat[members], pi0, next(iter(plans.values())))", "KILLED"),
+           "plan, pi = plans[mask], None",
+           "plan, pi = next(iter(plans.values())), None", "KILLED"),
     Mutant("plan-by-transient-count", "src/zdlab/markov.py",
            "plans = {mask: _classify_mask(mask) for mask in groups}",
            "by_count: dict = {}\n"
@@ -83,10 +83,13 @@ MUTANTS = [
            "_SWAP_INDEX = np.array((0, 2, 1, 3))", "_SWAP_INDEX = np.array((0, 1, 2, 3))",
            "KILLED"),
     Mutant("drop-transient-mass", "src/zdlab/markov.py",
-           "        later += mass[:, k, None] * exits\n", "", "KILLED"),
+           "for row in [P[i] for i in rest] + [mass]:", "for row in [P[i] for i in rest]:",
+           "KILLED"),
     Mutant("gth-one-minus-diagonal", "src/zdlab/markov.py",
-           "into /= np.add.reduce(P[:, k, :k], axis=1, keepdims=True)",
-           "into /= 1.0 - P[:, k, k, None]", "KILLED"),
+           "pivot = reduce(add, P[k][lo:k], zero)", "pivot = 1 - P[k][k]", "KILLED"),
+    Mutant("gth-back-substitution-reversed", "src/zdlab/markov.py",
+           "for i, x_i in enumerate(x, lo)], zero)",
+           "for i, x_i in enumerate(x, lo)][::-1], zero)", "KILLED"),
     Mutant("burn-in-off-by-one", "src/zdlab/montecarlo.py",
            "first = max(burn_in - start, 0)", "first = max(burn_in - start - 1, 0)", "KILLED"),
     Mutant("exp-overflow-unchecked", "src/zdlab/game.py",
