@@ -169,11 +169,14 @@ def _shown(x) -> str:
 
 def feature_label(label) -> tuple:
     """The canonical form of a payoff feature label (int orders, float h); else a ValueError."""
-    if (isinstance(label, tuple) and len(label) == 2
-            and _is_int(label[0]) and label[0] >= 0 and _is_int(label[1]) and label[1] >= 0):
-        if (k := int(max(label))) > 2**53:  # numpy takes s**k with k a double, exact to 2^53
-            raise ValueError(f"payoff power order {_shown(k)} exceeds 2^53")
-        return (int(label[0]), int(label[1]))
+    if isinstance(label, tuple) and len(label) == 2:
+        k1, k2 = label  # a plain int passes each check without a call
+        if (type(k1) is int or _is_int(k1)) and (type(k2) is int or _is_int(k2)):
+            k1, k2 = int(k1), int(k2)
+            if k1 >= 0 and k2 >= 0:
+                if k1 > 2**53 or k2 > 2**53:  # numpy takes s**k with k a double, exact to 2^53
+                    raise ValueError(f"payoff power order {_shown(max(k1, k2))} exceeds 2^53")
+                return (k1, k2)
     if (isinstance(label, tuple) and len(label) == 3 and isinstance(label[0], str)
             and label[0] == "exp" and _is_int(label[1]) and label[1] in (1, 2)
             and _is_real(label[2]) and math.isfinite(h := _to_float(label[2]))):
@@ -341,7 +344,8 @@ def transition_matrices(p1, p2) -> np.ndarray:
     c1 = np.asarray(p1, dtype=float)
     c2 = global_frame(np.asarray(p2, dtype=float), 2)
     d1, d2 = 1.0 - c1, 1.0 - c2
-    return np.stack([c1 * c2, c1 * d2, d1 * c2, d1 * d2], axis=-2)
+    cc = c1 * c2  # the four rows side by side, then folded: np.stack costs more than the products
+    return np.concatenate([cc, c1 * d2, d1 * c2, d1 * d2], axis=-1).reshape(*cc.shape[:-1], 4, 4)
 
 
 def transition_matrix(s1: MemoryOneStrategy, s2: MemoryOneStrategy) -> np.ndarray:

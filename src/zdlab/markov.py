@@ -24,8 +24,9 @@ the Numerical Solution of Markov Chains, 1994).
 The elimination is written once, over entries (:func:`cesaro_limits`).
 Chains sharing a support pattern share their classification and their
 elimination order, so each pattern is classified and planned once per
-process.  A chain alone is eliminated on Python floats and a group on
-numpy columns, one entry per chain; :func:`cesaro_limit` is the N=1 case.
+process.  A chain alone is eliminated, and its residual taken, on Python
+floats, and a group on numpy columns, one entry per chain;
+:func:`cesaro_limit` is the N=1 case.
 Every weighted sum over states in the package adds its terms first to last
 in elementwise numpy or Python floats and never calls BLAS
 (:func:`ordered_dot` for a stack of sums, :func:`float_dot` for one), so a
@@ -38,7 +39,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
-from math import gcd
+from math import gcd, isnan, nan
 from operator import add, mul
 from typing import NamedTuple
 
@@ -233,6 +234,14 @@ def float_dot(a: list, b: list) -> float:
     return reduce(add, map(mul, a, b)) if a else 0.0
 
 
+def state_vector(x, what: str) -> list:
+    """``x`` as four Python floats, one per joint state; any shape but (4,) is a ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (N_STATES,):
+        raise ValueError(f"{what} must be of shape (4,), got shape {x.shape}")
+    return x.tolist()
+
+
 def _solve(P: list, mass: list, plan: _Plan) -> list:
     """Each state's Cesaro limit, from steps ``P[i][j]`` and start ``mass[i]`` in plan order.
 
@@ -292,21 +301,32 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     plans = {mask: _classify_mask(mask) for mask in groups}
     flat = Ms.reshape(-1, N_STATES * N_STATES)
     pis = np.empty((len(Ms), N_STATES))
+    residuals = np.empty(len(Ms))
     unique = np.empty(len(Ms), dtype=bool)
+    start = pi0.tolist()
+    columns = False  # whether some chains are solved on numpy columns
     for mask, members in groups.items():
-        members = np.array(members)  # a list index is converted anew at each of its three uses
         plan, pi = plans[mask], None
-        P = flat[members].T.take(plan.take, axis=0).reshape(N_STATES, N_STATES, -1)
+        order = plan.order.tolist()
+        mass = [start[i] for i in order]
         if len(members) == 1:  # on Python floats, where a 0/0 raises and reruns as a column
-            with suppress(ZeroDivisionError):
-                pi = _solve(P[..., 0].tolist(), pi0[plan.order].tolist(), plan)
-        if pi is None:
+            n = members[0]
+            M = Ms[n].tolist()
+            with suppress(ZeroDivisionError):  # a copy, as a failed solve leaves mass half moved
+                pi = _solve([[M[j][i] for j in order] for i in order], mass[:], plan)
+        if pi is not None:  # max|M pi - pi|, nan as soon as one term is
+            gaps = [abs(float_dot(row, pi) - p) for row, p in zip(M, pi)]
+            residuals[n] = nan if any(map(isnan, gaps)) else max(gaps)
+        else:
+            n, columns = np.array(members), True  # a list index is converted anew at each use
+            P = flat[n].T.take(plan.take, axis=0).reshape(N_STATES, N_STATES, -1)
             with np.errstate(all="ignore"):  # an underflowed pivot gives nan, as the residual says
-                pi = _solve([list(row) for row in P], pi0[plan.order].tolist(), plan)
-        pis[members] = np.transpose(pi)
-        unique[members] = plan.structure.unique
+                pi = np.transpose(_solve([list(row) for row in P], mass, plan))
+        pis[n] = pi
+        unique[n] = plan.structure.unique
+    if columns:  # then every residual in one batch, a chain alone's with the same bits
+        residuals = np.maximum.reduce(np.abs(ordered_dot(Ms, pis[:, None, :]) - pis), axis=1)
     pis.flags.writeable = False
-    residuals = np.maximum.reduce(np.abs(ordered_dot(Ms, pis[:, None, :]) - pis), axis=1)
     unique.flags.writeable = False
     structures = tuple(plans[mask].structure for mask in masks)
     return LimitBatch(pis, residuals, residuals <= tol, structures, unique)

@@ -2,10 +2,11 @@
 
 Every moment, cross moment, MGF value and enforced relation is an average
 <f, pi> of a payoff feature f (a power, product or exponential of payoff
-vectors) under a state distribution pi, and all of them go through one kernel,
+vectors) under a state distribution pi.  Stacks of them go through
 :func:`feature_averages`, which evaluates a stack of features under a stack
-of distributions.  Each average adds its four terms first to last, with no
-BLAS call, so a value has the same bits on every CPU and whatever else is
+of distributions, and one relation through :func:`zdlab.markov.float_dot`.
+Either way each average adds its four terms first to last, with no BLAS
+call, so a value has the same bits on every CPU and whatever else is
 computed with it.  The features are rows of :func:`zdlab.game.payoff_features`:
 player 1's k-th moment averages the ``(k, 0)`` row, a cross moment the
 ``(k1, k2)`` row and an MGF value the ``("exp", player, h)`` row.  A payoff distribution is
@@ -23,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .game import PayoffMatrix, _is_int, payoff_features, real_number
-from .markov import float_dot, ordered_dot
+from .markov import float_dot, ordered_dot, state_vector
 
 __all__ = [
     "feature_averages",
@@ -64,16 +65,16 @@ def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:
     ``coeffs`` maps payoff-feature labels (see
     :func:`zdlab.game.payoff_features`) to coefficients; the result is
     the dot product of the coefficients with the features' averages under
-    ``pi``.  The labels follow the rules of :func:`payoff_features`, so
+    ``pi``, one distribution of shape (4,); any other shape is a ValueError.
+    The labels follow the rules of :func:`payoff_features`, so
     every decomposition that :func:`zdlab.pressdyson.decompose` makes reads
     back.  When ``pi`` is a long-run distribution of a chain in which the
     decomposed player uses the corresponding strategy, the result is the
     enforced relation and vanishes.
     """
-    if not coeffs:
-        return 0.0  # the empty sum
-    averages = feature_averages(payoff_features(m, list(coeffs)), pi)
-    return float_dot([*map(float, coeffs.values())], averages.tolist())
+    pi = state_vector(pi, "the distribution")
+    averages = [float_dot(row, pi) for row in payoff_features(m, list(coeffs)).tolist()]
+    return float_dot([*map(float, coeffs.values())], averages)
 
 
 def payoff_distributions(v, pi):

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,12 +118,16 @@ def _half_codes(p: np.ndarray, bit: int) -> tuple[list[float], list[int]]:
     A uniform u of rank ``r = #{q : u >= q}`` passes ``p[s]`` exactly when
     r exceeds the number of thresholds below ``p[s]``; bit ``2s + bit`` of
     rank r's half code says whether it does.  u lies in [0, 1), so it
-    passes threshold 0 and fails threshold 1 without a comparison.
+    passes threshold 0 and fails threshold 1 without a comparison.  So
+    ``p[s]`` is passed from rank ``#{q < p[s]} + 1`` on, or from rank 0 when
+    it is 0, and rank r's code sums the bits of the states passed by then.
     """
-    q = sorted({x for x in p.tolist() if 0 < x < 1})
-    cuts = [sum(x < v for x in q) - (v == 0) for v in p.tolist()]
-    return q, [sum((r > cut) << 2 * s + bit for s, cut in enumerate(cuts))
-               for r in range(len(q) + 1)]
+    p = p.tolist()
+    q = sorted({x for x in p if 0 < x < 1})
+    passed_from = [0] * (len(q) + 2)  # rank len(q) + 1, where 1 would be passed, does not occur
+    for s, v in enumerate(p):
+        passed_from[bisect_left(q, v) + (v != 0)] += 1 << 2 * s + bit
+    return q, list(accumulate(passed_from[:-1]))
 
 
 @functools.cache
@@ -290,11 +296,9 @@ def empirical_vs_exact(
     M = transition_matrix(s1.with_noise(cfg.noise), s2.with_noise(cfg.noise))
     exact = cesaro_limit(M, cfg.initial)
     n = report.counted_rounds
-    pi = exact.distribution
+    pi = exact.distribution.tolist()
     deviations = tuple(abs(f - p) for f, p in zip(report.frequencies, pi))
-    bounds = tuple(
-        float(tol_sigma * np.sqrt(p * (1.0 - p) / n) + 1.0 / n) for p in pi
-    )
+    bounds = tuple(tol_sigma * math.sqrt(p * (1.0 - p) / n) + 1.0 / n for p in pi)
     flagged = tuple(i for i in range(4) if deviations[i] > bounds[i])
     return ComparisonReport(
         simulation=report,

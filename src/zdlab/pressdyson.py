@@ -36,7 +36,7 @@ from .game import (
     payoff_features,
     real_number,
 )
-from .markov import float_dot
+from .markov import float_dot, state_vector
 from .moments import K_CAP
 
 __all__ = [
@@ -81,9 +81,11 @@ def akin_residual(pd, pi) -> float:
 
     Vanishes whenever ``pi`` is a stationary (or Cesaro-limit) distribution
     of a chain in which the vector's owner plays the decomposed strategy;
-    a visibly nonzero value therefore flags an inconsistent ``pi``.
+    a visibly nonzero value therefore flags an inconsistent ``pi``.  Both
+    arguments have shape (4,); any other shape is a ValueError.
     """
-    return float_dot(np.asarray(pd, dtype=float).tolist(), np.asarray(pi, dtype=float).tolist())
+    pd, pi = state_vector(pd, "the Press-Dyson vector"), state_vector(pi, "the distribution")
+    return float_dot(pd, pi)
 
 
 def format_label(label) -> str:
@@ -231,10 +233,9 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     strict payoff matrix, is exact for every target, so there ``exact``
     says nothing about the strategy; the coefficients carry the content.
     """
-    target = np.asarray(pd, dtype=float)
-    if target.shape != (4,) or not np.isfinite(target).all():
-        raise ValueError(f"the target must be finite, of shape (4,), got {target.tolist()}")
-    t = target.tolist()
+    t = state_vector(pd, "the target")
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"the target must be finite, got {t}")
     y = [float_dot(column, t) for column in basis._u.T.tolist()]  # coordinates in the span
     coef = [float_dot(row, y) for row in basis._w.tolist()]
     off = [x - float_dot(row, y) for x, row in zip(t, basis._u.tolist())]

@@ -50,8 +50,7 @@ MUTANTS = [
     Mutant("verify-without-mgfs", "src/zdlab/cli.py",
            "        & (dev_h <= tol).all(axis=1)\n", "", "KILLED"),
     Mutant("gate-bound-10x", "src/zdlab/montecarlo.py",
-           "float(tol_sigma * np.sqrt(", "float(10 * tol_sigma * np.sqrt(",
-           "SURVIVED", "waits for the calibration test of ROADMAP item 6"),
+           "tol_sigma * math.sqrt(", "10 * tol_sigma * math.sqrt(", "KILLED"),
     Mutant("gate-ignores-converged", "src/zdlab/montecarlo.py",
            "passed=not flagged and exact.converged,", "passed=not flagged,",
            "SURVIVED", "waits for the calibration test of ROADMAP item 6"),
@@ -97,11 +96,11 @@ MUTANTS = [
            "    if not np.isfinite(rows[[len(label) == 2 for label in labels]]).all():\n",
            "KILLED"),
     Mutant("relation-order-cap", "src/zdlab/moments.py",
-           "    averages = feature_averages(payoff_features(m, list(coeffs)), pi)\n",
+           "    averages = [float_dot(row, pi) for row in payoff_features(m, list(coeffs)).tolist()]\n",
            "    if any(isinstance(label, tuple) and len(label) == 2 and sum(label) > K_CAP\n"
            "           for label in coeffs):\n"
            "        raise ValueError(f\"moment order above {K_CAP}\")\n"
-           "    averages = feature_averages(payoff_features(m, list(coeffs)), pi)\n",
+           "    averages = [float_dot(row, pi) for row in payoff_features(m, list(coeffs)).tolist()]\n",
            "KILLED"),
     Mutant("basis-takes-a-label-twice", "src/zdlab/pressdyson.py",
            "    if twice := [label for i, label in enumerate(labels) if label in labels[:i]]:\n"
@@ -127,10 +126,16 @@ MUTANTS = [
            "vt[:rank].T / s[:rank] / scale[:, None])",
            "vt[:rank].T / s[:rank])", "KILLED"),
     Mutant("power-order-past-2-53", "src/zdlab/game.py",
-           "        if (k := int(max(label))) > 2**53:"
+           "                if k1 > 2**53 or k2 > 2**53:"
            "  # numpy takes s**k with k a double, exact to 2^53\n"
-           '            raise ValueError(f"payoff power order {_shown(k)} exceeds 2^53")\n', "",
+           '                    raise ValueError(f"payoff power order {_shown(max(k1, k2))}'
+           ' exceeds 2^53")\n', "",
            "KILLED"),
+    Mutant("half-codes-bisect-right", "src/zdlab/montecarlo.py",
+           "from bisect import bisect_left\n", "from bisect import bisect_right as bisect_left\n",
+           "KILLED"),
+    Mutant("chain-alone-residual-transposed", "src/zdlab/markov.py",
+           "for row, p in zip(M, pi)]", "for row, p in zip(zip(*M), pi)]", "KILLED"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestFeatureAverages:
         for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
             with pytest.raises(ValueError, match="cannot pair"):
                 z.feature_averages(F, pi)
-            with pytest.raises(ValueError, match="cannot pair"):
+            with pytest.raises(ValueError, match=rf"shape \({len(pi)},\)$"):
                 z.relation_value({(1, 0): 1.0}, pi, m)
         for pi in ([0.5, 0.5], [[0.5, 0.5, 0.0]], 1.0):
             with pytest.raises(ValueError, match="4 payoffs against probabilities"):
@@ -161,6 +162,17 @@ class TestRelationValue:
             coeffs = dict(zip(labels, rng.normal(size=len(labels)).tolist()))
             averages = [_in_order(f, pi) for f in F]
             assert z.relation_value(coeffs, pi, m) == _in_order(list(coeffs.values()), averages)
+
+    @pytest.mark.parametrize("pi", [np.full((2, 4), 0.25), np.full((4, 1), 0.25), 0.25],
+                             ids=["2x4", "4x1", "scalar"])
+    def test_pi_that_is_not_one_distribution_is_an_error(self, m, pi):
+        # a stack of distributions or a column names its shape; it used to be a
+        # TypeError or a pairing of one term with four
+        shape = re.escape(str(np.shape(pi)))
+        message = rf"^the distribution must be of shape \(4,\), got shape {shape}$"
+        for coeffs in ({(1, 0): 1.0, (0, 1): 2.0}, {}):
+            with pytest.raises(ValueError, match=message):
+                z.relation_value(coeffs, pi, m)
 
     def test_empty_relation_is_zero(self, m):
         assert z.relation_value({}, CYCLE, m) == 0.0

@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import zdlab as z
 from zdlab import montecarlo
@@ -57,6 +59,20 @@ KERNEL_CASES = {
     "513 blocks": (MIXED, "wsls", 16_385, 40, DD, 0.0),
     "one-round fourth chunk": ("tft", MIXED, 3 * CHUNK + 1, 2 * CHUNK + 5, None, 0.0),
 }
+
+
+#: Thresholds where a half code can go wrong: the ends, the smallest
+#: subnormal and normal doubles, and the largest double below 1.
+EDGES = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, math.nextafter(1.0, 0.0)]
+
+
+@st.composite
+def thresholds(draw):
+    """Four cooperation probabilities: ends, subnormals, ties and 1-ulp neighbours."""
+    base = draw(st.floats(0.0, 1.0))
+    near = [base, math.nextafter(base, 0.0), math.nextafter(base, 1.0)]
+    return draw(st.lists(st.sampled_from(EDGES + near) | st.floats(0.0, 1.0),
+                         min_size=4, max_size=4))
 
 
 class TestConfig:
@@ -244,6 +260,20 @@ class TestSimulate:
         cfg = z.SimulationConfig(rounds=t + 2000, seed=seed, initial=CC, burn_in=0)
         assert z.simulate(s1, s2, cfg).state_counts == sequential_counts(s1, s2, cfg)
 
+    @given(thresholds())
+    def test_half_codes_follow_their_definition(self, p):
+        # rank r's uniforms start at 0.0 for r = 0 and at the r-th distinct
+        # threshold otherwise; bit 2s + bit of its code is whether that u passes p[s]
+        for bit in (0, 1):
+            q, codes = montecarlo._half_codes(np.array(p), bit)
+            assert q == sorted({x for x in p if 0 < x < 1})
+            assert len(codes) == len(q) + 1
+            for r, code in enumerate(codes):
+                u = 0.0 if r == 0 else q[r - 1]
+                for s, threshold in enumerate(p):
+                    assert (code >> 2 * s + bit & 1) == (u >= threshold), (r, s)
+            assert all(code >> 2 * s + 1 - bit & 1 == 0 for code in codes for s in range(4))
+
     def test_composition_table(self):
         # after[m, c] is map m applied after map c; a map's code holds the
         # image of state s in bits 2s and 2s+1
@@ -332,6 +362,24 @@ class TestEmpiricalVsExact:
         limit = z.cesaro_limit(z.transition_matrix(s1, s2))
         deviation = np.max(np.abs(np.array(report.frequencies) - limit.distribution))
         assert deviation <= 10 * eps
+
+    def test_bounds_are_the_documented_formula(self, random_strategies):
+        # bit for bit tol_sigma * sqrt(pi (1 - pi) / n) + 1/n, evaluated here on
+        # numpy arrays, and each deviation |f - pi|, over seeded ergodic pairs
+        strategies = random_strategies(24, seed=37)
+        for k, (s1, s2) in enumerate(zip(strategies[::2], strategies[1::2])):
+            cfg = z.SimulationConfig(rounds=500 + 97 * k, seed=k, burn_in=k)
+            tol_sigma = (0.5, 3.0, 4.0, 7.25)[k % 4]
+            comparison = z.empirical_vs_exact(s1, s2, cfg, tol_sigma)
+            pi = z.cesaro_limit(z.transition_matrix(s1, s2)).distribution
+            n = cfg.rounds - cfg.burn_in
+            bounds = tol_sigma * np.sqrt(pi * (1.0 - pi) / n) + 1.0 / n
+            deviations = np.abs(np.array(comparison.simulation.frequencies) - pi)
+            assert comparison.exact.distribution.tobytes() == pi.tobytes()
+            assert comparison.bounds == tuple(bounds.tolist())
+            assert comparison.deviations == tuple(deviations.tolist())
+            assert {type(x) for x in comparison.bounds + comparison.deviations} == {float}
+            assert comparison.flagged == tuple(np.flatnonzero(deviations > bounds).tolist())
 
     def test_flags_wrong_exact_reference(self):
         # sanity: a mismatched chain would be flagged (different strategies)

@@ -112,10 +112,20 @@ class TestAkinResidual:
         # never a sum over the shorter vector's states alone
         pd = z.press_dyson(z.TFT, 1)
         for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
-            with pytest.raises(ValueError, match="cannot pair"):
+            with pytest.raises(ValueError, match=rf"shape \({len(pi)},\)$"):
                 z.akin_residual(pd, pi)
-        with pytest.raises(ValueError, match="cannot pair 3 terms with 4"):
+        with pytest.raises(ValueError, match=r"^the Press-Dyson vector .* got shape \(3,\)$"):
             z.akin_residual([0.0, -1.0, 1.0], np.full(4, 0.25))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 1), ()], ids=["2x4", "4x1", "scalar"])
+    def test_vector_that_is_not_one_4_vector_is_an_error(self, shape):
+        # either argument, named with its shape; a (2, 4) pd used to pair 2 terms with 4
+        pd, pi, bad = z.press_dyson(z.TFT, 1), np.full(4, 0.25), np.full(shape, 0.25)
+        message = rf"must be of shape \(4,\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match="^the Press-Dyson vector " + message):
+            z.akin_residual(bad, pi)
+        with pytest.raises(ValueError, match="^the distribution " + message):
+            z.akin_residual(pd, bad)
 
     def test_vanishes_on_cesaro_limits(self, random_strategies):
         focals = [z.TFT, z.WSLS, z.ALL_C, z.ALL_D]
