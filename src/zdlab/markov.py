@@ -21,21 +21,19 @@ outgoing entries, never ``1 - p_ii``, so slow mixing costs no accuracy
 (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985; Stewart, Introduction to
 the Numerical Solution of Markov Chains, 1994).
 
-The elimination is written once, over entries (:func:`cesaro_limits`).
-Chains sharing a support pattern share their classification and their
-elimination order, so each pattern is classified and planned once per
-process.  A chain alone is eliminated, and its residual taken, on Python
-floats, and a group on numpy columns, one entry per chain;
-:func:`cesaro_limit` is the N=1 case.
-Every weighted sum over states in the package adds its terms first to last
-in elementwise numpy or Python floats and never calls BLAS
-(:func:`ordered_dot` for a stack of sums, :func:`float_dot` for one), so a
-result has the same bits on every CPU and in every batch.
+The elimination and the residual are written once, over entries
+(:func:`_limit`).  Chains sharing a support pattern share their
+classification and their elimination order, so each pattern is classified
+and planned once per process.  A chain alone runs on Python floats, and a
+group on numpy columns, one entry per chain; :func:`cesaro_limit` is the
+N=1 case.  Every weighted sum over states in the package adds its terms
+first to last, in Python floats or elementwise numpy, through one function
+(:func:`float_dot`), and never calls BLAS, so a result has the same bits on
+every CPU and in every batch.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -129,13 +127,11 @@ class _Plan(NamedTuple):
 
     The elimination visits the states in ``order``: the ``transient``
     transient states first, then each recurrent class, whose rows in that
-    order and whose states ``blocks`` holds.  ``take[4i + j]`` indexes the
-    flattened matrix at ``P[i, j]``, one step from the i-th state to the j-th.
+    order and whose states ``blocks`` holds.
     """
 
     structure: ChainStructure
-    order: np.ndarray
-    take: np.ndarray
+    order: tuple[int, ...]
     transient: int
     blocks: tuple[tuple[slice, tuple[int, ...]], ...]
 
@@ -166,12 +162,9 @@ def _classify_mask(mask: int) -> _Plan:
     ergodic = sum(recurrent) == 1 and all(p in (None, 1) for p in periods)
     structure = ChainStructure(classes, recurrent, tuple(periods), ergodic)
     transient, closed = structure.transient_states, structure.recurrent_classes
-    order = np.array(transient + sum(closed, ()))
-    take = (N_STATES * order[None, :] + order[:, None]).ravel()
-    order.flags.writeable = take.flags.writeable = False  # one plan serves every caller
     starts = list(accumulate(map(len, closed), initial=len(transient)))
     blocks = tuple((slice(a, b), c) for c, a, b in zip(closed, starts, starts[1:]))
-    return _Plan(structure, order, take, len(transient), blocks)
+    return _Plan(structure, transient + sum(closed, ()), len(transient), blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,29 +202,22 @@ class LimitBatch(NamedTuple):
     unique: np.ndarray
 
 
-def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sums of ``a * b`` over the last axis, added first to last: ((t0 + t1) + t2) + t3.
+def float_dot(a, b):
+    """The sum of ``a * b`` over two sequences of entries, added first to last.
 
-    For stacks of sums; :func:`float_dot` takes a single one.
-    """
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"cannot pair {a.shape[-1]} terms with {b.shape[-1]}")
-    total = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        total += a[..., j] * b[..., j]
-    return total
-
-
-def float_dot(a: list, b: list) -> float:
-    """The sum of ``a * b`` over two lists of Python floats, added first to last.
-
-    The bits :func:`ordered_dot` gives on the same two 1-D arrays, with no
-    numpy call; not the builtin ``sum``, which compensates from Python 3.12
-    on.  Lists of unequal length are a ValueError; the empty sum is 0.0.
+    An entry is a Python float, a numpy array (every entry of one shape) or a
+    Fraction: ((a0*b0 + a1*b1) + a2*b2) + a3*b3, each term added into the
+    first product, which for arrays is a fresh one; not the builtin ``sum``,
+    which compensates from Python 3.12 on.  Sequences of unequal length are a
+    ValueError; the empty sum is 0.0.
     """
     if len(a) != len(b):
         raise ValueError(f"cannot pair {len(a)} terms with {len(b)}")
-    return reduce(add, map(mul, a, b)) if a else 0.0
+    terms = map(mul, a, b)
+    total = next(terms, 0.0)
+    for term in terms:
+        total += term
+    return total
 
 
 def state_vector(x, what: str) -> list:
@@ -247,7 +233,8 @@ def _solve(P: list, mass: list, plan: _Plan) -> list:
 
     An entry is a Python float, a (G,) numpy column of G chains or a Fraction; every carrier
     takes the same steps, and a sum adds its terms first to last from zero, as numpy's does.
-    ``P`` and ``mass`` are overwritten; no diagonal entry affects the result.
+    The lists ``P`` and ``mass`` are overwritten, but never an entry, which may be a view of
+    the caller's matrix; no diagonal entry affects the result.
     """
     zero = mass[0] * 0  # of the entries' own type, so Fractions stay exact
     for k in range(plan.transient):  # carry state k's paths and mass to the states after it
@@ -256,16 +243,16 @@ def _solve(P: list, mass: list, plan: _Plan) -> list:
         exits = [P[k][j] / out for j in rest]
         for row in [P[i] for i in rest] + [mass]:  # the start's mass moves as one more row
             for j, go in zip(rest, exits):
-                row[j] += row[k] * go
+                row[j] = row[j] + row[k] * go
     pi = [zero] * N_STATES
     for block, members in plan.blocks:
         lo, hi = block.start, block.stop
         for k in range(hi - 1, lo, -1):  # GTH: fold the paths through state k into those before it
             pivot = reduce(add, P[k][lo:k], zero)  # a sum, never 1 - P[k][k]
             for i in range(lo, k):
-                P[i][k] /= pivot
+                P[i][k] = P[i][k] / pivot
                 for j in range(lo, k):
-                    P[i][j] += P[i][k] * P[k][j]
+                    P[i][j] = P[i][j] + P[i][k] * P[k][j]
         x = [zero + 1]  # x_k: the sum of x_i P[i][k] over i < k, once each x_i is final
         for k in range(lo + 1, hi):
             x.append(reduce(add, [x_i * P[i][k] for i, x_i in enumerate(x, lo)], zero))
@@ -274,6 +261,17 @@ def _solve(P: list, mass: list, plan: _Plan) -> list:
             pi[state] = weight * (x_i / total)
     total = reduce(add, pi, zero)
     return [p / total for p in pi]
+
+
+def _limit(M, start: list, plan: _Plan) -> tuple[list, list]:
+    """The Cesaro limit pi from ``start`` and each gap |(M pi)_i - pi_i|, both in state order.
+
+    ``M[to][frm]`` holds entries of one kind (see :func:`_solve`), Python floats or the
+    (G,) columns of G chains, and is left as it is; ``start`` holds four Python floats.
+    """
+    order = plan.order
+    pi = _solve([[M[j][i] for j in order] for i in order], [start[i] for i in order], plan)
+    return pi, [abs(float_dot(row, pi) - p) for row, p in zip(M, pi)]
 
 
 def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
@@ -299,33 +297,27 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     for n, mask in enumerate(masks):
         groups.setdefault(mask, []).append(n)
     plans = {mask: _classify_mask(mask) for mask in groups}
-    flat = Ms.reshape(-1, N_STATES * N_STATES)
     pis = np.empty((len(Ms), N_STATES))
     residuals = np.empty(len(Ms))
     unique = np.empty(len(Ms), dtype=bool)
     start = pi0.tolist()
-    columns = False  # whether some chains are solved on numpy columns
     for mask, members in groups.items():
-        plan, pi = plans[mask], None
-        order = plan.order.tolist()
-        mass = [start[i] for i in order]
+        plan = plans[mask]
         if len(members) == 1:  # on Python floats, where a 0/0 raises and reruns as a column
             n = members[0]
-            M = Ms[n].tolist()
-            with suppress(ZeroDivisionError):  # a copy, as a failed solve leaves mass half moved
-                pi = _solve([[M[j][i] for j in order] for i in order], mass[:], plan)
-        if pi is not None:  # max|M pi - pi|, nan as soon as one term is
-            gaps = [abs(float_dot(row, pi) - p) for row, p in zip(M, pi)]
-            residuals[n] = nan if any(map(isnan, gaps)) else max(gaps)
-        else:
-            n, columns = np.array(members), True  # a list index is converted anew at each use
-            P = flat[n].T.take(plan.take, axis=0).reshape(N_STATES, N_STATES, -1)
-            with np.errstate(all="ignore"):  # an underflowed pivot gives nan, as the residual says
-                pi = np.transpose(_solve([list(row) for row in P], mass, plan))
-        pis[n] = pi
+            unique[n] = plan.structure.unique
+            try:
+                pi, gaps = _limit(Ms[n].tolist(), start, plan)
+            except ZeroDivisionError:
+                pass
+            else:  # max|M pi - pi|, nan as soon as one gap is
+                pis[n], residuals[n] = pi, nan if any(map(isnan, gaps)) else max(gaps)
+                continue
+        n = np.array(members)  # a list index is converted anew at each use
         unique[n] = plan.structure.unique
-    if columns:  # then every residual in one batch, a chain alone's with the same bits
-        residuals = np.maximum.reduce(np.abs(ordered_dot(Ms, pis[:, None, :]) - pis), axis=1)
+        with np.errstate(all="ignore"):  # an underflowed pivot gives nan, as the residual says
+            pi, gaps = _limit(Ms[n].transpose(1, 2, 0).copy(), start, plan)
+        pis[n], residuals[n] = np.transpose(pi), np.maximum.reduce(gaps)
     pis.flags.writeable = False
     unique.flags.writeable = False
     structures = tuple(plans[mask].structure for mask in masks)

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .game import PayoffMatrix, _is_int, payoff_features, real_number
-from .markov import float_dot, ordered_dot, state_vector
+from .markov import float_dot, state_vector
 
 __all__ = [
     "feature_averages",
@@ -50,13 +50,18 @@ def moment_orders(k_max: int) -> list[int]:
 def feature_averages(F, pi) -> np.ndarray:
     """Averages <f, pi> of every feature row f of ``F`` under every ``pi``.
 
-    ``F`` has shape (m, 4) and ``pi`` (..., 4); the result has shape
-    (..., m).  Each entry is ((f0*p0 + f1*p1) + f2*p2) + f3*p3, added in
-    that order whatever the CPU and the stack size.
+    ``F`` has shape (m, 4) and ``pi`` (..., 4), and any other shape is a
+    ValueError; the result has shape (..., m).  Each entry is
+    ((f0*p0 + f1*p1) + f2*p2) + f3*p3, added in that order whatever the CPU
+    and the stack size.
     """
     F = np.asarray(F, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    return ordered_dot(pi[..., None, :], F)
+    if F.ndim != 2 or F.shape[1] != 4:
+        raise ValueError(f"the features must be of shape (m, 4), got shape {F.shape}")
+    if pi.shape[-1:] != (4,):
+        raise ValueError(f"the distributions must be of shape (..., 4), got shape {pi.shape}")
+    return float_dot([pi[..., None, j] for j in range(4)], F.T)
 
 
 def relation_value(coeffs: Mapping, pi, m: PayoffMatrix) -> float:

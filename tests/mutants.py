@@ -56,6 +56,8 @@ MUTANTS = [
            "SURVIVED", "waits for the calibration test of ROADMAP item 6"),
     Mutant("exact-tol", "src/zdlab/pressdyson.py",
            "EXACT_TOL = 1e-12", "EXACT_TOL = 1e-6", "KILLED"),
+    Mutant("exact-tol-1e3", "src/zdlab/pressdyson.py",
+           "EXACT_TOL = 1e-12", "EXACT_TOL = 1e-9", "KILLED"),
     Mutant("wsls-target", "src/zdlab/pressdyson.py",
            'pd = press_dyson(named_strategy("wsls"), 1)',
            'pd = press_dyson(named_strategy("custom:0.9,0.2,0.4,0.7"), 1)', "KILLED"),
@@ -69,8 +71,7 @@ MUTANTS = [
     Mutant("rank-compare-strict", "src/zdlab/montecarlo.py",
            "np.greater_equal(col, x,", "np.greater(col, x,", "KILLED"),
     Mutant("first-pattern-plan", "src/zdlab/markov.py",
-           "plan, pi = plans[mask], None",
-           "plan, pi = next(iter(plans.values())), None", "KILLED"),
+           "plan = plans[mask]\n", "plan = next(iter(plans.values()))\n", "KILLED"),
     Mutant("plan-by-transient-count", "src/zdlab/markov.py",
            "plans = {mask: _classify_mask(mask) for mask in groups}",
            "by_count: dict = {}\n"
@@ -136,6 +137,12 @@ MUTANTS = [
            "KILLED"),
     Mutant("chain-alone-residual-transposed", "src/zdlab/markov.py",
            "for row, p in zip(M, pi)]", "for row, p in zip(zip(*M), pi)]", "KILLED"),
+    Mutant("residual-max-drops-nan-alone", "src/zdlab/markov.py",
+           "nan if any(map(isnan, gaps)) else max(gaps)", "max(gaps)", "KILLED"),
+    Mutant("residual-max-drops-nan-group", "src/zdlab/markov.py",
+           "np.maximum.reduce(gaps)", "np.fmax.reduce(gaps)", "KILLED"),
+    Mutant("dot-adds-last-to-first", "src/zdlab/markov.py",
+           "terms = map(mul, a, b)", "terms = map(mul, a[::-1], b[::-1])", "KILLED"),
 ]
 
 

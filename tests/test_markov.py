@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import zdlab as z
 from zdlab import markov
@@ -60,6 +61,47 @@ def _stationary_rational(M):
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
                 b[r] -= f * b[c]
     return np.array([float(b[i] / A[i][i]) for i in range(4)])
+
+
+#: Any double, with multiples of 2^-52 below 2 in magnitude (whose sums
+#: round, so their order shows), ±0.0, subnormals, the ends of the range,
+#: ±inf and nan drawn often.
+_ENTRIES = st.integers(-2**53, 2**53).map(lambda k: k / 2**52) | st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1.3e154, math.inf, -math.inf, math.nan])
+
+
+def _same(x: float, y: float) -> bool:
+    """Both nan, or the same bits."""
+    return math.isnan(x) and math.isnan(y) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestFloatDot:
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=n, max_size=n), min_size=1, max_size=3)))
+    @example([[(1.0, 1.0), (1e-16, 1.0), (1e-16, 1.0)]])  # 1.0 in order, 1 + 2^-52 last to first
+    def test_one_dot_on_every_kind_of_entry(self, lanes):
+        # G lanes of n (a, b) pairs: Python floats lane by lane, and (G,)
+        # columns of all lanes at once, give the plain left-to-right loop's
+        # bits; Fractions of finite inputs give the exact sum
+        a, b = ([np.array([lane[j][i] for lane in lanes]) for j in range(len(lanes[0]))]
+                for i in (0, 1))
+        with np.errstate(all="ignore"):
+            columns = markov.float_dot(a, b)
+        for lane, column in zip(lanes, np.broadcast_to(columns, len(lanes)).tolist()):
+            a, b = [x for x, _ in lane], [y for _, y in lane]
+            loop = a[0] * b[0] if lane else 0.0
+            for x, y in zip(a[1:], b[1:]):
+                loop = loop + x * y
+            assert _same(markov.float_dot(a, b), loop) and _same(column, loop)
+            if all(map(math.isfinite, a + b)):
+                exact = markov.float_dot([*map(Fraction, a)], [*map(Fraction, b)])
+                assert exact == sum(map(Fraction.__mul__, map(Fraction, a), map(Fraction, b)))
+
+    def test_unequal_lengths_are_an_error(self):
+        for a, b in [([1.0], []), ([], [1.0]), ([1.0, 2.0], np.ones(3))]:
+            with pytest.raises(ValueError, match="cannot pair"):
+                markov.float_dot(a, b)
 
 
 class TestClassify:
@@ -366,8 +408,10 @@ class TestCesaroLimits:
                 P[:, :k, k] /= P[:, k, :k].sum(axis=1, keepdims=True)
                 P[:, :k, :k] += P[:, :k, k, None] * P[:, k, None, :k]
             x = np.ones((len(P), n))
-            for k in range(1, n):
-                x[:, k] = markov.ordered_dot(x[:, :k], P[:, :k, k])
+            for k in range(1, n):  # x_0 P[0, k] + x_1 P[1, k] + ..., in that order
+                x[:, k] = x[:, 0] * P[:, 0, k]
+                for i in range(1, k):
+                    x[:, k] += x[:, i] * P[:, i, k]
             pi = np.zeros((len(P), 4))
             pi[:, :n] = x / x.sum(axis=1, keepdims=True)
             return pi / pi.sum(axis=1, keepdims=True)
@@ -418,8 +462,8 @@ class TestCesaroLimits:
             batch = z.cesaro_limits(chains, initial)
             for M, pi in zip(chains, batch.distributions.tolist()):
                 plan = markov._classify_mask(int(markov._support_masks(M[None])[0]))
-                P = [[Fraction(x) for x in row] for row in M.reshape(16)[plan.take].reshape(4, 4)]
-                exact = markov._solve(P, [Fraction(m) for m in start[plan.order]], plan)
+                P = [[Fraction(M[j, i]) for j in plan.order] for i in plan.order]
+                exact = markov._solve(P, [Fraction(start[i]) for i in plan.order], plan)
                 for got, want in zip(pi, exact):
                     assert (got == 0) == (want == 0)
                     assert abs(Fraction(got) - want) <= bound * want
@@ -445,6 +489,24 @@ class TestCesaroLimits:
                 assert batch.residuals[n].tobytes() == np.float64(alone.residual).tobytes()
                 assert batch.converged[n] == (n not in at)
 
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 0)], ids=["off-support", "support"])
+    def test_non_finite_entry_is_not_converged(self, entry):
+        # TFT against TFT with one nan entry: off its support the limit is
+        # still the uniform one, but max|M pi - pi| must read nan, never the
+        # largest of the other gaps, alone, in a group and in a mixed stack
+        bad = z.transition_matrix(z.TFT, z.TFT).copy()
+        bad[entry] = math.nan
+        alone = z.cesaro_limit(bad)
+        assert math.isnan(alone.residual) and not alone.converged
+        interior = [z.transition_matrix(s1, s2) for s1, s2 in _random_pairs(3, seed=5)]
+        other = z.transition_matrix(z.TFT, z.ALL_D).copy()
+        other[2, 3] = math.nan  # a second pattern, so one bad chain is alone in the mixed stack
+        for stack, at in [([bad], [0]), ([bad, bad], [0, 1]),
+                          ([bad, interior[0], bad, other] + interior[1:], [0, 2, 3])]:
+            batch = z.cesaro_limits(np.array(stack))
+            assert np.isnan(batch.residuals[at]).all()
+            assert batch.converged.tolist() == [n not in at for n in range(len(stack))]
+
     def test_distributions_read_only(self):
         batch = z.cesaro_limits(BATCH_CHAINS[:3])
         with pytest.raises(ValueError):
@@ -457,9 +519,10 @@ class TestCesaroLimits:
         # the start table and a cached plan serve every later call: a write
         # into one would change the results of every call after it
         plan = markov._classify_mask(int(markov._support_masks(chain[None])[0]))
-        for table in (markov._STARTS, plan.order, plan.take):
-            with pytest.raises(ValueError):
-                table[0] = 3
+        with pytest.raises(ValueError):
+            markov._STARTS[0] = 3
+        with pytest.raises(TypeError):  # the order is a tuple
+            plan.order[0] = 3
 
     def test_nested_lists_solve_as_the_array(self):
         chains = np.asarray(BATCH_CHAINS[:5])

@@ -43,13 +43,25 @@ class TestFeatureAverages:
         # never an average over the shorter row's states alone
         F = z.payoff_features(m, [(1, 0), (2, 0)])
         for pi in ([0.5, 0.5, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]):
-            with pytest.raises(ValueError, match="cannot pair"):
+            with pytest.raises(ValueError, match=rf"distributions .* got shape \({len(pi)},\)$"):
                 z.feature_averages(F, pi)
             with pytest.raises(ValueError, match=rf"shape \({len(pi)},\)$"):
                 z.relation_value({(1, 0): 1.0}, pi, m)
         for pi in ([0.5, 0.5], [[0.5, 0.5, 0.0]], 1.0):
             with pytest.raises(ValueError, match="4 payoffs against probabilities"):
                 z.payoff_distributions([1.0, 2.0, 3.0, 4.0], pi)
+
+    def test_shapes_that_are_not_payoff_features_are_an_error(self):
+        # features are rows over the four joint states, and a distribution
+        # ends in one probability per state: a (2, 3) stack of rows against a
+        # 3-vector is not an average, nor is a lone (4,) row one feature
+        for F, pi, shape in [(np.ones((2, 3)), np.ones(3), r"features .* \(2, 3\)"),
+                             (np.ones(4), CYCLE, r"features .* \(4,\)"),
+                             (np.ones((1, 2, 4)), CYCLE, r"features .* \(1, 2, 4\)"),
+                             (np.ones((2, 4)), 0.25, r"distributions .* \(\)"),
+                             (np.ones((2, 4)), np.ones((4, 1)), r"distributions .* \(4, 1\)")]:
+            with pytest.raises(ValueError, match=shape + "$"):
+                z.feature_averages(F, pi)
 
     @pytest.mark.parametrize("k_max", [0, -1, 21, 2.0, True])
     def test_moment_orders_validated(self, k_max):
