@@ -60,11 +60,6 @@ DEFAULT_TOL = 1e-13
 #: Bit 4*to + frm of a chain's support mask is set when M[to, frm] > 0.
 _MASK_BITS = 1 << np.arange(N_STATES * N_STATES)
 
-#: The start distributions, read-only: row s is all mass on joint state s,
-#: and the last row is the uniform start.
-_STARTS = np.vstack([np.eye(N_STATES), np.full(N_STATES, 1.0 / N_STATES)])
-_STARTS.flags.writeable = False
-
 
 def check_start(initial) -> None:
     """Refuse a start that is neither a JointState nor None (the uniform start)."""
@@ -117,9 +112,11 @@ def classify(M) -> ChainStructure:
     by reachability closure, recurrence by closedness, and the period of a
     recurrent class as the gcd of its short closed-walk lengths (cycles of
     length <= class size suffice on four states).  The result depends on
-    the support pattern alone and is cached per pattern.
+    the support pattern alone and is cached per pattern.  ``M`` of any
+    shape but (4, 4) is a ValueError.
     """
-    return _classify_mask(int(_support_masks(np.asarray(M, dtype=float))[0])).structure
+    M = _shaped(M, (N_STATES, N_STATES), "the chain")
+    return _classify_mask(int(_support_masks(M)[0])).structure
 
 
 class _Plan(NamedTuple):
@@ -220,12 +217,17 @@ def float_dot(a, b):
     return total
 
 
+def _shaped(x, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a float array of ``shape``; any other shape is a ValueError naming both."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{what} must be of shape {shape}, got shape {x.shape}")
+    return x
+
+
 def state_vector(x, what: str) -> list:
     """``x`` as four Python floats, one per joint state; any shape but (4,) is a ValueError."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N_STATES,):
-        raise ValueError(f"{what} must be of shape (4,), got shape {x.shape}")
-    return x.tolist()
+    return _shaped(x, (N_STATES,), what).tolist()
 
 
 def _solve(P: list, mass: list, plan: _Plan) -> list:
@@ -291,7 +293,7 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     if Ms.ndim != 3 or Ms.shape[1:] != (N_STATES, N_STATES):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {Ms.shape}")
     check_start(initial)
-    pi0 = _STARTS[N_STATES if initial is None else initial]
+    start = [1 / N_STATES if initial is None else float(s == initial) for s in range(N_STATES)]
     masks = _support_masks(Ms).tolist()
     groups: dict[int, list[int]] = {}
     for n, mask in enumerate(masks):
@@ -300,7 +302,6 @@ def cesaro_limits(Ms, initial=None, tol: float = DEFAULT_TOL) -> LimitBatch:
     pis = np.empty((len(Ms), N_STATES))
     residuals = np.empty(len(Ms))
     unique = np.empty(len(Ms), dtype=bool)
-    start = pi0.tolist()
     for mask, members in groups.items():
         plan = plans[mask]
         if len(members) == 1:  # on Python floats, where a 0/0 raises and reruns as a column
@@ -336,7 +337,7 @@ def cesaro_limit(M, initial=None, tol: float = DEFAULT_TOL, max_steps=None) -> L
     Parameters
     ----------
     M : array_like, shape (4, 4)
-        Column-stochastic transition matrix.
+        Column-stochastic transition matrix; any other shape is a ValueError.
     initial : JointState or None
         The start: all mass on one joint state, or uniform when None.
     tol : float
@@ -349,7 +350,7 @@ def cesaro_limit(M, initial=None, tol: float = DEFAULT_TOL, max_steps=None) -> L
     -------
     LimitResult; ``converged`` is False when the residual exceeds ``tol``.
     """
-    batch = cesaro_limits(np.asarray(M, dtype=float)[None], initial, tol)
+    batch = cesaro_limits(_shaped(M, (N_STATES, N_STATES), "the chain")[None], initial, tol)
     return LimitResult(batch.distributions[0], bool(batch.unique[0]), 0,
                        float(batch.residuals[0]), bool(batch.converged[0]))
 

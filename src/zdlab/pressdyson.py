@@ -101,20 +101,20 @@ def format_label(label) -> str:
 class BasisSpec:
     """An ordered, labelled family of payoff-space basis vectors.
 
-    One builder makes every basis and factors it once for :func:`decompose`:
-    one SVD of the equilibrated matrix (each column scaled to unit 2-norm, a
-    zero column keeping scale 1) gives the rank, the left singular vectors
-    that span its columns and the right ones divided by their singular values
-    and the column scales.  The ``zd``,
-    ``monomial``, ``exponential`` and ``wsls4`` constructors share one
-    instance per payoffs and argument; every array of a basis is read-only.
+    Its columns are ``payoff_features(m, labels).T``.  One builder makes
+    every basis and factors it once for :func:`decompose`: one SVD of the
+    equilibrated columns (each scaled to unit 2-norm, a zero column keeping
+    scale 1) gives the rank, the left singular vectors that span them and
+    the right ones divided by their singular values and the column scales,
+    kept as tuples of Python-float rows.  The ``zd``, ``monomial``,
+    ``exponential`` and ``wsls4`` constructors share one instance per
+    payoffs and argument, and nothing of a basis can be written.
     """
 
     kind: str
     labels: tuple
-    matrix: np.ndarray  # shape (4, len(labels)), columns follow labels
-    _u: np.ndarray = field(repr=False)  # shape (4, rank), orthonormal, spanning the columns
-    _w: np.ndarray = field(repr=False)  # shape (len(labels), rank)
+    _u: tuple = field(repr=False)  # 4 rows of rank floats; orthonormal columns spanning the basis
+    _w: tuple = field(repr=False)  # one row of rank floats per label
 
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
@@ -191,10 +191,8 @@ def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
     scale = _column_scales(matrix)
     u, s, vt = np.linalg.svd(matrix / scale, full_matrices=False)
     rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    arrays = (matrix, u[:, :rank], vt[:rank].T / s[:rank] / scale[:, None])
-    for array in arrays:
-        array.flags.writeable = False
-    return BasisSpec(kind, labels, *arrays)
+    factors = (u[:, :rank], vt[:rank].T / s[:rank] / scale[:, None])
+    return BasisSpec(kind, labels, *(tuple(map(tuple, f.tolist())) for f in factors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +234,9 @@ def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     t = state_vector(pd, "the target")
     if not all(map(math.isfinite, t)):
         raise ValueError(f"the target must be finite, got {t}")
-    y = [float_dot(column, t) for column in basis._u.T.tolist()]  # coordinates in the span
-    coef = [float_dot(row, y) for row in basis._w.tolist()]
-    off = [x - float_dot(row, y) for x, row in zip(t, basis._u.tolist())]
+    y = [float_dot(column, t) for column in zip(*basis._u)]  # coordinates in the span
+    coef = [float_dot(row, y) for row in basis._w]
+    off = [x - float_dot(row, y) for x, row in zip(t, basis._u)]
     norm = math.sqrt(float_dot(off, off))
     residual = np.array(off)
     residual.flags.writeable = False

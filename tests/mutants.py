@@ -143,6 +143,21 @@ MUTANTS = [
            "np.maximum.reduce(gaps)", "np.fmax.reduce(gaps)", "KILLED"),
     Mutant("dot-adds-last-to-first", "src/zdlab/markov.py",
            "terms = map(mul, a, b)", "terms = map(mul, a[::-1], b[::-1])", "KILLED"),
+    Mutant("k-cap-21", "src/zdlab/moments.py", "K_CAP = 20", "K_CAP = 21", "KILLED"),
+    Mutant("identity-guard-1e-9", "src/zdlab/pressdyson.py",
+           "abs(denominator) <= 1e-12 * max(", "abs(denominator) <= 1e-9 * max(", "KILLED"),
+    Mutant("identity-no-relative-guard", "src/zdlab/pressdyson.py",
+           " or abs(denominator) <= 1e-12 * max(abs(a), abs(b)):", ":", "KILLED"),
+    Mutant("identity-no-subnormal-guard", "src/zdlab/pressdyson.py",
+           "if abs(denominator) < np.finfo(float).tiny or ", "if ", "KILLED"),
+    Mutant("identity-no-overflow-check", "src/zdlab/pressdyson.py",
+           "    if not math.isfinite(denominator):\n"
+           '        raise OverflowError(f"{name} overflows double precision at {at}")\n',
+           "", "KILLED"),
+    Mutant("shape-unchecked", "src/zdlab/markov.py",
+           "    if x.shape != shape:\n"
+           '        raise ValueError(f"{what} must be of shape {shape}, got shape {x.shape}")\n',
+           "", "KILLED"),
 ]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,18 @@ class TestFloatDot:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("M", [
+        np.ones(16), np.ones((2, 8)), np.ones((3, 4)), np.ones((4, 4, 1)), np.float64(1.0),
+        np.stack([np.eye(4), np.full((4, 4), 0.25)]), [[0.25] * 4] * 3,
+    ], ids=["16", "2x8", "3x4", "4x4x1", "scalar", "stack", "nested-3x4"])
+    def test_one_chain_of_any_other_shape_is_an_error(self, M):
+        # classify read any 16 numbers as a chain, and a stack's first chain
+        # alone; cesaro_limit named the shape with a stack axis put in front
+        message = rf"the chain must be of shape \(4, 4\), got shape {re.escape(str(np.shape(M)))}$"
+        for entry in (z.classify, z.cesaro_limit):
+            with pytest.raises(ValueError, match=message):
+                entry(M)
+
     def test_tft_vs_tft(self):
         s = z.classify(z.transition_matrix(z.TFT, z.TFT))
         assert s.classes == ((0,), (1, 2), (3,))
@@ -458,7 +471,7 @@ class TestCesaroLimits:
         chains = DIGEST_CHAINS[rng.choice(len(DIGEST_CHAINS), 250, replace=False)]
         bound = Fraction(8, 2**53)
         for initial in (None, CD):
-            start = markov._STARTS[4 if initial is None else initial]
+            start = {None: [0.25] * 4, CD: [0.0, 1.0, 0.0, 0.0]}[initial]
             batch = z.cesaro_limits(chains, initial)
             for M, pi in zip(chains, batch.distributions.tolist()):
                 plan = markov._classify_mask(int(markov._support_masks(M[None])[0]))
@@ -516,11 +529,9 @@ class TestCesaroLimits:
 
     @pytest.mark.parametrize("chain", [np.full((4, 4), 0.25), np.eye(4)], ids=["full", "identity"])
     def test_shared_tables_read_only(self, chain):
-        # the start table and a cached plan serve every later call: a write
-        # into one would change the results of every call after it
+        # a cached plan serves every later call: a write into it would change
+        # the results of every call after it (each call builds its own start)
         plan = markov._classify_mask(int(markov._support_masks(chain[None])[0]))
-        with pytest.raises(ValueError):
-            markov._STARTS[0] = 3
         with pytest.raises(TypeError):  # the order is a tuple
             plan.order[0] = 3
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zdlab as z
 from zdlab import game
+from zdlab.moments import K_CAP
 
 CYCLE = np.array([0.0, 0.5, 0.5, 0.0])  # TFT-vs-TFT average over the CD/DC cycle
 
@@ -18,6 +19,20 @@ def _in_order(xs, ys) -> float:
     for x, y in zip(xs[1:], ys[1:]):
         total = total + x * y
     return total
+
+
+def _worst_share_of_the_bound(F, pis) -> Fraction:
+    """The largest error of a ``feature_averages`` entry over its proved bound."""
+    u = Fraction(1, 2**53)
+    gamma = [k * u / (1 - k * u) for k in range(5)]
+    underflow = 4 * Fraction(1, 2**1075) * (1 + gamma[3])
+    worst = Fraction(0)
+    for pi, averages in zip(pis.tolist(), z.feature_averages(F, pis).tolist()):
+        for f, got in zip(F.tolist(), averages):
+            products = [Fraction(x) * Fraction(p) for x, p in zip(f, pi)]
+            bound = gamma[4] * sum(map(abs, products)) + underflow
+            worst = max(worst, abs(Fraction(got) - sum(products)) / bound)
+    return worst
 
 
 class TestFeatureAverages:
@@ -38,6 +53,31 @@ class TestFeatureAverages:
         np.testing.assert_array_equal(averages, expected)
         np.testing.assert_array_equal(z.feature_averages(F, pis[0]), expected[0])
         np.testing.assert_array_equal(z.feature_averages(F.tolist(), pis.tolist()), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4),
+           st.lists(st.one_of(
+               st.tuples(st.integers(0, K_CAP), st.integers(0, K_CAP)).filter(
+                   lambda k: sum(k) <= K_CAP),
+               st.tuples(st.just("exp"), st.sampled_from([1, 2]), st.floats(-80.0, 80.0))),
+               min_size=1, max_size=6),
+           st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+    def test_within_the_proved_bound_of_the_exact_sum(self, payoffs, labels, draws):
+        # each average is four products added first to last, so it lies
+        # within gamma_4 * sum|f_s pi_s| of the exact sum, gamma_4 = 4u/(1 - 4u),
+        # plus 4 * 2^-1075 * (1 + gamma_3) for products that underflow (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2002, section 3.1);
+        # the worst seen is 0.94 of it over 20,000 seeded random cases of this
+        # form, and 0.67 over 20,000 drawn by this test
+        m = z.PayoffMatrix(*payoffs, permissive=True)
+        F = z.payoff_features(m, labels)
+        weights, p1, p2 = draws[:4], draws[4:8], draws[8:]
+        assume(sum(weights) > 0)
+        limit = z.cesaro_limit(z.transition_matrix(z.MemoryOneStrategy(tuple(p1)),
+                                                   z.MemoryOneStrategy(tuple(p2))))
+        assume(np.isfinite(limit.distribution).all())
+        pis = np.array([np.divide(weights, sum(weights)), limit.distribution])
+        assert _worst_share_of_the_bound(F, pis) <= 1
 
     def test_length_mismatch_is_an_error(self, m):
         # never an average over the shorter row's states alone

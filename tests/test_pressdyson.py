@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -20,6 +21,11 @@ ZERO_COLUMN_PAYOFFS = z.PayoffMatrix(0, 0, 5, 0, permissive=True)
 #: coefficients and those of the per-call lstsq solve it replaced; 211 was
 #: the worst seen (monomial:20 at 4,-1,6,0) on three OpenBLAS kernels.
 ORACLE_GAP = 1024
+
+
+def columns(basis, m):
+    """The basis's columns at the payoffs ``m``: the feature rows of its labels, transposed."""
+    return z.payoff_features(m, basis.labels).T
 
 
 def _solve_exact(columns, target):
@@ -156,9 +162,7 @@ class TestBasisSpec:
     def test_zd_vectors(self, m):
         basis = z.BasisSpec.zd(m)
         assert basis.labels == ((0, 0), (1, 0), (0, 1))
-        np.testing.assert_array_equal(basis.matrix[:, 0], np.ones(4))
-        np.testing.assert_array_equal(basis.matrix[:, 1], [3, 0, 5, 1])
-        np.testing.assert_array_equal(basis.matrix[:, 2], [3, 5, 0, 1])
+        np.testing.assert_array_equal(columns(basis, m).T, [np.ones(4), [3, 0, 5, 1], [3, 5, 0, 1]])
 
     def test_monomial_counts_by_total_degree(self, m):
         for degree, count in [(0, 1), (1, 3), (2, 6), (3, 10)]:
@@ -168,8 +172,9 @@ class TestBasisSpec:
 
     def test_monomial_vector_values(self, m):
         basis = z.BasisSpec.monomial(m, 2)
-        np.testing.assert_array_equal(basis.matrix[:, basis.labels.index((1, 1))], [9, 0, 0, 1])
-        np.testing.assert_array_equal(basis.matrix[:, basis.labels.index((0, 0))], np.ones(4))
+        B = columns(basis, m)
+        np.testing.assert_array_equal(B[:, basis.labels.index((1, 1))], [9, 0, 0, 1])
+        np.testing.assert_array_equal(B[:, basis.labels.index((0, 0))], np.ones(4))
 
     @pytest.mark.filterwarnings("error")
     def test_monomial_overflow_is_a_range_error(self, m):
@@ -215,15 +220,15 @@ class TestBasisSpec:
     def test_exponential_basis(self, m):
         basis = z.BasisSpec.exponential(m, 0.5)
         assert basis.labels == ((0, 0), ("exp", 1, 0.5), ("exp", 2, 0.5))
-        np.testing.assert_allclose(basis.matrix[:, 1], np.exp(0.5 * np.array([3, 0, 5, 1])))
+        np.testing.assert_allclose(columns(basis, m)[:, 1], np.exp(0.5 * np.array([3, 0, 5, 1])))
         # at h = 0 the three columns coincide: rank 1, like monomial:0
         degenerate = z.BasisSpec.exponential(m, 0.0)
-        assert degenerate.matrix.tolist() == [[1.0] * 3] * 4
+        assert columns(degenerate, m).tolist() == [[1.0] * 3] * 4
         assert z.decompose(z.press_dyson(z.TFT, 1), degenerate).rank == 1
         message = r"e\^\(h\*s1\) overflows double precision at h=142\.0$"
         with pytest.raises(OverflowError, match=message):
             z.BasisSpec.exponential(m, 142.0)  # e^710 is not a finite double
-        assert z.BasisSpec.exponential(m, -1000.0).matrix[1, 1:].tolist() == [1.0, 0.0]
+        assert columns(z.BasisSpec.exponential(m, -1000.0), m)[1, 1:].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("h, kind", [(np.float64(0.5), "exp:0.5"), (2, "exp:2"),
                                          (Fraction(-1), "exp:-1"), (Fraction(1, 4), "exp:0.25")])
@@ -266,19 +271,27 @@ class TestBasisSpec:
                     entry(h)
 
     def test_constructors_share_read_only_instances(self, m, table_caches):
+        # a shared basis serves every later call, so nothing of it can be
+        # written: its fields are frozen, and its factors are tuples of
+        # Python-float rows, 4 rows of rank floats and one row per label
         for build in (z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 3),
                       lambda m: z.BasisSpec.exponential(m, 0.5)):
             basis = build(m)
             assert build(z.PayoffMatrix(3, 0, 5, 1)) is basis
             assert build(z.PayoffMatrix(3, 0, 5.5, 1)) is not basis
-            for array in (basis.matrix, basis._u, basis._w):
-                assert not array.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                basis._u = ()
+            rank = z.decompose(z.press_dyson(z.TFT, 1), basis).rank
+            for factor, rows in ((basis._u, 4), (basis._w, len(basis.labels))):
+                assert type(factor) is tuple and len(factor) == rows
+                assert all(type(row) is tuple and len(row) == rank for row in factor)
+                assert all(type(x) is float for row in factor for x in row)
         assert z.BasisSpec.custom(m, [(0, 0)]) is not z.BasisSpec.custom(m, [(0, 0)])
 
     def test_custom_basis(self, m):
         basis = z.BasisSpec.custom(m, [(1, 0), (0, 0)])
         assert basis.labels == ((1, 0), (0, 0))
-        np.testing.assert_array_equal(basis.matrix, [[3, 1], [0, 1], [5, 1], [1, 1]])
+        np.testing.assert_array_equal(columns(basis, m), [[3, 1], [0, 1], [5, 1], [1, 1]])
         with pytest.raises(ValueError):
             z.BasisSpec.custom(m, [])
         with pytest.raises(ValueError, match="label"):
@@ -380,7 +393,7 @@ class TestDecompose:
         # independent route: solve B^T B x = B^T pd directly
         basis = z.BasisSpec.zd(m)
         pd = z.press_dyson(z.WSLS, 1)
-        B = basis.matrix
+        B = columns(basis, m)
         x = np.linalg.solve(B.T @ B, B.T @ pd)
         result = z.decompose(z.press_dyson(z.WSLS, 1), basis)
         np.testing.assert_allclose(list(result.coefficients.values()), x, atol=1e-10)
@@ -396,7 +409,7 @@ class TestDecompose:
             z.BasisSpec.exponential(z.DEFAULT_PAYOFFS, 0.5),
         ):
             result = z.decompose(pd, basis)
-            reconstruction = basis.matrix @ list(result.coefficients.values())
+            reconstruction = columns(basis, z.DEFAULT_PAYOFFS) @ list(result.coefficients.values())
             np.testing.assert_allclose(reconstruction + result.residual, pd, atol=1e-12)
 
     def test_monomial_degree_three_spans(self, m, random_strategies):
@@ -422,7 +435,7 @@ class TestDecompose:
         # at R = S = P = 0 the s1*s2 column is zero: it keeps scale 1 instead
         # of dividing by its zero norm
         basis = z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS)
-        assert not basis.matrix[:, basis.labels.index((1, 1))].any()
+        assert not columns(basis, ZERO_COLUMN_PAYOFFS)[:, basis.labels.index((1, 1))].any()
         result = z.decompose(z.press_dyson(z.TFT, 1), basis)
         assert result.exact and result.rank == 3
         assert result.coefficients[(1, 1)] == 0.0
@@ -437,7 +450,7 @@ class TestDecompose:
         np.testing.assert_array_equal(result.residual, pd)
 
     @pytest.mark.parametrize("build", [
-        lambda m: z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS), z.BasisSpec.zd, z.BasisSpec.wsls4,
+        "zero-column", z.BasisSpec.zd, z.BasisSpec.wsls4,
         lambda m: z.BasisSpec.monomial(m, 12), lambda m: z.BasisSpec.exponential(m, 0.5),
         lambda m: z.BasisSpec.monomial(m, 2), lambda m: z.BasisSpec.monomial(m, 3),
         lambda m: z.BasisSpec.monomial(m, 20), lambda m: z.BasisSpec.exponential(m, 2.0),
@@ -467,13 +480,17 @@ class TestDecompose:
             return coef.T, np.linalg.norm(targets.T - B @ coef, axis=0), rank
 
         rng = np.random.default_rng(8)
-        for m in (z.PayoffMatrix(3, 0, 5, 1), z.PayoffMatrix(4, -1, 6, 0)):
+        payoffs = (z.PayoffMatrix(3, 0, 5, 1), z.PayoffMatrix(4, -1, 6, 0))
+        if build == "zero-column":  # wsls4 at its zero-column payoffs, twice
+            build, payoffs = z.BasisSpec.wsls4, (ZERO_COLUMN_PAYOFFS,) * 2
+        for m in payoffs:
             basis = build(m)
-            scale = scales(basis.matrix)
+            B = columns(basis, m)
+            scale = scales(B)
             targets = np.vstack([z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1),
-                                 rng.normal(size=(500, scale.size)) @ (basis.matrix / scale).T,
+                                 rng.normal(size=(500, scale.size)) @ (B / scale).T,
                                  rng.uniform(-1.0, 1.0, size=(500, 4))])
-            coefs, norms, rank = per_call(targets, basis.matrix, scale)
+            coefs, norms, rank = per_call(targets, B, scale)
             for target, coef, norm in zip(targets, coefs, norms):
                 result = z.decompose(target, basis)
                 assert (result.rank, result.exact) == (rank, norm <= z.pressdyson.EXACT_TOL)
@@ -530,13 +547,14 @@ class TestDecompose:
         basis = {"zd": z.BasisSpec.zd, "wsls4": z.BasisSpec.wsls4,
                  "monomial:3": lambda m: z.BasisSpec.monomial(m, 3),
                  "exp": lambda m: z.BasisSpec.exponential(m, 1.0 / T)}[kind](m)
+        B = columns(basis, m)
         with np.errstate(under="ignore", over="ignore"):
-            squares = basis.matrix**2
-            plain = np.linalg.norm(basis.matrix, axis=0)
+            squares = B**2
+            plain = np.linalg.norm(B, axis=0)
         normal = (np.isfinite(squares.sum(axis=0))
-                  & ((squares >= np.finfo(float).tiny) | (basis.matrix == 0)).all(axis=0))
+                  & ((squares >= np.finfo(float).tiny) | (B == 0)).all(axis=0))
         plain[plain == 0.0] = 1.0
-        scale = pressdyson._column_scales(basis.matrix)
+        scale = pressdyson._column_scales(B)
         np.testing.assert_array_equal(scale[normal], plain[normal])
 
     def test_calls_no_lapack_or_blas(self, m, monkeypatch):
@@ -555,7 +573,7 @@ class TestDecompose:
         for basis in bases:
             for strategy in (z.TFT, z.WSLS):
                 result = z.decompose(z.press_dyson(strategy, 1), basis)
-                assert result.rank == basis._u.shape[1] and math.isfinite(result.residual_norm)
+                assert result.rank == len(basis._u[0]) and math.isfinite(result.residual_norm)
 
     #: Every verdict that moved when the per-call lstsq solve, judged by the
     #: residual of its rounded coefficients, gave way to the factors a basis
@@ -631,7 +649,7 @@ class TestDecompose:
     def test_exact_tol_decides_a_residual_off_the_span(self, m, eps, exact):
         # (-3, 2, 2, -1) is orthogonal to 1, s1 = (3, 0, 5, 1) and s2 = (3, 5, 0, 1),
         # so TFT's vector plus eps times that unit normal leaves a residual of eps
-        assert not (z.BasisSpec.zd(m).matrix.T @ [-3, 2, 2, -1]).any()
+        assert not (columns(z.BasisSpec.zd(m), m).T @ [-3, 2, 2, -1]).any()
         normal = np.array([-3.0, 2.0, 2.0, -1.0]) / np.sqrt(18.0)
         result = z.decompose(z.press_dyson(z.TFT, 1) + eps * normal, z.BasisSpec.zd(m))
         assert result.residual_norm == pytest.approx(eps, rel=1e-2)
@@ -777,7 +795,7 @@ class TestWslsCoefficients:
     def test_reconstruction(self, m):
         coefficients = list(z.wsls_coefficients(m).coefficients.values())
         np.testing.assert_allclose(
-            z.BasisSpec.wsls4(m).matrix @ coefficients, [0, -1, 0, 1], atol=1e-12
+            columns(z.BasisSpec.wsls4(m), m) @ coefficients, [0, -1, 0, 1], atol=1e-12
         )
 
     def test_coefficients_depend_on_payoffs(self):
