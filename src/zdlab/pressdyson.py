@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,8 +52,6 @@ __all__ = [
     "wsls_coefficients",
 ]
 
-#: Relative singular-value threshold for basis rank decisions.
-RANK_TOL = 1e-9
 #: Residual 2-norm below which a decomposition counts as exact.
 EXACT_TOL = 1e-12
 #: Bases that the ``BasisSpec`` constructors keep, one per (kind, payoffs,
@@ -102,19 +102,17 @@ class BasisSpec:
     """An ordered, labelled family of payoff-space basis vectors.
 
     Its columns are ``payoff_features(m, labels).T``.  One builder makes
-    every basis and factors it once for :func:`decompose`: one SVD of the
-    equilibrated columns (each scaled to unit 2-norm, a zero column keeping
-    scale 1) gives the rank, the left singular vectors that span them and
-    the right ones divided by their singular values and the column scales,
-    kept as tuples of Python-float rows.  The ``zd``, ``monomial``,
+    every basis and solves it once, exactly: its rank, and two tables of
+    Python-float rows of 4 for :func:`decompose`.  The ``zd``, ``monomial``,
     ``exponential`` and ``wsls4`` constructors share one instance per
     payoffs and argument, and nothing of a basis can be written.
     """
 
     kind: str
     labels: tuple
-    _u: tuple = field(repr=False)  # 4 rows of rank floats; orthonormal columns spanning the basis
-    _w: tuple = field(repr=False)  # one row of rank floats per label
+    _rank: int = field(repr=False)
+    _x: tuple = field(repr=False)  # one row of 4 per label; the coefficients are _x times a target
+    _p: tuple = field(repr=False)  # 4 rows of 4: the projector onto the span
 
     @classmethod
     def zd(cls, m: PayoffMatrix) -> "BasisSpec":
@@ -129,15 +127,10 @@ class BasisSpec:
         already spans every 4-vector at strict payoffs.
         """
         if not (_is_int(max_total_degree) and 0 <= max_total_degree <= K_CAP):
-            raise ValueError(
-                f"max_total_degree must lie in [0, {K_CAP}] (the precision cap K_CAP), "
-                f"got {_shown(max_total_degree)}"
-            )
-        labels = tuple(
-            (k1, total - k1)
-            for total in range(max_total_degree + 1)
-            for k1 in range(total, -1, -1)
-        )
+            raise ValueError(f"max_total_degree must lie in [0, {K_CAP}] (the precision cap "
+                             f"K_CAP), got {_shown(max_total_degree)}")
+        labels = tuple((k1, total - k1) for total in range(max_total_degree + 1)
+                       for k1 in range(total, -1, -1))
         return _shared_basis(f"monomial:{max_total_degree}", m, labels)
 
     @classmethod
@@ -158,41 +151,66 @@ class BasisSpec:
         return _shared_basis.__wrapped__("custom", m, tuple(labels))
 
 
-def _column_scales(matrix: np.ndarray) -> np.ndarray:
-    """The 2-norm of each column, 1 for a zero column.
-
-    Each column is divided by the power of two at its peak, which is exact,
-    then its norm is taken and scaled back, so a column whose squares
-    underflow or overflow is equilibrated like any other.
-    """
-    _, peak = np.frexp(np.max(np.abs(matrix), axis=0))
-    scale = np.ldexp(np.linalg.norm(np.ldexp(matrix, -peak), axis=0), peak)
-    scale[scale == 0.0] = 1.0
-    return scale
+def _reduce(rows: list) -> list:
+    """Gauss-Jordan elimination of rows of exact numbers in place; the pivot columns in order."""
+    pivots = []
+    for col in range(len(rows[0])):
+        top = len(pivots)
+        lead = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if lead is not None:
+            pivot = [x / rows[lead][col] for x in rows[lead]]
+            rows[lead], rows[top] = rows[top], pivot
+            for i, row in enumerate(rows):
+                if i != top and row[col]:
+                    rows[i] = [x - row[col] * y for x, y in zip(row, pivot)]
+            pivots.append(col)
+    return pivots
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _shared_basis(kind: str, m: PayoffMatrix, labels: tuple) -> BasisSpec:
-    """The basis of the labels' feature rows at the payoffs ``m``, factored.
+    """The basis of the labels' feature rows at the payoffs ``m``, solved exactly.
 
     ``custom`` calls it uncached.  Labels are kept canonical, and one named
-    twice is a ValueError.  The rank follows lstsq's rule: the singular
-    values of the equilibrated matrix above ``RANK_TOL`` times the largest.
-    The factors keep only those, so ``_w`` times ``_u``'s transpose is the
-    pseudo-inverse whose solution has scaled coefficients (coefficient
-    times column scale) of minimum norm.
+    twice is a ValueError.  G = sum_j a_j a_j^T / |a_j|^2 over the nonzero
+    columns a_j is exact, and so is the elimination of [G | I]: its pivots
+    give the rank, and its rows past the rank span G's null space, Q.  With
+    K = (G + Q^T Q)^-1, G K projects onto the span, and a_j^T K / |a_j|^2
+    gives label j's coefficient, of least weighted norm.  Each entry is
+    rounded once; one beyond double precision is an OverflowError.
     """
     if not labels:
         raise ValueError("a basis must contain at least one vector")
     labels = tuple(map(feature_label, labels))
     if twice := [label for i, label in enumerate(labels) if label in labels[:i]]:
         raise ValueError(f"a basis names the feature {format_label(twice[0])} twice")
-    matrix = payoff_features(m, labels).T
-    scale = _column_scales(matrix)
-    u, s, vt = np.linalg.svd(matrix / scale, full_matrices=False)
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    factors = (u[:, :rank], vt[:rank].T / s[:rank] / scale[:, None])
-    return BasisSpec(kind, labels, *(tuple(map(tuple, f.tolist())) for f in factors))
+    columns = []  # (v_j, d_j, |v_j|^2) with a_j = v_j / d_j, v_j integers
+    for row in payoff_features(m, labels).tolist():
+        d = max(x.as_integer_ratio()[1] for x in row)  # a power of two
+        v = [int(Fraction(x) * d) for x in row]
+        columns.append((v, d, sum(x * x for x in v)))
+    scale = math.lcm(*(q for *_, q in columns if q))  # G = N / scale, N of integers
+    weighted = [([scale // q * x for x in v], v) for v, _, q in columns if q]
+    N = [[sum(wv[i] * v[k] for wv, v in weighted) for k in range(4)] for i in range(4)]
+    eye = [[Fraction(i == k) for k in range(4)] for i in range(4)]
+    rows = [[Fraction(x, scale) for x in n] + e for n, e in zip(N, eye)]  # [G | I]
+    rank = sum(col < 4 for col in _reduce(rows))
+    if rank < 4:  # (Q^T Q)^+, the rest of K, vanishes on the span: K = G^+ + (Q^T Q)^+
+        Q = [row[4:] for row in rows[rank:]]
+        rows = [[Fraction(x, scale) + sum(q[i] * q[k] for q in Q) for k, x in enumerate(n)] + e
+                for i, (n, e) in enumerate(zip(N, eye))]
+        _reduce(rows)
+    den = math.lcm(*(x.denominator for row in rows for x in row[4:]))
+    K = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*rows)][4:]  # columns
+    coef = []
+    for label, (v, d, q) in zip(labels, columns):
+        try:  # the coefficients of a zero column are 0
+            coef.append(tuple(d * sum(map(mul, v, k)) / (q * den or 1) for k in K))
+        except OverflowError:
+            raise OverflowError(f"the {kind} coefficient of {format_label(label)} overflows "
+                                "double precision") from None
+    proj = tuple(tuple(sum(map(mul, n, k)) / (scale * den) for k in K) for n in N)
+    return BasisSpec(kind, labels, rank, tuple(coef), proj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,39 +232,28 @@ class DecompositionResult:
 def decompose(pd, basis: BasisSpec) -> DecompositionResult:
     """Decompose a Press-Dyson vector, or any 4-vector, against a basis.
 
-    Least squares through the factors the basis took when it was built:
-    its columns were scaled to unit 2-norm (a zero column keeps scale 1),
-    so that columns of very different magnitude (5^20 against 1) do not
-    hide the small ones below the rank threshold ``RANK_TOL``, relative to
-    the largest singular value.  A target that is not a finite 4-vector is
-    a ValueError.  A rank-deficient or overcomplete basis is reported
-    through ``rank``, never an error; its coefficients are the solution
-    whose scaled coefficients (coefficient times column norm) have minimum
-    norm.  The residual is the target minus its projection onto the span,
-    and ``exact`` is True iff its 2-norm is at most ``EXACT_TOL``: a target
-    the basis contains is exact however large its coefficients, whose
-    rounding alone can leave more than that.  Every step is an in-order
-    sum in Python floats, so a call makes no LAPACK or BLAS call.  A basis
-    that spans R^4, as ``wsls4`` and ``monomial:D`` for D >= 2 do at every
-    strict payoff matrix, is exact for every target, so there ``exact``
-    says nothing about the strategy; the coefficients carry the content.
+    Least squares through the two tables the basis keeps, solved exactly
+    when it was built, so the rank has no threshold.  A target that is not
+    a finite 4-vector is a ValueError.  A rank-deficient or overcomplete
+    basis is reported through ``rank``; its coefficients are those of least
+    weighted norm sum_j c_j^2 |a_j|^2 over its columns a_j.  The residual is
+    the target minus its projection onto the span, and ``exact`` is True
+    iff its 2-norm is at most ``EXACT_TOL``, however large the coefficients.
+    Each output entry is one in-order sum in Python floats, with no LAPACK
+    or BLAS call.  A basis that spans R^4, as ``wsls4`` and ``monomial:D``
+    for D >= 2 do at strict payoffs, leaves every target a residual of 0,
+    so there only the coefficients carry content.
     """
     t = state_vector(pd, "the target")
     if not all(map(math.isfinite, t)):
         raise ValueError(f"the target must be finite, got {t}")
-    y = [float_dot(column, t) for column in zip(*basis._u)]  # coordinates in the span
-    coef = [float_dot(row, y) for row in basis._w]
-    off = [x - float_dot(row, y) for x, row in zip(t, basis._u)]
+    coef = [float_dot(row, t) for row in basis._x]
+    off = [x - float_dot(row, t) for x, row in zip(t, basis._p)]
     norm = math.sqrt(float_dot(off, off))
     residual = np.array(off)
     residual.flags.writeable = False
-    return DecompositionResult(
-        coefficients=dict(zip(basis.labels, coef)),
-        residual=residual,
-        residual_norm=norm,
-        rank=len(y),
-        exact=norm <= EXACT_TOL,
-    )
+    return DecompositionResult(dict(zip(basis.labels, coef)), residual, norm, basis._rank,
+                               norm <= EXACT_TOL)
 
 
 class IdentityCheck(NamedTuple):
@@ -308,9 +315,9 @@ def wsls_coefficients(m: PayoffMatrix) -> DecompositionResult:
     |det| = |(S-T)(P-R)[(S-P)(R-T) + (T-P)(R-S)]| > 0, so the solve is
     exact for any strategy and the claim lies in the coefficient values.
     Degenerate permissive payoffs (for example R = P, which makes the CC
-    and DD rows coincide) are reported through ``rank`` < 4 with the
-    minimum-norm coefficients of :func:`decompose`.  The coefficients depend on the payoff
-    values, unlike the payoff-independent TFT identities.
+    and DD rows coincide) are reported through ``rank`` < 4, with the
+    coefficients of :func:`decompose`.  They depend on the payoff values,
+    unlike the payoff-independent TFT identities.
     """
     pd = press_dyson(named_strategy("wsls"), 1)
     return decompose(pd, BasisSpec.wsls4(m))

@@ -61,8 +61,20 @@ MUTANTS = [
     Mutant("wsls-target", "src/zdlab/pressdyson.py",
            'pd = press_dyson(named_strategy("wsls"), 1)',
            'pd = press_dyson(named_strategy("custom:0.9,0.2,0.4,0.7"), 1)', "KILLED"),
-    Mutant("rank-tol", "src/zdlab/pressdyson.py",
-           "RANK_TOL = 1e-9", "RANK_TOL = 1e-6", "KILLED"),
+    Mutant("rank-by-threshold", "src/zdlab/pressdyson.py",
+           "if rows[i][col]), None)", "if abs(rows[i][col]) > 1e-9), None)", "KILLED"),
+    Mutant("metric-unweighted", "src/zdlab/pressdyson.py",
+           "weighted = [([scale // q * x for x in v], v) for v, _, q in columns if q]",
+           "weighted = [(v, v) for v, _, q in columns if q]", "KILLED"),
+    Mutant("table-overflow-unchecked", "src/zdlab/pressdyson.py",
+           "        try:  # the coefficients of a zero column are 0\n"
+           "            coef.append(tuple(d * sum(map(mul, v, k)) / (q * den or 1) for k in K))\n"
+           "        except OverflowError:\n"
+           '            raise OverflowError(f"the {kind} coefficient of {format_label(label)}'
+           ' overflows "\n'
+           '                                "double precision") from None\n',
+           "        coef.append(tuple(d * sum(map(mul, v, k)) / (q * den or 1) for k in K))\n",
+           "KILLED"),
     Mutant("outcomes-within-1e-12", "src/zdlab/moments.py",
            "if support and values[idx] == support[-1]:",
            "if support and abs(values[idx] - support[-1]) <= 1e-12:", "KILLED"),
@@ -120,12 +132,6 @@ MUTANTS = [
            '            raise ValueError("T equals S")\n'
            "        if not self.permissive:\n",
            "KILLED"),
-    Mutant("rank-at-or-above-tol", "src/zdlab/pressdyson.py",
-           "rank = int(np.count_nonzero(s > RANK_TOL * s[0]))",
-           "rank = int(np.count_nonzero(s >= RANK_TOL * s[0]))", "KILLED"),
-    Mutant("factor-without-column-scale", "src/zdlab/pressdyson.py",
-           "vt[:rank].T / s[:rank] / scale[:, None])",
-           "vt[:rank].T / s[:rank])", "KILLED"),
     Mutant("power-order-past-2-53", "src/zdlab/game.py",
            "                if k1 > 2**53 or k2 > 2**53:"
            "  # numpy takes s**k with k a double, exact to 2^53\n"

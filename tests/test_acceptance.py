@@ -255,11 +255,11 @@ def test_criterion_6_zd_boundary():
 #: Criterion 7: each of WSLS's ``wsls4`` coefficients must lie within
 #: C7 * kappa * u of its exact value, u = 2^-53 and kappa the infinity-norm
 #: condition number of the exact basis matrix (33.5 to 38 on the T sweep).
-#: The worst measured was 4.17 kappa u (148u, on the s1*s2 coefficient 3/28
-#: at the default payoffs) with OpenBLAS's default kernels and with numpy's
-#: baseline loops, 4.10 with Haswell's and 4.04 with Prescott's, whose bits
-#: the basis's SVD follows (4.43 when decompose solved with lstsq on every call).
-C7 = 8.0
+#: The worst measured is 0.030 kappa u, at the default payoffs, now that each
+#: basis is solved exactly and each table entry rounded once; it was 4.17
+#: kappa u (148u, on the s1*s2 coefficient 3/28) from the SVD each basis took,
+#: and 4.43 when decompose solved with lstsq on every call, so C7 went from 8 to 1.
+C7 = 1.0
 T_SWEEP = (4.5, 5.0, 5.5)  # R, S, P as in the default payoffs
 
 

@@ -20,9 +20,10 @@ from zdlab.cli import main
 # became a first-to-last sum: the dev_* cells of verify-tft's random_300,
 # random_40_options and verify_random_10000, and the moments of simulate's
 # epsilon and long_uniform.  Their bytes are what the BLAS-dot code printed on
-# OpenBLAS's Haswell kernels, and every kernel now prints them.  Only
-# decompose_monomial_csv and sweep_wsls_grid still go through LAPACK, and
-# they hold the bits of the SkylakeX (AVX-512) kernels.
+# OpenBLAS's Haswell kernels, and every kernel now prints them.
+# decompose_monomial_csv and sweep_wsls_grid held the bits of a LAPACK SVD on
+# the SkylakeX (AVX-512) kernels until each basis was solved in exact
+# arithmetic; both were re-captured then, and no case depends on the kernel.
 
 #: Seeded ``simulate --out`` invocations and the JSON and CSV bytes they wrote.
 SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_cli.json").read_text())
@@ -296,6 +297,14 @@ class TestDecompose:
             "error: max_total_degree must lie in [0, 20] (the precision cap K_CAP), got 500\n"
         )
 
+    def test_coefficient_beyond_double_precision(self, capsys):
+        # 1/(T - S) is about 2e309: this used to exit 0 printing s1,inf and
+        # s2,nan with exact true, and numpy's overflow warning on stderr
+        code, out, err = _run(["decompose", "tft", "--payoffs", "3e-310,0,5e-310,1e-310",
+                               "--format", "csv"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: the zd coefficient of s1 overflows double precision\n"
+
     def test_unknown_basis(self, capsys):
         code, _, err = _run(["decompose", "tft", "--basis", "fourier"], capsys)
         assert code == 2 and "basis" in err
@@ -471,6 +480,26 @@ class TestSweep:
         assert errors[:2] + errors[3:] == [""] * 3 and "overflows" in errors[2]
         assert rows[2][:4] == ["3", "-9.9999999999999997e+199", "9.9999999999999997e+199", "1"]
         assert rows[3][header.index("exact")] == "true"
+
+    def test_coefficient_beyond_double_precision_reported_in_row(self, capsys):
+        # this row used to print nan and -inf coefficients
+        code, out, _ = _run(["sweep", "--wsls-coeffs", "--payoff-grid",
+                             "T=5e-310;R=3e-310;P=1e-310;S=0"], capsys)
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert rows[0][4:] == [""] * 7 + ["the wsls4 coefficient of s1 overflows double precision"]
+
+    def test_spanning_rows_have_no_residual(self, capsys):
+        # wsls4 spans R^4 at every strict payoff matrix, so its projector is
+        # the identity; the SVD left residuals near 1e-15 and read 3,3,5,1 as
+        # 1.36e-15, -0.49999999999999872, -5.1e-16, 1.4999999999999978
+        code, out, _ = _run(["sweep", "--wsls-coeffs", "--payoff-grid", "T=5,3;S=0,3"], capsys)
+        assert code == 0
+        header, rows = _read_csv(out)
+        spanning = [row for row in rows if row[header.index("rank")] == "4"]
+        assert len(spanning) == 3
+        assert all(row[header.index("residual_norm")] == "0" for row in spanning)
+        assert rows[1][:8] == ["3", "3", "5", "1", "0", "-0.5", "0", "1.5"]
 
     def test_tft_k_range(self, capsys):
         code, out, _ = _run(["sweep", "--tft-k-range", "1:10"], capsys)

@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 import math
 import re
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zdlab as z
 from zdlab import pressdyson
@@ -17,15 +19,68 @@ strategy_vectors = st.tuples(probability, probability, probability, probability)
 SWAP = (0, 2, 1, 3)
 #: Permissive payoffs R = S = P = 0, at which the s1*s2 column of wsls4 is zero.
 ZERO_COLUMN_PAYOFFS = z.PayoffMatrix(0, 0, 5, 0, permissive=True)
-#: Largest gap allowed, in units of u = 2^-53, between decompose's scaled
-#: coefficients and those of the per-call lstsq solve it replaced; 211 was
-#: the worst seen (monomial:20 at 4,-1,6,0) on three OpenBLAS kernels.
-ORACLE_GAP = 1024
+#: u = 2^-53.  A coefficient is an in-order dot of the target with its table
+#: row, whose entries are the exact ones rounded once, so it lies within
+#: (u + gamma_4 (1 + u)) sum_i |X_ji t_i| of the exact coefficient, gamma_4 =
+#: 4u / (1 - 4u), plus UNDERFLOW for entries and products below the normal
+#: range.  The bound is about 5u times the sum; the worst seen over all 1,002
+#: targets of every case of test_matches_equilibration_on_every_call is 3.71u
+#: (monomial:20 at 4, -1, 6, 0).
+U = Fraction(1, 2**53)
+COEFFICIENT_BOUND = U + 4 * U / (1 - 4 * U) * (1 + U)
+UNDERFLOW = Fraction(8, 2**1074)
 
 
 def columns(basis, m):
     """The basis's columns at the payoffs ``m``: the feature rows of its labels, transposed."""
     return z.payoff_features(m, basis.labels).T
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted_oracle(m, labels):
+    """Rank, coefficient rows and projector of the least weighted-norm solution.
+
+    In Fractions alone, and apart from the basis's own elimination
+    (``_reduce``): with weights w_j = 1/|a_j|^2 (0 for a zero column),
+    G = sum_j w_j a_j a_j^T, and a
+    solution Z of the normal equations G^2 Z = G (Gaussian elimination and
+    back-substitution, every free unknown 0) gives the projector G Z onto
+    the span and the rows w_j a_j^T Z; the rank is that of G^2.  Each row
+    of X is kept as integers over its own denominator, and P over one.
+    """
+    cols = [[Fraction(x) for x in row] for row in z.payoff_features(m, labels).tolist()]
+    weights = [1 / sum(x * x for x in a) if any(a) else 0 for a in cols]
+    wa = [[w * x for x in a] for w, a in zip(weights, cols)]
+    G = [[sum(u[i] * a[k] for u, a in zip(wa, cols)) if k >= i else 0 for k in range(4)]
+         for i in range(4)]
+    G = [[G[min(i, k)][max(i, k)] for k in range(4)] for i in range(4)]  # symmetric
+    rows = [[sum(G[i][j] * G[j][k] for j in range(4)) for k in range(4)] + G[i] for i in range(4)]
+    pivots = []
+    for col in range(4):
+        top = len(pivots)
+        lead = next((i for i in range(top, 4) if rows[i][col] != 0), None)
+        if lead is None:
+            continue
+        rows[top], rows[lead] = rows[lead], rows[top]
+        for i in range(top + 1, 4):
+            f = rows[i][col] / rows[top][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    Z = [[Fraction(0)] * 4 for _ in range(4)]
+    for top, col in reversed(list(enumerate(pivots))):
+        for k in range(4):
+            known = sum(rows[top][j] * Z[j][k] for j in range(col + 1, 4))
+            Z[col][k] = (rows[top][4 + k] - known) / rows[top][col]
+    zd = math.lcm(*(x.denominator for row in Z for x in row))
+    Z = [[x.numerator * (zd // x.denominator) for x in col] for col in zip(*Z)]  # columns
+    X = []  # row j is w_j a_j^T Z; with a_j = v_j / d it is d v_j.Z / (|v_j|^2 zd), or 0
+    for a in cols:
+        d = math.lcm(*(x.denominator for x in a))
+        v = [int(x * d) for x in a]
+        X.append(([d * sum(map(mul, v, col)) for col in Z], sum(x * x for x in v) * zd or 1))
+    P = [[sum(G[i][j] * Z[k][j] for j in range(4)) / zd for k in range(4)] for i in range(4)]
+    pd = math.lcm(*(x.denominator for row in P for x in row))
+    return len(pivots), X, ([[x.numerator * (pd // x.denominator) for x in row] for row in P], pd)
 
 
 def _solve_exact(columns, target):
@@ -272,20 +327,20 @@ class TestBasisSpec:
 
     def test_constructors_share_read_only_instances(self, m, table_caches):
         # a shared basis serves every later call, so nothing of it can be
-        # written: its fields are frozen, and its factors are tuples of
-        # Python-float rows, 4 rows of rank floats and one row per label
+        # written: its fields are frozen, and its tables are tuples of
+        # Python-float rows of 4, one per label and 4 for the projector
         for build in (z.BasisSpec.zd, z.BasisSpec.wsls4, lambda m: z.BasisSpec.monomial(m, 3),
                       lambda m: z.BasisSpec.exponential(m, 0.5)):
             basis = build(m)
             assert build(z.PayoffMatrix(3, 0, 5, 1)) is basis
             assert build(z.PayoffMatrix(3, 0, 5.5, 1)) is not basis
             with pytest.raises(dataclasses.FrozenInstanceError):
-                basis._u = ()
-            rank = z.decompose(z.press_dyson(z.TFT, 1), basis).rank
-            for factor, rows in ((basis._u, 4), (basis._w, len(basis.labels))):
-                assert type(factor) is tuple and len(factor) == rows
-                assert all(type(row) is tuple and len(row) == rank for row in factor)
-                assert all(type(x) is float for row in factor for x in row)
+                basis._x = ()
+            assert basis._rank == z.decompose(z.press_dyson(z.TFT, 1), basis).rank
+            for table, rows in ((basis._x, len(basis.labels)), (basis._p, 4)):
+                assert type(table) is tuple and len(table) == rows
+                assert all(type(row) is tuple and len(row) == 4 for row in table)
+                assert all(type(x) is float for row in table for x in row)
         assert z.BasisSpec.custom(m, [(0, 0)]) is not z.BasisSpec.custom(m, [(0, 0)])
 
     def test_custom_basis(self, m):
@@ -363,10 +418,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match=r"of shape \(4,\)"):
             z.decompose(target, z.BasisSpec.zd(m))
 
-    @pytest.mark.parametrize("d, rank", [(1e-7, 2), (1e-8, 2), (1e-9, 1)])
+    @pytest.mark.parametrize("d, rank", [(1e-7, 2), (1e-8, 2), (1e-9, 2), (1e-15, 2)])
     def test_rank_tolerance_boundary(self, d, rank):
         # s1 and s2 differ by d at CD and DC: a relative singular value of
-        # about 0.41 d, so RANK_TOL (1e-9) lies between the cases at 1e-8 and 1e-9
+        # about 0.41 d, which the SVD's threshold of 1e-9 cut at d = 1e-9;
+        # the exact rank has no threshold, so they stay independent
         basis = z.BasisSpec.custom(z.PayoffMatrix(1, 1, 1 + d, 0, permissive=True),
                                    [(1, 0), (0, 1)])
         assert z.decompose(z.press_dyson(z.TFT, 1), basis).rank == rank
@@ -432,8 +488,8 @@ class TestDecompose:
             assert z.decompose(z.press_dyson(z.TFT, 1), basis).rank == 4
 
     def test_zero_column_keeps_its_place(self):
-        # at R = S = P = 0 the s1*s2 column is zero: it keeps scale 1 instead
-        # of dividing by its zero norm
+        # at R = S = P = 0 the s1*s2 column is zero: it takes no weight
+        # instead of dividing by its zero norm, and coefficient 0
         basis = z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS)
         assert not columns(basis, ZERO_COLUMN_PAYOFFS)[:, basis.labels.index((1, 1))].any()
         result = z.decompose(z.press_dyson(z.TFT, 1), basis)
@@ -441,8 +497,8 @@ class TestDecompose:
         assert result.coefficients[(1, 1)] == 0.0
 
     def test_zero_basis_has_rank_zero(self):
-        # every singular value is 0, none above RANK_TOL times the largest:
-        # no column enters, so the residual is the target itself
+        # the Gram matrix is zero, so it has no pivot: no column enters,
+        # and the residual is the target itself
         basis = z.BasisSpec.custom(ZERO_COLUMN_PAYOFFS, [(1, 1)])
         pd = z.press_dyson(z.TFT, 1)
         result = z.decompose(pd, basis)
@@ -460,12 +516,13 @@ class TestDecompose:
     ], ids=["zero-column", "zd", "wsls4", "monomial:12", "exp:0.5", "monomial:2", "monomial:3",
             "monomial:20", "exp:2", "exp:-2", "custom"])
     def test_matches_equilibration_on_every_call(self, table_caches, build):
-        # the factors a basis takes once give the verdicts of equilibrating
-        # and solving with lstsq on every call, as decompose did before, on
-        # 1,002 targets (500 in the span) at two payoff matrices: the same
-        # rank and exact, and coefficients within ORACLE_GAP u, each times
-        # its column scale and relative to the largest
-        def scales(B):
+        # the tables a basis keeps answer as the exact weighted oracle does
+        # (_weighted_oracle, Fractions alone) on 1,002 targets (500 in the span)
+        # at two payoff matrices: the same rank and exact on every target, and
+        # on TFT, WSLS and the first 10 of each kind, every coefficient within
+        # COEFFICIENT_BOUND of the exact one (an exact integer test per
+        # coefficient, too slow for all 1,002 over monomial:20's 231 columns)
+        def scales(B):  # the column norms, only to draw targets in the span
             with np.errstate(over="ignore"):
                 scale = np.linalg.norm(B, axis=0)
                 for j in np.flatnonzero(np.isinf(scale)).tolist():
@@ -474,28 +531,34 @@ class TestDecompose:
             scale[scale == 0.0] = 1.0
             return scale
 
-        def per_call(targets, B, scale):
-            coef, _, rank, _ = np.linalg.lstsq(B / scale, targets.T, rcond=z.pressdyson.RANK_TOL)
-            coef = coef / scale[:, None]
-            return coef.T, np.linalg.norm(targets.T - B @ coef, axis=0), rank
-
+        kn, kd = COEFFICIENT_BOUND.numerator, COEFFICIENT_BOUND.denominator
+        tol = Fraction(z.pressdyson.EXACT_TOL) ** 2
         rng = np.random.default_rng(8)
         payoffs = (z.PayoffMatrix(3, 0, 5, 1), z.PayoffMatrix(4, -1, 6, 0))
         if build == "zero-column":  # wsls4 at its zero-column payoffs, twice
             build, payoffs = z.BasisSpec.wsls4, (ZERO_COLUMN_PAYOFFS,) * 2
         for m in payoffs:
             basis = build(m)
+            rank, X, (P, dp) = _weighted_oracle(m, basis.labels)
             B = columns(basis, m)
-            scale = scales(B)
             targets = np.vstack([z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1),
-                                 rng.normal(size=(500, scale.size)) @ (B / scale).T,
+                                 rng.normal(size=(500, B.shape[1])) @ (B / scales(B)).T,
                                  rng.uniform(-1.0, 1.0, size=(500, 4))])
-            coefs, norms, rank = per_call(targets, B, scale)
-            for target, coef, norm in zip(targets, coefs, norms):
+            for i, target in enumerate(targets):
                 result = z.decompose(target, basis)
-                assert (result.rank, result.exact) == (rank, norm <= z.pressdyson.EXACT_TOL)
-                gap = np.abs(list(result.coefficients.values()) - coef) * scale
-                assert gap.max() <= ORACLE_GAP * 2.0**-53 * np.max(np.abs(coef) * scale)
+                ratios = [x.as_integer_ratio() for x in target.tolist()]
+                e = max(q for _, q in ratios)
+                t = [n * (e // q) for n, q in ratios]  # the target is t / e
+                off = [x * dp - sum(map(mul, row, t)) for x, row in zip(t, P)]  # times dp e
+                assert result.rank == rank
+                assert result.exact is (Fraction(sum(x * x for x in off), (dp * e) ** 2) <= tol)
+                if i % 500 >= 12:
+                    continue
+                for c, (row, dx) in zip(result.coefficients.values(), X):
+                    terms = [x * y for x, y in zip(row, t)]  # the exact c is sum(terms) / (dx e)
+                    p, q = c.as_integer_ratio()
+                    error = abs(p * dx * e - sum(terms) * q) * kd << 1074  # times q dx e kd 2^1074
+                    assert error <= (kn * sum(map(abs, terms)) * q << 1074) + 8 * q * dx * e * kd
 
     @pytest.mark.parametrize("build, power", [
         (z.BasisSpec.zd, 530), (z.BasisSpec.zd, -665), (z.BasisSpec.wsls4, -333),
@@ -503,15 +566,14 @@ class TestDecompose:
     ], ids=["zd*2^530", "zd*2^-665", "wsls4*2^-333", "monomial:3*2^180", "monomial:3*2^-200"])
     def test_payoffs_times_a_power_of_two_move_no_bit(self, m, build, power):
         # each column's squares overflow or underflow at the scaled payoffs;
-        # its scale still takes the power of two exactly, so the equilibrated
-        # basis and its SVD keep their bits: the rank, the left singular
-        # vectors and the residual keep theirs, and each row of the right
-        # factor, so each coefficient, divides by the column's power of two
+        # the span is the same exact subspace, so the rank, the projector and
+        # the residual keep their bits, and each exact coefficient row divides
+        # by the column's power of two, which its rounding takes exactly
         basis = build(m)
         scaled = build(z.PayoffMatrix(*(math.ldexp(v, power) for v in m.as_tuple())))
         degrees = np.array([sum(label) for label in basis.labels])
-        np.testing.assert_array_equal(scaled._u, basis._u)
-        np.testing.assert_array_equal(scaled._w, np.ldexp(basis._w, -power * degrees[:, None]))
+        assert (scaled._rank, scaled._p) == (basis._rank, basis._p)
+        np.testing.assert_array_equal(scaled._x, np.ldexp(basis._x, -power * degrees[:, None]))
         for target in (z.press_dyson(z.TFT, 1), z.press_dyson(z.WSLS, 1)):
             result, moved = z.decompose(target, basis), z.decompose(target, scaled)
             assert (moved.rank, moved.exact) == (result.rank, result.exact)
@@ -533,108 +595,149 @@ class TestDecompose:
         result = z.decompose(z.press_dyson(strategy, 1), basis(z.PayoffMatrix(*payoffs)))
         assert result.exact and result.rank == rank
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4, unique=True),
-           st.floats(-60.0, 60.0), st.sampled_from(["zd", "wsls4", "monomial:3", "exp"]))
-    def test_scale_is_the_plain_norm_while_squares_are_normal(self, values, decade, kind):
-        # dividing by the peak's power of two first is exact, so wherever no
-        # square of a column underflows or overflows, the scale that
-        # equilibrates it is the norm the basis took before, np.linalg.norm
-        # of the column itself
-        S, P, R, T = (v * 10.0**decade for v in sorted(values))
-        assume(T > R > P > S and 2 * R > T + S and T >= np.finfo(float).tiny)
-        m = z.PayoffMatrix(R, S, T, P)
-        basis = {"zd": z.BasisSpec.zd, "wsls4": z.BasisSpec.wsls4,
-                 "monomial:3": lambda m: z.BasisSpec.monomial(m, 3),
-                 "exp": lambda m: z.BasisSpec.exponential(m, 1.0 / T)}[kind](m)
-        B = columns(basis, m)
-        with np.errstate(under="ignore", over="ignore"):
-            squares = B**2
-            plain = np.linalg.norm(B, axis=0)
-        normal = (np.isfinite(squares.sum(axis=0))
-                  & ((squares >= np.finfo(float).tiny) | (B == 0)).all(axis=0))
-        plain[plain == 0.0] = 1.0
-        scale = pressdyson._column_scales(B)
-        np.testing.assert_array_equal(scale[normal], plain[normal])
-
     def test_calls_no_lapack_or_blas(self, m, monkeypatch):
-        # a basis is factored once, when it is built; a decomposition then
-        # adds products in Python floats, so no solver or BLAS call is left
-        bases = [z.BasisSpec.zd(m), z.BasisSpec.wsls4(m), z.BasisSpec.monomial(m, 3),
-                 z.BasisSpec.exponential(m, 0.5), z.BasisSpec.custom(m, [(1, 0), (0, 1)])]
-
+        # a basis is solved once, in exact arithmetic, when it is built; a
+        # decomposition then adds products in Python floats, so neither makes
+        # a solver or BLAS call
         def refuse(*args, **kwargs):
-            raise AssertionError("decompose called LAPACK or BLAS")
+            raise AssertionError("a basis build or decompose called LAPACK or BLAS")
 
-        for name in ("lstsq", "svd", "pinv", "norm"):
+        for name in ("lstsq", "svd", "pinv", "norm", "solve", "inv", "qr", "eigh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         for name in ("dot", "matmul", "inner", "vdot", "einsum"):
             monkeypatch.setattr(np, name, refuse)
+        pressdyson._shared_basis.cache_clear()
+        bases = [z.BasisSpec.zd(m), z.BasisSpec.wsls4(m), z.BasisSpec.monomial(m, 3),
+                 z.BasisSpec.exponential(m, 0.5), z.BasisSpec.custom(m, [(1, 0), (0, 1)]),
+                 z.BasisSpec.wsls4(ZERO_COLUMN_PAYOFFS)]
         for basis in bases:
             for strategy in (z.TFT, z.WSLS):
                 result = z.decompose(z.press_dyson(strategy, 1), basis)
-                assert result.rank == len(basis._u[0]) and math.isfinite(result.residual_norm)
+                assert result.rank == basis._rank and math.isfinite(result.residual_norm)
 
-    #: Every verdict that moved when the per-call lstsq solve, judged by the
-    #: residual of its rounded coefficients, gave way to the factors a basis
-    #: takes once, judged by the target's distance from the span, over a
-    #: sweep of TFT, WSLS, ALLC, ALLD and four random strategies against zd,
-    #: wsls4, monomial:1/2/3/12/20 and exp:h (h = +-1, 2, 5 times 10^-5 ...
-    #: 10^-13, and 0.5, 1, +-2), at these payoffs and at 3e-200, 0, 5e-200,
-    #: 1e-200, which moved none.  All are TFT, whose vector each of these
-    #: bases contains; no rank moved.  Per basis: (kind, argument, rank,
-    #: exact), exact None where it moves with the OpenBLAS kernel (Haswell,
-    #: Prescott) or with numpy's baseline loops, whose np.exp rounds some
-    #: entries of exp:h otherwise (ROADMAP item 18).
+    #: Every verdict that moved when the per-call lstsq solve gave way to the
+    #: SVD a basis took once, over a sweep of TFT, WSLS, ALLC, ALLD and four
+    #: random strategies against zd, wsls4, monomial:1/2/3/12/20 and exp:h
+    #: (h = +-1, 2, 5 times 10^-5 ... 10^-13, and 0.5, 1, +-2): all TFT, whose
+    #: vector each of these bases contains.  Per basis: (kind, argument,
+    #: rank).  The SVD read rank 2 for some and left some inexact, or exact
+    #: on one OpenBLAS kernel alone; the exact rank is 3, or 4 for monomial
+    #: bases of degree 2 and up, and every residual is 0.
     MOVED = {
         (3, 0, 5, 1): [
-            ("exp", -5e-5, 3, True), ("exp", -2e-5, 3, True), ("exp", -5e-6, 3, True),
-            ("exp", -2e-6, 3, True), ("exp", -5e-7, 3, True), ("exp", -1e-7, 3, True),
-            ("exp", -1e-9, 2, True), ("exp", 1e-9, 2, True), ("exp", 1e-8, 3, True),
-            ("exp", 2e-8, 3, True), ("exp", 5e-7, 3, True), ("exp", 1e-6, 3, True),
-            ("exp", 1e-5, 3, True), ("exp", 5e-5, 3, True)],
+            ("exp", h, 3) for h in (-5e-5, -2e-5, -5e-6, -2e-6, -5e-7, -1e-7, -1e-9, 1e-9,
+                                    1e-8, 2e-8, 5e-7, 1e-6, 1e-5, 5e-5)],
         (4, -1, 6, 0): [
-            ("exp", -1e-5, 3, True), ("exp", -2e-6, 3, True), ("exp", -5e-7, 3, True),
-            ("exp", -2e-7, 3, None), ("exp", -1e-7, 3, True), ("exp", -5e-8, 3, True),
-            ("exp", -2e-8, 3, True), ("exp", -1e-8, 3, True), ("exp", -5e-10, 2, None),
-            ("exp", 5e-10, 2, True), ("exp", 5e-9, 3, True), ("exp", 2e-8, 3, True),
-            ("exp", 1e-7, 3, True), ("exp", 5e-7, 3, True), ("exp", 2e-6, 3, True),
-            ("exp", 2e-5, 3, None), ("exp", 5e-5, 3, True)],
+            ("exp", h, 3) for h in (-1e-5, -2e-6, -5e-7, -2e-7, -1e-7, -5e-8, -2e-8, -1e-8,
+                                    -5e-10, 5e-10, 5e-9, 2e-8, 1e-7, 5e-7, 2e-6, 2e-5, 5e-5)],
         (1000003, 1000000, 1000005, 1000001): [
-            ("zd", None, 3, True), ("monomial", 1, 3, True), ("monomial", 2, 3, True),
-            ("monomial", 3, 3, True), ("monomial", 12, 3, True), ("monomial", 20, 3, True),
-            ("exp", -5e-5, 3, True), ("exp", -2e-5, 3, True), ("exp", -1e-5, 3, False),
-            ("exp", -5e-6, 3, True), ("exp", -2e-6, 3, True), ("exp", -5e-7, 3, True),
-            ("exp", -2e-7, 3, True), ("exp", -1e-7, 3, None), ("exp", -1e-8, 3, True),
-            ("exp", -5e-9, 3, True), ("exp", -2e-9, 2, True), ("exp", 1e-9, 2, True),
-            ("exp", 2e-9, 2, True), ("exp", 1e-8, 3, True), ("exp", 1e-7, 3, True),
-            ("exp", 2e-7, 3, True), ("exp", 2e-6, 3, True), ("exp", 5e-6, 3, True),
-            ("exp", 1e-5, 3, True), ("exp", 2e-5, 3, True)],
+            ("zd", None, 3), ("monomial", 1, 3), ("monomial", 2, 4), ("monomial", 3, 4),
+            ("monomial", 12, 4), ("monomial", 20, 4)] + [
+            ("exp", h, 3) for h in (-5e-5, -2e-5, -1e-5, -5e-6, -2e-6, -5e-7, -2e-7, -1e-7,
+                                    -1e-8, -5e-9, -2e-9, 1e-9, 2e-9, 1e-8, 1e-7, 2e-7, 2e-6,
+                                    5e-6, 1e-5, 2e-5)],
         (1000000003, 1000000000, 1000000005, 1000000001): [
-            ("zd", None, 2, True), ("monomial", 1, 2, True), ("exp", -2e-7, 3, True),
-            ("exp", -2e-8, 3, True), ("exp", -5e-9, 3, True), ("exp", 1e-9, 2, True),
-            ("exp", 2e-9, 2, True), ("exp", 5e-9, 3, True), ("exp", 1e-8, 3, True),
-            ("exp", 1e-7, 3, True), ("exp", 2e-7, 3, True)],
+            ("zd", None, 3), ("monomial", 1, 3)] + [
+            ("exp", h, 3) for h in (-2e-7, -2e-8, -5e-9, 1e-9, 2e-9, 5e-9, 1e-8, 1e-7, 2e-7)],
         (1.000000003, 1, 1.000000005, 1.000000001): [
-            ("zd", None, 2, True), ("monomial", 1, 2, True), ("exp", 1.0, 2, True),
-            ("exp", 2.0, 2, True)],
+            ("zd", None, 3), ("monomial", 1, 3), ("exp", 1.0, 3), ("exp", 2.0, 3)],
     }
 
     @pytest.mark.parametrize("payoffs", MOVED)
     def test_verdicts_moved_from_the_per_call_solve(self, payoffs):
-        # ill-conditioned bases (ROADMAP items 3 and 9): the coefficients are
-        # large (of order 1/(h (T - S)) over exp:h), and their rounding alone
-        # left up to 1.2e-7 between the basis combination and the target, so
-        # 71 verdicts move to exact; the projection is as accurate as the
-        # span the SVD finds, which at shift 10^6 over exp:-1e-5 misses the
-        # target by 4.2e-12, the one verdict that moves away from exact
+        # ill-conditioned bases (ROADMAP items 3, 9 and 21): the coefficients
+        # are large (of order 1/(h (T - S)) over exp:h), yet the projector
+        # takes TFT's vector to itself exactly
         m = z.PayoffMatrix(*payoffs, permissive=True)
         build = {"zd": lambda m, _: z.BasisSpec.zd(m), "monomial": z.BasisSpec.monomial,
                  "exp": z.BasisSpec.exponential}
-        for kind, argument, rank, exact in self.MOVED[payoffs]:
+        for kind, argument, rank in self.MOVED[payoffs]:
             result = z.decompose(z.press_dyson(z.TFT, 1), build[kind](m, argument))
-            assert result.rank == rank, (kind, argument)
-            assert exact is None or result.exact is exact, (kind, argument, result.residual_norm)
+            assert (result.rank, result.exact, result.residual_norm) == (rank, True, 0.0), (
+                kind, argument)
+
+    @pytest.mark.parametrize("strategy, kind, argument, payoffs, rank, coefficients", [
+        ("tft", "exp", 1e-7, (3, 0, 5, 1), 3, None),
+        ("tft", "exp", 2e-13, (3, 0, 5, 1), 3, None),
+        ("tft", "exp", 1e-15, (3, 0, 5, 1), 3, None),
+        ("tft", "exp", 1e-9, (4, -1, 6, 0), 3, None),
+        ("wsls", "wsls4", None, (1000003, 1000000, 1000005, 1000001), 4, None),
+        ("tft", "zd", None, (1e9 + 3, 1e9, 1e9 + 5, 1e9 + 1), 3, (0.0, 0.2, -0.2)),
+        ("tft", "zd", None, (1.000000003, 1, 1.000000005, 1.000000001), 3, None),
+        ("tft", "monomial", 3, (1e6 + 3, 1e6, 1e6 + 5, 1e6 + 1), 4, None),
+        ("tft", "exp", -800.0, (3, 0, 5, 1), 3, (0.0, -1.0, 1.0)),
+    ], ids=["exp:1e-7", "exp:2e-13", "exp:1e-15", "exp:1e-9@4,-1,6,0", "wsls4@shift1e6",
+            "zd@shift1e9", "zd@1+1e-9", "monomial:3@shift1e6", "exp:-800"])
+    def test_the_span_is_decided_exactly(self, strategy, kind, argument, payoffs, rank,
+                                         coefficients):
+        # each read a lower rank or inexact when the rank came from an SVD
+        # with a threshold, and exp:-800 read -1.1e-16, -0.9999999999999998
+        # and 1.0000000000000002 where the system is exact in doubles
+        m = z.PayoffMatrix(*payoffs, permissive=True)
+        build = {"zd": lambda m, _: z.BasisSpec.zd(m), "wsls4": lambda m, _: z.BasisSpec.wsls4(m),
+                 "monomial": z.BasisSpec.monomial, "exp": z.BasisSpec.exponential}[kind]
+        basis = build(m, argument)
+        result = z.decompose(z.press_dyson(z.named_strategy(strategy), 1), basis)
+        assert (result.rank, result.exact, result.residual_norm) == (rank, True, 0.0)
+        assert coefficients is None or tuple(result.coefficients.values()) == coefficients
+
+    @pytest.mark.parametrize("payoffs", [(3, 0, 5, 1), (4, -1, 6, 0)])
+    def test_monomial_12_holds_every_target_it_spans(self, payoffs):
+        # its columns reach 5^12, and all 144 of these targets read inexact
+        # under the SVD though monomial:12 spans R^4: its projector is the
+        # identity, so every residual is 0
+        m = z.PayoffMatrix(*payoffs)
+        basis = z.BasisSpec.monomial(m, 12)
+        B = columns(basis, m)
+        for x in np.random.default_rng(21).uniform(-1.0, 1.0, size=(144, B.shape[1])):
+            result = z.decompose(B @ x, basis)
+            assert (result.rank, result.exact, result.residual_norm) == (4, True, 0.0)
+
+    def test_coefficient_beyond_double_precision_is_a_range_error(self):
+        # 1/(T - S) is about 2e309 at these subnormal payoffs: the coefficient
+        # used to print inf (and s2 nan) with exact true
+        tiny = z.PayoffMatrix(3e-310, 0, 5e-310, 1e-310)
+        with pytest.raises(OverflowError,
+                           match=r"^the zd coefficient of s1 overflows double precision$"):
+            z.BasisSpec.zd(tiny)
+        with pytest.raises(OverflowError,
+                           match=r"^the wsls4 coefficient of s1 overflows double precision$"):
+            z.wsls_coefficients(tiny)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=4, max_size=4, unique=True).map(sorted),
+           st.integers(-30, 30), st.integers(-10**9, 10**9),
+           st.sampled_from(["zd", "wsls4", "monomial:0", "monomial:1", "monomial:2",
+                            "monomial:3", "exp"]),
+           st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+           st.sampled_from(["tft", "wsls", "all_c", "all_d"]) | strategy_vectors)
+    @example([0, 1, 3, 5], 0, 10**9, "zd", 0.5, "tft")
+    def test_affine_payoff_maps_keep_rank_and_exact(self, payoffs, power, shift, kind, h,
+                                                    target):
+        # x -> a x + b with a = 2^power and b = a * shift.  Each payoff at
+        # a x + b is an exact double, and so is each monomial of degree <= 3
+        # at |shift| <= 1000: zd, wsls4 and monomial:D span one exact subspace
+        # at both.  exp:h at x and exp:h/a at a x + b differ by the factor
+        # e^{h shift} per column, up to rounding, at |shift| <= 300.  TFT read
+        # rank 2 over zd at a 10^9 shift when the rank came from an SVD
+        S, P, R, T = payoffs
+        assume(2 * R > T + S)
+        if kind != "zd":
+            shift = shift % 601 - 300 if kind == "exp" else shift % 2001 - 1000
+        x = z.PayoffMatrix(R, S, T, P)
+        y = z.PayoffMatrix(*(math.ldexp(v + shift, power) for v in (R, S, T, P)))
+        if kind == "exp":
+            bases = (z.BasisSpec.exponential(x, h),
+                     z.BasisSpec.exponential(y, math.ldexp(h, -power)))
+        elif kind.startswith("monomial"):
+            degree = int(kind.partition(":")[2])
+            bases = z.BasisSpec.monomial(x, degree), z.BasisSpec.monomial(y, degree)
+        else:
+            bases = getattr(z.BasisSpec, kind)(x), getattr(z.BasisSpec, kind)(y)
+        strategy = (z.named_strategy(target) if isinstance(target, str)
+                    else z.MemoryOneStrategy(target))
+        at_x, at_y = (z.decompose(z.press_dyson(strategy, 1), basis) for basis in bases)
+        assert (at_y.rank, at_y.exact) == (at_x.rank, at_x.exact)
 
     def test_decompose_accepts_raw_arrays(self, m):
         for target in (np.array([0.0, -1.0, 1.0, 0.0]), [0, -1, 1, 0]):
